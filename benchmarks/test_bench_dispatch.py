@@ -4,7 +4,9 @@ Three properties of the PR-10 fast path are demonstrated:
 
 * **warm vs cold cell latency** — re-running a scenario cell against warm
   per-process memo caches (materialisation, heuristic schedules, GA problems)
-  skips every re-derivation and must beat the cold run;
+  skips every re-derivation: the warm rounds record memo hits and no new
+  misses (the timings go to ``BENCH_results.json``; pass/fail rests on the
+  deterministic counters, not on one wall-clock sample);
 * **batched vs per-key SQLite lookup** — one ``get_many`` query answers a
   whole batch of keys far faster than a ``get`` per key;
 * the batched path stays byte-identical to the per-key path.
@@ -14,7 +16,7 @@ import time
 
 import pytest
 
-from repro.core.memo import reset_memos
+from repro.core.memo import memo_stats, reset_memos
 from repro.scenario import create_scenario
 from repro.service import ScheduleRequest, SchedulingService
 from repro.store import SqliteBackend
@@ -56,20 +58,28 @@ def test_cold_cell_latency(benchmark):
     reset_memos()
 
 
+#: The memos a warm rerun of the cell must be served by.
+CELL_MEMOS = ("materialize", "heuristic", "ga-problem")
+
+
 @pytest.mark.benchmark(group="dispatch")
 def test_warm_cell_latency(benchmark):
-    """The same cell against warm memos — and byte-identical to the cold run."""
+    """The same cell against warm memos — byte-identical to the cold run, and
+    answered from the memos: the warm rounds re-derive nothing."""
     reset_memos()
-    start = time.perf_counter()
     cold = run_cell()
-    cold_seconds = time.perf_counter() - start
+    before = memo_stats()
 
     responses = benchmark.pedantic(run_cell, rounds=3, iterations=1)
     assert [r.result_dict() for r in responses] == [r.result_dict() for r in cold]
-    assert benchmark.stats.stats.median < cold_seconds, (
-        f"warm cell no faster than cold ({benchmark.stats.stats.median:.3f}s "
-        f"vs {cold_seconds:.3f}s)"
-    )
+    after = memo_stats()
+    for name in CELL_MEMOS:
+        assert after[name]["misses"] == before[name]["misses"], (
+            f"{name} memo missed on a warm rerun"
+        )
+        assert after[name]["hits"] > before[name]["hits"], (
+            f"{name} memo unused on a warm rerun"
+        )
     reset_memos()
 
 

@@ -57,6 +57,7 @@ from repro.core.serialization import atomic_write_json, canonical_json, content_
 from repro.runtime import SimulationRequest, SimulationResponse, SimulationService
 from repro.scenario import Scenario
 from repro.service import ScheduleRequest, ScheduleResponse, SchedulerSpec, SchedulingService
+from repro.service.core import check_exclusive
 from repro.service.service import DERIVED_SEED_METHODS
 
 CAMPAIGN_JOURNAL_FILENAME = "campaign.jsonl"
@@ -410,8 +411,9 @@ class CampaignRunner:
         simulation: Optional[SimulationService] = None,
         timings: bool = False,
     ):
-        if cache_dir is not None and cache_backend is not None:
-            raise ValueError("pass either cache_dir or cache_backend, not both")
+        check_exclusive(
+            cache_dir=cache_dir is not None, cache_backend=cache_backend is not None
+        )
         if shard is not None:
             index, total = shard
             if total < 1 or not 1 <= index <= total:

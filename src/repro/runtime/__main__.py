@@ -44,14 +44,11 @@ from repro.runtime.models import (
     ExecutionModelSpec,
     format_execution_model_listing,
 )
-from repro.runtime.service import (
-    SCHEDULE_CACHE_SUBDIR,
-    SIM_CACHE_SUBDIR,
-    SimulationService,
-)
+from repro.runtime.service import SimulationService
 from repro.scenario import create_scenario, format_scenario_listing
 from repro.scheduling import format_scheduler_listing
 from repro.service.spec import SchedulerSpec
+from repro.store import SCHEDULE_CACHE_SUBDIR, SIM_CACHE_SUBDIR
 
 
 def build_parser() -> argparse.ArgumentParser:

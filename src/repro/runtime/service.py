@@ -13,11 +13,13 @@ yields bit-identical results in-process, on any worker of the pool, and
 across runs — which is what makes the content-addressed simulation cache
 sound.
 
-:class:`SimulationService` mirrors :class:`~repro.service.SchedulingService`
-exactly: a lazily created worker pool (``n_workers=1`` runs serially
-in-process), in-batch dedup of content-identical requests, a content-addressed
-response cache (in-memory, optionally directory-backed), and hit/miss
-provenance on every response.
+:class:`SimulationService` runs :func:`execute_simulation` through the same
+content-addressed execution core as the scheduling service
+(:mod:`repro.service.core`: worker pool, in-batch dedup, response cache,
+hit/miss provenance).  What it adds is the offline schedule: it owns or
+borrows a :class:`~repro.service.SchedulingService`, and each pooled chunk
+carries the schedules that service already holds plus its schedule cache's
+backend spec, which the worker re-opens once per chunk.
 
 The controller-simulation experiment, the campaign runner and the
 ``python -m repro.runtime`` JSONL CLI all simulate through this facade.
@@ -26,59 +28,34 @@ The controller-simulation experiment, the campaign runner and the
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from dataclasses import replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from concurrent.futures import Executor
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
-from repro.core.memo import drain_memo_metrics
 from repro.core.serialization import content_hash
 from repro.hardware.faults import FaultInjector
-from repro.obs.metrics import (
-    REQUESTS_TOTAL,
-    MetricsRegistry,
-    merge_snapshots,
-    observe_phases,
-)
-from repro.obs.trace import (
-    PHASE_CACHE_LOOKUP,
-    PHASE_QUEUE_WAIT,
-    PHASE_SCHEDULE,
-    PHASE_SIMULATE,
-    PHASE_STORE,
-    Trace,
-    activate,
-    new_trace_id,
-    span,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import PHASE_SCHEDULE, PHASE_SIMULATE, span
 from repro.runtime.messages import SimulationRequest, SimulationResponse
 from repro.runtime.models import ExecutionOutcome
 from repro.scenario import build_platform, materialize
 from repro.service.cache import ScheduleCache
-from repro.service.messages import CACHE_DISABLED, CACHE_HIT, CACHE_MISS, ScheduleResponse
+from repro.service.core import (
+    CACHE_DEFAULT,
+    ContentAddressedService,
+    check_exclusive,
+    distinct_registries,
+)
+from repro.service.messages import ScheduleResponse
 from repro.service.service import SchedulingService, execute_request
-from repro.store.backends import SCHEDULE_CACHE_SUBDIR as _SCHEDULE_CACHE_SUBDIR
-from repro.store.backends import SIM_CACHE_SUBDIR as _SIM_CACHE_SUBDIR
+from repro.store.backends import SIM_CACHE_SUBDIR
+from repro.store.registry import create_backend
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store import CacheBackend
 
 SIM_CACHE_ENTRY_KIND = "repro/sim-cache-entry"
 SIM_CACHE_ENTRY_VERSION = 1
-
-# The shared two-namespace cache layout now lives with the storage backends
-# (:mod:`repro.store`); re-exported here because the batch CLIs and daemon
-# historically imported it from this module.
-SIM_CACHE_SUBDIR = _SIM_CACHE_SUBDIR
-SCHEDULE_CACHE_SUBDIR = _SCHEDULE_CACHE_SUBDIR
 
 
 class SimulationCache(ScheduleCache):
@@ -243,192 +220,7 @@ def execute_simulation(
     )
 
 
-def execute_simulation_job(
-    args: Tuple[SimulationRequest, Optional[str], Optional[Dict[str, object]]],
-) -> SimulationResponse:
-    """Worker-side entry point: one request, plus how to get its schedule.
-
-    A schedule already cached in the dispatching service travels along as its
-    deterministic ``result_dict`` (no recomputation at all); otherwise each
-    call re-opens the dispatching service's persistent schedule cache from
-    its backend spec string (see :meth:`ScheduleCache.backend_spec
-    <repro.service.cache.ScheduleCache.backend_spec>`), so pool workers reuse
-    schedules computed by anyone — every backend writes atomically and is
-    safe for concurrent writers.
-    """
-    request, schedule_backend_spec, cached_schedule = args
-    if cached_schedule is not None:
-        return execute_simulation(
-            request, schedule_response=ScheduleResponse.from_result_dict(cached_schedule)
-        )
-    if schedule_backend_spec is None:
-        return execute_simulation(request)
-    from repro.store import create_backend
-
-    cache = ScheduleCache(backend=create_backend(schedule_backend_spec))
-    try:
-        with SchedulingService(cache=cache) as scheduling:
-            return execute_simulation(request, scheduling=scheduling)
-    finally:
-        cache.close()
-
-
-def execute_simulation_job_observed(
-    args: Tuple[
-        SimulationRequest,
-        Optional[str],
-        Optional[Dict[str, object]],
-        Optional[str],
-        Optional[float],
-    ],
-) -> Tuple[SimulationResponse, Dict[str, object], Dict[str, object]]:
-    """Pool-worker entry: :func:`execute_simulation_job` under trace + registry.
-
-    ``args`` extends the :func:`execute_simulation_job` triple with
-    ``(trace_id, submitted_monotonic)``; the worker records the queue-wait it
-    observed and ships back ``(response, trace_dict, registry_snapshot)``.
-    The response is untouched — answers stay byte-identical with or without
-    observation.
-    """
-    request, schedule_backend_spec, cached_schedule, trace_id, submitted = args
-    registry = MetricsRegistry()
-    trace = Trace(trace_id)
-    if submitted is not None:
-        trace.add_phase(PHASE_QUEUE_WAIT, time.monotonic() - submitted)
-    with activate(trace):
-        response = execute_simulation_job(
-            (request, schedule_backend_spec, cached_schedule)
-        )
-    observe_phases(registry, "simulation", trace.phases)
-    drain_memo_metrics(registry)
-    return response, trace.to_dict(), registry.snapshot()
-
-
-def slim_simulation_entry(
-    request: SimulationRequest,
-    cached_schedule: Optional[Dict[str, object]],
-    trace_id: str,
-    scenarios: Dict[str, Any],
-) -> Tuple[Any, ...]:
-    """One slim chunk-payload entry for ``request``; fills ``scenarios``.
-
-    Requests without an explicit workload ship only their small fields plus
-    the scenario's content key — the envelope itself goes into the chunk's
-    shared ``scenarios`` table exactly once, however many jobs of the chunk
-    reference it.  Explicit-workload requests ship whole.
-    """
-    content_key = request.content_key()
-    if request.task_set is None and request.scenario is not None:
-        scenario_key = request.scenario.content_key()
-        scenarios.setdefault(scenario_key, request.scenario)
-        return (
-            "scenario",
-            scenario_key,
-            request.method,
-            request.execution_model,
-            request.system_index,
-            request.horizon,
-            request.max_events,
-            request.seed,
-            request.request_id,
-            content_key,
-            cached_schedule,
-            trace_id,
-        )
-    return ("request", request, content_key, cached_schedule, trace_id)
-
-
-def inflate_simulation_entry(
-    entry: Tuple[Any, ...], scenarios: Dict[str, Any]
-) -> Tuple[SimulationRequest, Optional[Dict[str, object]], str]:
-    """Rebuild ``(request, cached_schedule, trace_id)`` from a slim entry."""
-    if entry[0] == "scenario":
-        (
-            _,
-            scenario_key,
-            method,
-            execution_model,
-            system_index,
-            horizon,
-            max_events,
-            seed,
-            request_id,
-            content_key,
-            cached_schedule,
-            trace_id,
-        ) = entry
-        request = SimulationRequest(
-            scenario=scenarios[scenario_key],
-            method=method,
-            execution_model=execution_model,
-            system_index=system_index,
-            horizon=horizon,
-            max_events=max_events,
-            seed=seed,
-            request_id=request_id,
-        )
-    else:
-        _, request, content_key, cached_schedule, trace_id = entry
-    if content_key is not None:
-        object.__setattr__(request, "_content_key", content_key)
-    return request, cached_schedule, trace_id
-
-
-def execute_simulation_chunk(
-    payload: Tuple[Dict[str, Any], Optional[str], List[Tuple[Any, ...]], Optional[float]],
-) -> Tuple[List[Tuple[SimulationResponse, Dict[str, object]]], Dict[str, object]]:
-    """Pool-worker entry: execute one slim chunk of simulation requests.
-
-    ``payload`` is ``(scenarios, schedule_backend_spec, entries, submitted)``.
-    The dispatching service's persistent schedule cache is re-opened **once
-    per chunk** (not once per job) and shared by every job of the chunk that
-    did not come with its schedule attached; each job runs under its own
-    trace, and the chunk ships one registry snapshot covering every job plus
-    this worker's memo-cache deltas.
-    """
-    scenarios, schedule_backend_spec, entries, submitted = payload
-    registry = MetricsRegistry()
-    outcomes: List[Tuple[SimulationResponse, Dict[str, object]]] = []
-    schedule_cache: Optional[ScheduleCache] = None
-    scheduling: Optional[SchedulingService] = None
-    try:
-        if schedule_backend_spec is not None:
-            from repro.store import create_backend
-
-            schedule_cache = ScheduleCache(backend=create_backend(schedule_backend_spec))
-            scheduling = SchedulingService(cache=schedule_cache)
-        for entry in entries:
-            request, cached_schedule, trace_id = inflate_simulation_entry(
-                entry, scenarios
-            )
-            trace = Trace(trace_id)
-            if submitted is not None:
-                trace.add_phase(PHASE_QUEUE_WAIT, time.monotonic() - submitted)
-            with activate(trace):
-                if cached_schedule is not None:
-                    response = execute_simulation(
-                        request,
-                        schedule_response=ScheduleResponse.from_result_dict(
-                            cached_schedule
-                        ),
-                    )
-                else:
-                    response = execute_simulation(request, scheduling=scheduling)
-            observe_phases(registry, "simulation", trace.phases)
-            outcomes.append((response, trace.to_dict()))
-    finally:
-        if scheduling is not None:
-            scheduling.close()
-        if schedule_cache is not None:
-            schedule_cache.close()
-    drain_memo_metrics(registry)
-    return outcomes, registry.snapshot()
-
-
-_CACHE_DEFAULT = object()
-
-
-class SimulationService:
+class SimulationService(ContentAddressedService[SimulationRequest, SimulationResponse]):
     """Request/response facade over run-time execution, with batching and caching.
 
     Parameters
@@ -475,353 +267,112 @@ class SimulationService:
         chunk size.
     """
 
+    METRICS_KIND = "simulation"
+    REQUEST_CLS = SimulationRequest
+    RESPONSE_CLS = SimulationResponse
+    CACHE_CLS = SimulationCache
+    CACHE_SUBDIR = SIM_CACHE_SUBDIR
+    SLIM_FIELDS = (
+        "method",
+        "execution_model",
+        "system_index",
+        "horizon",
+        "max_events",
+        "seed",
+        "request_id",
+    )
+
+    # Bound in this class's own namespace (not only inherited) so code that
+    # wraps it through ``SimulationService.__dict__`` finds it.
+    submit_batch = ContentAddressedService.submit_batch
+
     def __init__(
         self,
         *,
         n_workers: int = 1,
         cache_dir: Optional[str] = None,
         cache_backend: Optional[Union[str, "CacheBackend"]] = None,
-        cache: Union[SimulationCache, None, object] = _CACHE_DEFAULT,
+        cache: Union[SimulationCache, None, object] = CACHE_DEFAULT,
         scheduling: Optional[SchedulingService] = None,
         schedule_cache_dir: Optional[str] = None,
         executor: Optional[Executor] = None,
         chunksize: Optional[int] = None,
     ):
-        if not isinstance(n_workers, int) or n_workers < 1:
-            raise ValueError(f"n_workers must be a positive integer, got {n_workers!r}")
-        if chunksize is not None and (not isinstance(chunksize, int) or chunksize < 1):
-            raise ValueError(f"chunksize must be a positive integer, got {chunksize!r}")
-        given = [
-            name
-            for name, present in (
-                ("cache_dir", cache_dir is not None),
-                ("cache_backend", cache_backend is not None),
-                ("cache", cache is not _CACHE_DEFAULT),
-            )
-            if present
-        ]
-        if len(given) > 1:
-            raise ValueError(
-                f"pass at most one of cache_dir, cache_backend and cache, "
-                f"not both {' and '.join(given)}"
-            )
-        if scheduling is not None and schedule_cache_dir is not None:
-            raise ValueError(
-                "pass either an existing scheduling service or schedule_cache_dir, not both"
-            )
-        if cache_backend is not None and schedule_cache_dir is not None:
-            raise ValueError(
-                "pass either cache_backend or schedule_cache_dir, not both"
-            )
-        self.n_workers = n_workers
-        self.chunksize = chunksize
-        #: This service's metrics: request counters, per-phase latency
-        #: histograms and — for caches the service creates itself — the cache
-        #: operation counters.  :meth:`metrics` merges in the registries of a
-        #: separately created cache and of the scheduling service.
-        self.registry = MetricsRegistry()
-        self._owns_cache = False
-        if cache_backend is not None:
-            from repro.store import simulation_backend
-
-            self.cache: Optional[SimulationCache] = SimulationCache(
-                backend=simulation_backend(cache_backend), metrics=self.registry
-            )
-            self._owns_cache = isinstance(cache_backend, str)
-        elif cache is _CACHE_DEFAULT:
-            self.cache = SimulationCache(cache_dir, metrics=self.registry)
-        else:
-            self.cache = cache  # type: ignore[assignment]
-        if scheduling is not None:
-            self.scheduling = scheduling
-            self._owns_scheduling = False
-        elif cache_backend is not None and isinstance(cache_backend, str):
-            self.scheduling = SchedulingService(cache_backend=cache_backend)
-            self._owns_scheduling = True
-        else:
-            self.scheduling = SchedulingService(cache_dir=schedule_cache_dir)
-            self._owns_scheduling = True
-        self._executor: Optional[Executor] = executor
-        self._owns_executor = executor is None
-        #: Requests actually simulated (cache misses) over this service's lifetime.
-        self.computed = 0
-        #: Phase breakdowns of the most recent :meth:`submit_batch`, one
-        #: ``{"trace_id", "phases"}`` dict per request in request order.
-        self.last_traces: List[Dict[str, object]] = []
-
-    # -- lifecycle ---------------------------------------------------------------
+        check_exclusive(
+            scheduling=scheduling is not None,
+            schedule_cache_dir=schedule_cache_dir is not None,
+        )
+        check_exclusive(
+            cache_backend=cache_backend is not None,
+            schedule_cache_dir=schedule_cache_dir is not None,
+        )
+        super().__init__(
+            n_workers=n_workers,
+            cache_dir=cache_dir,
+            cache_backend=cache_backend,
+            cache=cache,
+            executor=executor,
+            chunksize=chunksize,
+        )
+        self._owns_scheduling = scheduling is None
+        if scheduling is None:
+            if isinstance(cache_backend, str):
+                scheduling = SchedulingService(cache_backend=cache_backend)
+            else:
+                scheduling = SchedulingService(cache_dir=schedule_cache_dir)
+        self.scheduling = scheduling
 
     def close(self) -> None:
-        if self._executor is not None and self._owns_executor:
-            self._executor.shutdown()
-            self._executor = None
+        super().close()
         if self._owns_scheduling:
             self.scheduling.close()
-        if self._owns_cache and self.cache is not None:
-            self.cache.close()
 
-    def __enter__(self) -> "SimulationService":
-        return self
+    def execute(self, request: SimulationRequest) -> SimulationResponse:
+        return execute_simulation(request, scheduling=self.scheduling)
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def pool_context(
+        self, requests: List[SimulationRequest]
+    ) -> Tuple[Optional[str], List[Optional[Dict[str, Any]]]]:
+        """The schedule cache's backend spec, plus each job's schedule when
+        the scheduling service already holds it.
 
-    def _get_executor(self) -> Executor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
-        return self._executor
-
-    def _schedule_backend_spec(self) -> Optional[str]:
-        """Backend spec of the persistent schedule cache workers should share."""
-        cache = self.scheduling.cache
-        return cache.backend_spec() if cache is not None else None
-
-    # -- the API -----------------------------------------------------------------
-
-    def submit(self, request: SimulationRequest) -> SimulationResponse:
-        """Execute one request (through the cache)."""
-        return self.submit_batch([request])[0]
-
-    def execute_in_pool(self, request: SimulationRequest) -> "Future[SimulationResponse]":
-        """Submit one request to the worker pool; returns its future.
-
-        The *awaitable unit* of simulation execution (no response-cache
-        lookup, no provenance): a schedule the scheduling service already
-        holds ships with the job, otherwise the worker resolves it through
-        the shared on-disk schedule cache (or computes it in-process).  The
-        async serving daemon (:mod:`repro.server`) wraps these futures into
-        its event loop; synchronous callers should prefer :meth:`submit`.
+        Shipping held schedules (e.g. the ones a campaign's schedule cells
+        just computed) means workers never recompute them, even when the
+        schedule cache is memory-only; one batched peek covers all jobs.
         """
         schedule_cache = self.scheduling.cache
-        cached = (
-            schedule_cache.peek(request.schedule_request().content_key())
-            if schedule_cache is not None
-            else None
-        )
-        return self._get_executor().submit(
-            execute_simulation_job, (request, self._schedule_backend_spec(), cached)
-        )
+        if schedule_cache is None:
+            return None, [None] * len(requests)
+        keys = [request.schedule_request().content_key() for request in requests]
+        peeked = schedule_cache.peek_many(keys)
+        return schedule_cache.backend_spec(), [peeked.get(key) for key in keys]
 
-    def execute_in_pool_observed(
-        self, request: SimulationRequest
-    ) -> "Future[Tuple[SimulationResponse, Dict[str, object], Dict[str, object]]]":
-        """Like :meth:`execute_in_pool`, but through the observed worker entry.
-
-        The future resolves to ``(response, trace_dict, registry_snapshot)``;
-        the serving daemon's dispatcher merges the snapshot into its registry
-        and keeps the phase breakdown.  The response is identical to
-        :meth:`execute_in_pool`'s.
-        """
-        schedule_cache = self.scheduling.cache
-        cached = (
-            schedule_cache.peek(request.schedule_request().content_key())
-            if schedule_cache is not None
-            else None
-        )
-        return self._get_executor().submit(
-            execute_simulation_job_observed,
-            (
+    @staticmethod
+    @contextmanager
+    def open_worker(schedule_backend_spec: Optional[str]):
+        """Re-open the dispatching service's persistent schedule cache once
+        per chunk, so pool workers reuse schedules computed by anyone (every
+        backend writes atomically and is safe for concurrent writers)."""
+        scheduling = None
+        if schedule_backend_spec is not None:
+            scheduling = SchedulingService(
+                cache=ScheduleCache(backend=create_backend(schedule_backend_spec))
+            )
+        try:
+            yield lambda request, schedule: execute_simulation(
                 request,
-                self._schedule_backend_spec(),
-                cached,
-                new_trace_id(),
-                time.monotonic(),
-            ),
-        )
-
-    #: Value of the ``kind`` label on this service's registry metrics.
-    METRICS_KIND = "simulation"
-
-    def submit_batch(
-        self, requests: Iterable[SimulationRequest]
-    ) -> List[SimulationResponse]:
-        """Execute a batch; responses are returned in request order.
-
-        Cached and duplicate requests are not recomputed: every distinct
-        content key in the batch is simulated at most once, and each
-        response's ``cache`` field records what happened
-        (``hit``/``miss``/``disabled``).  Per-request phase breakdowns land
-        in :attr:`last_traces` and the phase latency histograms of
-        :attr:`registry`; responses carry none of it.
-        """
-        requests = list(requests)
-        responses: List[Optional[SimulationResponse]] = [None] * len(requests)
-        keys = [request.content_key() for request in requests]
-        traces = [Trace() for _ in requests]
-        kind = self.METRICS_KIND
-
-        # One batched lookup covers the whole batch: each distinct key goes to
-        # the cache (and its backend) exactly once, however often it repeats.
-        # Hit/miss statistics still count per position, and each position's
-        # trace carries an equal share of the lookup so phase totals match.
-        lookup_started = time.monotonic()
-        found = self.cache.get_many(keys) if self.cache is not None else {}
-        lookup_share = (
-            (time.monotonic() - lookup_started) / len(requests) if requests else 0.0
-        )
-
-        pending: Dict[str, List[int]] = {}
-        for position, (request, key) in enumerate(zip(requests, keys)):
-            trace = traces[position]
-            trace.add_phase(PHASE_CACHE_LOOKUP, lookup_share)
-            observe_phases(self.registry, kind, trace.phases[-1:])
-            cached = found.get(key)
-            if cached is not None:
-                responses[position] = SimulationResponse.from_result_dict(
-                    cached, request_id=request.request_id, cache=CACHE_HIT, cache_key=key
-                )
-            else:
-                pending.setdefault(key, []).append(position)
-
-        computed = self._execute_unique(
-            [
-                (key, requests[positions[0]], traces[positions[0]])
-                for key, positions in pending.items()
-            ]
-        )
-
-        # Mirror image of the lookup: all freshly computed results persist in
-        # one batched write (one SQLite transaction), each leader trace taking
-        # an equal share of the store phase.
-        store_share = 0.0
-        if self.cache is not None and pending:
-            store_started = time.monotonic()
-            self.cache.put_many(
-                [(key, computed[key].result_dict()) for key in pending]
+                scheduling=scheduling,
+                schedule_response=(
+                    None if schedule is None else ScheduleResponse.from_result_dict(schedule)
+                ),
             )
-            store_share = (time.monotonic() - store_started) / len(pending)
-        for key, positions in pending.items():
-            base = computed[key]
-            if self.cache is not None:
-                leader_trace = traces[positions[0]]
-                leader_trace.add_phase(PHASE_STORE, store_share)
-                observe_phases(self.registry, kind, leader_trace.phases[-1:])
-            for occurrence, position in enumerate(positions):
-                if self.cache is None:
-                    status = CACHE_DISABLED
-                else:
-                    status = CACHE_MISS if occurrence == 0 else CACHE_HIT
-                responses[position] = replace(
-                    base,
-                    request_id=requests[position].request_id,
-                    cache=status,
-                    cache_key=key,
-                )
-        for response in responses:
-            if response is not None:
-                self.registry.counter_inc(
-                    REQUESTS_TOTAL,
-                    help="Requests answered, by kind and cache status.",
-                    kind=kind,
-                    cache=response.cache,
-                )
-        # Serial-path executions ran scheduler memo caches in this process;
-        # fold their hit/miss deltas into the service registry (pooled chunks
-        # already shipped theirs inside the merged snapshots).
-        drain_memo_metrics(self.registry)
-        self.last_traces = [trace.to_dict() for trace in traces]
-        return [response for response in responses if response is not None]
-
-    def _execute_unique(self, work) -> Dict[str, SimulationResponse]:
-        """Simulate one request per distinct content key; phases land on the
-        leader's trace (``work`` is ``(key, request, trace)`` triples)."""
-        if not work:
-            return {}
-        if self.n_workers == 1 or len(work) == 1:
-            results = []
-            for _, request, trace in work:
-                before = len(trace.phases)
-                with activate(trace):
-                    results.append(
-                        execute_simulation(request, scheduling=self.scheduling)
-                    )
-                observe_phases(self.registry, self.METRICS_KIND, trace.phases[before:])
-        else:
-            schedule_backend_spec = self._schedule_backend_spec()
-            schedule_cache = self.scheduling.cache
-            submitted = time.monotonic()
-            # Schedules the dispatching service already holds (e.g. the ones
-            # a campaign's schedule cells just computed) ship with the jobs,
-            # so workers never recompute them — even when the schedule cache
-            # is memory-only.  One batched peek covers all jobs.
-            schedule_keys = [
-                request.schedule_request().content_key() for _, request, _ in work
-            ]
-            peeked = (
-                schedule_cache.peek_many(schedule_keys)
-                if schedule_cache is not None
-                else {}
-            )
-            chunksize = self.chunksize or max(1, len(work) // (self.n_workers * 4))
-            executor = self._get_executor()
-            futures = []
-            for start in range(0, len(work), chunksize):
-                chunk = work[start : start + chunksize]
-                # Slim payload: each distinct scenario envelope crosses the
-                # process boundary once per chunk, not once per job.
-                scenarios: Dict[str, Any] = {}
-                entries = [
-                    slim_simulation_entry(
-                        request,
-                        peeked.get(schedule_keys[start + offset]),
-                        trace.trace_id,
-                        scenarios,
-                    )
-                    for offset, (_, request, trace) in enumerate(chunk)
-                ]
-                futures.append(
-                    executor.submit(
-                        execute_simulation_chunk,
-                        (scenarios, schedule_backend_spec, entries, submitted),
-                    )
-                )
-            results = []
-            for future in futures:
-                outcomes, snapshot = future.result()
-                # The worker already observed its phases into the shipped
-                # snapshot; merging it here is what makes pooled totals equal
-                # serial totals.
-                self.registry.merge(snapshot)
-                for response, trace_dict in outcomes:
-                    work[len(results)][2].phases.extend(trace_dict["phases"])
-                    results.append(response)
-        self.computed += len(results)
-        return {key: result for (key, _, _), result in zip(work, results)}
-
-    # -- introspection -----------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        """Lifetime counters: simulations computed plus cache hit/miss/store totals.
-
-        ``cache_backend`` describes where cache entries persist (backend name,
-        location, entry count, size) — ``{"name": "memory"}`` when the cache
-        only lives in this process.
-        """
-        stats: Dict[str, object] = {"computed": self.computed}
-        if self.cache is not None:
-            cache_stats = self.cache.stats()
-            stats.update(
-                cache_entries=cache_stats["entries"],
-                cache_hits=cache_stats["hits"],
-                cache_misses=cache_stats["misses"],
-                cache_stores=cache_stats["stores"],
-                cache_backend=cache_stats["backend"],
-            )
-        return stats
+        finally:
+            if scheduling is not None:
+                scheduling.cache.close()
 
     def metrics_registries(self) -> List[MetricsRegistry]:
         """Every distinct registry this service's metrics live on (including
         the scheduling service it obtains offline schedules through)."""
-        registries = [self.registry]
-        if self.cache is not None and self.cache.registry is not self.registry:
-            registries.append(self.cache.registry)
-        for registry in self.scheduling.metrics_registries():
-            if all(registry is not existing for existing in registries):
-                registries.append(registry)
-        return registries
-
-    def metrics(self) -> Dict[str, object]:
-        """Merged snapshot of this service's metrics (counters + histograms)."""
-        return merge_snapshots(
-            registry.snapshot() for registry in self.metrics_registries()
+        return distinct_registries(
+            super().metrics_registries() + self.scheduling.metrics_registries()
         )

@@ -47,11 +47,7 @@ from repro.obs.metrics import (
     merge_snapshots,
 )
 from repro.runtime.messages import SimulationRequest
-from repro.runtime.service import (
-    SCHEDULE_CACHE_SUBDIR,
-    SIM_CACHE_SUBDIR,
-    SimulationService,
-)
+from repro.runtime.service import SimulationService
 from repro.server.dispatcher import (
     DEFAULT_MAX_QUEUE,
     Dispatcher,
@@ -80,8 +76,10 @@ from repro.server.protocol import (
     encode_error,
     encode_response,
 )
+from repro.service.core import check_exclusive, distinct_registries
 from repro.service.messages import ScheduleRequest
 from repro.service.service import SchedulingService
+from repro.store import SCHEDULE_CACHE_SUBDIR, SIM_CACHE_SUBDIR
 
 DEFAULT_HOST = "127.0.0.1"
 _READ_CHUNK = 1 << 16
@@ -141,8 +139,9 @@ class ReproServer:
     ):
         if (scheduling is None) != (simulation is None):
             raise ValueError("pass both scheduling and simulation services, or neither")
-        if cache_dir is not None and cache_backend is not None:
-            raise ValueError("pass either cache_dir or cache_backend, not both")
+        check_exclusive(
+            cache_dir=cache_dir is not None, cache_backend=cache_backend is not None
+        )
         self.host = host
         self.port = port
         self.max_line_bytes = max_line_bytes
@@ -411,12 +410,13 @@ class ReproServer:
         their own (and their caches', and the shared scheduling service's) —
         each exactly once, so merging can never double-count.
         """
-        registries = [self.registry]
-        for service in (self.scheduling, self.simulation):
-            for registry in service.metrics_registries():
-                if all(registry is not existing for existing in registries):
-                    registries.append(registry)
-        return registries
+        return distinct_registries(
+            [
+                self.registry,
+                *self.scheduling.metrics_registries(),
+                *self.simulation.metrics_registries(),
+            ]
+        )
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """One merged snapshot of everything, server gauges set at scrape time."""

@@ -2,12 +2,13 @@
 
 The dispatcher is the daemon's policy layer between the wire and the warm
 services.  For every admitted request it runs exactly the same pure execution
-path as the batch CLIs (the services' observed pool entries,
-:meth:`SchedulingService.execute_in_pool_observed
-<repro.service.SchedulingService.execute_in_pool_observed>` /
-:meth:`SimulationService.execute_in_pool_observed
-<repro.runtime.SimulationService.execute_in_pool_observed>` on the shared
-worker pool), and layers three serving-only behaviours on top:
+path as the batch CLIs: the services' one pool-worker entry, reached through
+:meth:`execute_in_pool
+<repro.service.core.ContentAddressedService.execute_in_pool>` on the shared
+worker pool.  Cached answers come from the service's :meth:`lookup
+<repro.service.core.ContentAddressedService.lookup>` and computed ones go back
+through its :meth:`store <repro.service.core.ContentAddressedService.store>`.
+On top of that it layers three serving-only behaviours:
 
 * **admission control** — at most ``max_queue`` computations may be queued or
   running at once; a request that would exceed the bound is rejected with
@@ -41,7 +42,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import replace
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.obs.metrics import (
     REQUEST_LATENCY_MS,
@@ -54,6 +55,7 @@ from repro.obs.metrics import (
 from repro.obs.trace import PHASE_CACHE_LOOKUP, PHASE_STORE
 from repro.runtime.messages import SimulationRequest, SimulationResponse
 from repro.runtime.service import SimulationService
+from repro.service.core import ContentAddressedService
 from repro.service.messages import (
     CACHE_DISABLED,
     CACHE_HIT,
@@ -160,59 +162,25 @@ class Dispatcher:
 
     async def schedule(self, request: ScheduleRequest) -> ScheduleResponse:
         """Answer one scheduling request (cache -> dedup -> admitted compute)."""
-        return await self._dispatch(
-            KIND_SCHEDULE,
-            request.content_key(),
-            self.scheduling.cache,
-            lambda: self._submit(self.scheduling, request),
-            request.request_id,
-            ScheduleResponse,
-        )
+        return await self._dispatch(KIND_SCHEDULE, self.scheduling, request)
 
     async def simulate(self, request: SimulationRequest) -> SimulationResponse:
         """Answer one simulation request (cache -> dedup -> admitted compute)."""
-        return await self._dispatch(
-            KIND_SIMULATION,
-            request.content_key(),
-            self.simulation.cache,
-            lambda: self._submit(self.simulation, request),
-            request.request_id,
-            SimulationResponse,
-        )
-
-    @staticmethod
-    def _submit(service, request):
-        """Submit through the observed pool entry when the service has one.
-
-        Test stubs (and any duck-typed service) that only implement
-        ``execute_in_pool`` keep working: :meth:`_compute` accepts both the
-        bare response and the observed ``(response, trace, snapshot)`` triple.
-        """
-        observed = getattr(service, "execute_in_pool_observed", None)
-        if observed is not None:
-            return observed(request)
-        return service.execute_in_pool(request)
+        return await self._dispatch(KIND_SIMULATION, self.simulation, request)
 
     async def _dispatch(
-        self,
-        kind: str,
-        key: str,
-        cache,
-        submit: Callable[[], "Any"],
-        request_id: Optional[str],
-        response_cls,
+        self, kind: str, service: ContentAddressedService, request
     ) -> Response:
-        if cache is not None:
+        key = request.content_key()
+        if service.cache is not None:
             lookup_started = time.monotonic()
-            cached = cache.get(key)
+            cached = service.lookup(request)
             self._observe_phase(
                 kind, PHASE_CACHE_LOOKUP, time.monotonic() - lookup_started
             )
             if cached is not None:
                 self._count_request(kind, CACHE_HIT)
-                return response_cls.from_result_dict(
-                    cached, request_id=request_id, cache=CACHE_HIT, cache_key=key
-                )
+                return cached
 
         token = (kind, key)
         existing = self._inflight.get(token)
@@ -223,7 +191,9 @@ class Dispatcher:
             self.registry.counter_inc(SERVER_DEDUP_TOTAL, help=_DEDUP_HELP, kind=kind)
             result = await asyncio.shield(existing)
             self._count_request(kind, CACHE_HIT)
-            return replace(result, request_id=request_id, cache=CACHE_HIT, cache_key=key)
+            return replace(
+                result, request_id=request.request_id, cache=CACHE_HIT, cache_key=key
+            )
 
         if self.draining:
             raise Draining("daemon is draining; no new work admitted")
@@ -240,47 +210,47 @@ class Dispatcher:
         # a client that disconnects mid-compute (cancelling its handler task)
         # must not tear down work that other waiters — or the cache — still
         # want.  Leader and followers alike await the shielded shared future.
-        loop.create_task(self._compute(kind, token, cache, submit, future))
+        loop.create_task(self._compute(kind, token, service, request, future))
         result = await asyncio.shield(future)
-        status = CACHE_MISS if cache is not None else CACHE_DISABLED
+        status = CACHE_MISS if service.cache is not None else CACHE_DISABLED
         self._count_request(kind, status)
-        return replace(result, request_id=request_id, cache=status, cache_key=key)
+        return replace(result, request_id=request.request_id, cache=status, cache_key=key)
 
     async def _compute(
         self,
         kind: str,
         token: Tuple[str, str],
-        cache,
-        submit: Callable[[], "Any"],
+        service: ContentAddressedService,
+        request,
         future: "asyncio.Future[Response]",
     ) -> None:
         started = time.perf_counter()
         try:
-            outcome = await asyncio.wrap_future(submit())
-        except BaseException as error:
-            self._count_admission("failed")
-            future.set_exception(error)
-            future.exception()  # waiters re-raise on their own await
-        else:
-            if isinstance(outcome, tuple):
-                # Observed pool entry: the worker's registry snapshot merges
-                # into ours (phase histograms, queue-wait included).
-                result, _trace, snapshot = outcome
-                self.registry.merge(snapshot)
-            else:
-                result = outcome
+            result, _trace, snapshot = await asyncio.wrap_future(
+                service.execute_in_pool(request)
+            )
+            # The worker's registry snapshot merges into ours (phase
+            # histograms, queue-wait included).
+            self.registry.merge(snapshot)
             self._avg_compute_s += 0.2 * (
                 (time.perf_counter() - started) - self._avg_compute_s
             )
-            if cache is not None:
+            if service.cache is not None:
                 # Populate the cache *before* dropping the in-flight token:
                 # an identical request arriving in between must find one of
                 # the two, never a gap that would recompute.
                 store_started = time.monotonic()
-                cache.put(token[1], result.result_dict())
+                service.store(token[1], result)
                 self._observe_phase(
                     kind, PHASE_STORE, time.monotonic() - store_started
                 )
+        except BaseException as error:
+            # A failed compute and a failed store (a locked database, a full
+            # disk) alike resolve the shared future, so no waiter hangs.
+            self._count_admission("failed")
+            future.set_exception(error)
+            future.exception()  # waiters re-raise on their own await
+        else:
             self.registry.counter_inc(
                 SERVER_COMPUTED_TOTAL, help=_COMPUTED_HELP, kind=kind
             )

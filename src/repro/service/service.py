@@ -9,16 +9,15 @@ content hash, so the same request yields bit-identical results in-process, on
 any worker of the pool, and across runs.  That is what makes the
 content-addressed :class:`~repro.service.cache.ScheduleCache` sound.
 
-:class:`SchedulingService` layers three things on top of the pure function:
-
-* a **worker pool** (``ProcessPoolExecutor``; ``n_workers=1`` runs serially
-  in-process) that is created lazily and reused across batches;
-* the **schedule cache** — requests whose content key is already cached are
-  answered without computing anything, and duplicate requests inside one
-  batch are computed once;
-* **provenance** — every response records whether it was a cache ``hit`` or
-  ``miss`` (or ``disabled``), under which content key, and how long the
-  computation took.
+:class:`SchedulingService` runs :func:`execute_request` through the
+content-addressed execution core (:mod:`repro.service.core`), which adds a
+lazily created, reused **worker pool** (``n_workers=1`` runs serially
+in-process), the **schedule cache** (cached requests are answered without
+computing anything, and duplicates inside one batch are computed once) and
+**provenance** (every response records whether it was a cache ``hit`` or
+``miss`` — or ``disabled`` — under which content key, and how long the
+computation took).  The subclass itself supplies only the pure function, the
+request fields a pooled job ships, and its cache and response classes.
 
 The experiment engine, the quickstart example, the controller simulation and
 the ``python -m repro.service`` JSONL CLI all schedule through this facade.
@@ -27,51 +26,18 @@ the ``python -m repro.service`` JSONL CLI all schedule through this facade.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from dataclasses import replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from contextlib import contextmanager
+from typing import Any, Dict, Tuple
 
-from repro.core.memo import drain_memo_metrics
 from repro.core.metrics import aggregate_psi, aggregate_upsilon
 from repro.core.serialization import content_hash, schedule_to_dict
-from repro.obs.metrics import (
-    REQUESTS_TOTAL,
-    MetricsRegistry,
-    merge_snapshots,
-    observe_phases,
-)
-from repro.obs.trace import (
-    PHASE_CACHE_LOOKUP,
-    PHASE_QUEUE_WAIT,
-    PHASE_SCHEDULE,
-    PHASE_STORE,
-    Trace,
-    activate,
-    new_trace_id,
-    span,
-)
+from repro.obs.trace import PHASE_SCHEDULE, span
 from repro.scheduling.base import SystemScheduleResult
 from repro.service.cache import ScheduleCache
-from repro.service.messages import (
-    CACHE_DISABLED,
-    CACHE_HIT,
-    CACHE_MISS,
-    ScheduleRequest,
-    ScheduleResponse,
-)
+from repro.service.core import ContentAddressedService
+from repro.service.messages import ScheduleRequest, ScheduleResponse
 from repro.service.spec import SchedulerSpec
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.store import CacheBackend
+from repro.store.backends import SCHEDULE_CACHE_SUBDIR
 
 #: Spec names for which the service derives a deterministic seed when the
 #: request does not pin one.  Methods registered here must accept a ``seed``
@@ -210,115 +176,7 @@ def execute_request(request: ScheduleRequest) -> ScheduleResponse:
     )
 
 
-def execute_request_observed(
-    args: Tuple[ScheduleRequest, Optional[str], Optional[float]],
-) -> Tuple[ScheduleResponse, Dict[str, Any], Dict[str, Any]]:
-    """Pool-worker entry: :func:`execute_request` under a fresh trace + registry.
-
-    ``args`` is ``(request, trace_id, submitted_monotonic)``.  The worker
-    opens a trace under the dispatching process's ``trace_id``, records the
-    queue-wait it observed (``time.monotonic`` is comparable across processes
-    on one machine), executes, and ships back
-    ``(response, trace_dict, registry_snapshot)`` — the response itself is
-    untouched, so answers stay byte-identical with or without observation.
-    """
-    request, trace_id, submitted_monotonic = args
-    registry = MetricsRegistry()
-    trace = Trace(trace_id)
-    if submitted_monotonic is not None:
-        trace.add_phase(PHASE_QUEUE_WAIT, time.monotonic() - submitted_monotonic)
-    with activate(trace):
-        response = execute_request(request)
-    observe_phases(registry, "schedule", trace.phases)
-    drain_memo_metrics(registry)
-    return response, trace.to_dict(), registry.snapshot()
-
-
-def slim_job_entry(
-    request: ScheduleRequest,
-    content_key: str,
-    trace_id: str,
-    scenarios: Dict[str, Any],
-) -> Tuple[Any, ...]:
-    """One slim chunk-payload entry for ``request``; fills ``scenarios``.
-
-    Scenario-backed requests ship only their small fields plus the scenario's
-    content key — the envelope itself goes into the chunk's shared ``scenarios``
-    table exactly once, however many jobs of the chunk reference it.  Requests
-    with an explicit task set ship whole (their pickled form is already slim:
-    memoised task sets are dropped, the content key rides along).
-    """
-    if request.scenario is not None:
-        scenario_key = request.scenario.content_key()
-        scenarios.setdefault(scenario_key, request.scenario)
-        return (
-            "scenario",
-            scenario_key,
-            request.system_index,
-            request.spec,
-            request.horizon,
-            request.request_id,
-            content_key,
-            trace_id,
-        )
-    return ("request", request, content_key, trace_id)
-
-
-def inflate_job_entry(
-    entry: Tuple[Any, ...], scenarios: Dict[str, Any]
-) -> Tuple[ScheduleRequest, str]:
-    """Rebuild ``(request, trace_id)`` from a slim chunk-payload entry.
-
-    The rebuilt request is content-identical to the dispatcher's (scenario
-    envelopes are shared values; the content key is seeded so nobody re-hashes
-    it), which is what keeps responses byte-identical to serial execution.
-    """
-    if entry[0] == "scenario":
-        _, scenario_key, system_index, spec, horizon, request_id, content_key, trace_id = entry
-        request = ScheduleRequest(
-            scenario=scenarios[scenario_key],
-            system_index=system_index,
-            spec=spec,
-            horizon=horizon,
-            request_id=request_id,
-        )
-    else:
-        _, request, content_key, trace_id = entry
-    if content_key is not None:
-        object.__setattr__(request, "_content_key", content_key)
-    return request, trace_id
-
-
-def execute_schedule_chunk(
-    payload: Tuple[Dict[str, Any], List[Tuple[Any, ...]], Optional[float]],
-) -> Tuple[List[Tuple[ScheduleResponse, Dict[str, Any]]], Dict[str, Any]]:
-    """Pool-worker entry: execute one slim chunk of requests.
-
-    ``payload`` is ``(scenarios, entries, submitted_monotonic)``.  Each entry
-    runs under its own trace (queue-wait measured when its turn comes, exactly
-    as ``Executor.map`` chunking did); the chunk ships one registry snapshot
-    covering every job plus this worker's memo-cache deltas.
-    """
-    scenarios, entries, submitted_monotonic = payload
-    registry = MetricsRegistry()
-    outcomes: List[Tuple[ScheduleResponse, Dict[str, Any]]] = []
-    for entry in entries:
-        request, trace_id = inflate_job_entry(entry, scenarios)
-        trace = Trace(trace_id)
-        if submitted_monotonic is not None:
-            trace.add_phase(PHASE_QUEUE_WAIT, time.monotonic() - submitted_monotonic)
-        with activate(trace):
-            response = execute_request(request)
-        observe_phases(registry, "schedule", trace.phases)
-        outcomes.append((response, trace.to_dict()))
-    drain_memo_metrics(registry)
-    return outcomes, registry.snapshot()
-
-
-_CACHE_DEFAULT = object()
-
-
-class SchedulingService:
+class SchedulingService(ContentAddressedService[ScheduleRequest, ScheduleResponse]):
     """Request/response facade over the schedulers, with batching and caching.
 
     Parameters
@@ -361,277 +219,21 @@ class SchedulingService:
     the worker pool.
     """
 
-    def __init__(
-        self,
-        *,
-        n_workers: int = 1,
-        cache_dir: Optional[str] = None,
-        cache_backend: Optional[Union[str, "CacheBackend"]] = None,
-        cache: Union[ScheduleCache, None, object] = _CACHE_DEFAULT,
-        executor: Optional[Executor] = None,
-        chunksize: Optional[int] = None,
-    ):
-        if not isinstance(n_workers, int) or n_workers < 1:
-            raise ValueError(f"n_workers must be a positive integer, got {n_workers!r}")
-        if chunksize is not None and (not isinstance(chunksize, int) or chunksize < 1):
-            raise ValueError(f"chunksize must be a positive integer, got {chunksize!r}")
-        given = [
-            name
-            for name, present in (
-                ("cache_dir", cache_dir is not None),
-                ("cache_backend", cache_backend is not None),
-                ("cache", cache is not _CACHE_DEFAULT),
-            )
-            if present
-        ]
-        if len(given) > 1:
-            raise ValueError(
-                f"pass at most one of cache_dir, cache_backend and cache, "
-                f"not both {' and '.join(given)}"
-            )
-        self.n_workers = n_workers
-        self.chunksize = chunksize
-        #: This service's metrics: request counters, per-phase latency
-        #: histograms and — for caches the service creates itself — the cache
-        #: operation counters.  :meth:`metrics` merges in any separately
-        #: created cache registry.
-        self.registry = MetricsRegistry()
-        self._owns_cache = False
-        if cache_backend is not None:
-            from repro.store import schedule_backend
-
-            self.cache: Optional[ScheduleCache] = ScheduleCache(
-                backend=schedule_backend(cache_backend), metrics=self.registry
-            )
-            self._owns_cache = isinstance(cache_backend, str)
-        elif cache is _CACHE_DEFAULT:
-            self.cache = ScheduleCache(cache_dir, metrics=self.registry)
-        else:
-            self.cache = cache  # type: ignore[assignment]
-        self._executor: Optional[Executor] = executor
-        self._owns_executor = executor is None
-        #: Requests actually computed (cache misses) over this service's lifetime.
-        self.computed = 0
-        #: Phase breakdowns of the most recent :meth:`submit_batch`, one
-        #: ``{"trace_id", "phases"}`` dict per request in request order.
-        self.last_traces: List[Dict[str, Any]] = []
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def close(self) -> None:
-        if self._executor is not None and self._owns_executor:
-            self._executor.shutdown()
-            self._executor = None
-        if self._owns_cache and self.cache is not None:
-            self.cache.close()
-
-    def __enter__(self) -> "SchedulingService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _get_executor(self) -> Executor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
-        return self._executor
-
-    # -- the API -----------------------------------------------------------------
-
-    def submit(self, request: ScheduleRequest) -> ScheduleResponse:
-        """Execute one request (through the cache)."""
-        return self.submit_batch([request])[0]
-
-    def execute_in_pool(self, request: ScheduleRequest) -> "Future[ScheduleResponse]":
-        """Submit one request to the worker pool; returns its future.
-
-        This is the *awaitable unit* of request execution: no cache lookup,
-        no provenance stamping — just the pure :func:`execute_request` running
-        on the pool.  The async serving daemon (:mod:`repro.server`) wraps
-        these futures into its event loop and layers cache + in-flight dedup
-        on top; synchronous callers should prefer :meth:`submit`.
-        """
-        return self._get_executor().submit(execute_request, request)
-
-    def execute_in_pool_observed(
-        self, request: ScheduleRequest
-    ) -> "Future[Tuple[ScheduleResponse, Dict[str, Any], Dict[str, Any]]]":
-        """Like :meth:`execute_in_pool`, but through the observed worker entry.
-
-        The future resolves to ``(response, trace_dict, registry_snapshot)``;
-        the serving daemon's dispatcher merges the snapshot into its registry
-        and keeps the phase breakdown.  The response is identical to
-        :meth:`execute_in_pool`'s.
-        """
-        return self._get_executor().submit(
-            execute_request_observed, (request, new_trace_id(), time.monotonic())
-        )
-
-    #: Value of the ``kind`` label on this service's registry metrics.
     METRICS_KIND = "schedule"
+    REQUEST_CLS = ScheduleRequest
+    RESPONSE_CLS = ScheduleResponse
+    CACHE_CLS = ScheduleCache
+    CACHE_SUBDIR = SCHEDULE_CACHE_SUBDIR
+    SLIM_FIELDS = ("system_index", "spec", "horizon", "request_id")
 
-    def submit_batch(self, requests: Iterable[ScheduleRequest]) -> List[ScheduleResponse]:
-        """Execute a batch; responses are returned in request order.
+    # Bound in this class's own namespace (not only inherited) so code that
+    # wraps it through ``SchedulingService.__dict__`` finds it.
+    submit_batch = ContentAddressedService.submit_batch
 
-        Cached and duplicate requests are not recomputed: every distinct
-        content key in the batch is executed at most once, and each response's
-        ``cache`` field records what happened (``hit``/``miss``/``disabled``).
-        Per-request phase breakdowns land in :attr:`last_traces` and the phase
-        latency histograms of :attr:`registry`; responses carry none of it.
-        """
-        requests = list(requests)
-        responses: List[Optional[ScheduleResponse]] = [None] * len(requests)
-        keys = [request.content_key() for request in requests]
-        traces = [Trace() for _ in requests]
-        kind = self.METRICS_KIND
+    def execute(self, request: ScheduleRequest) -> ScheduleResponse:
+        return execute_request(request)
 
-        # One batched lookup covers the whole batch: each distinct key goes to
-        # the cache (and its backend) exactly once, however often it repeats.
-        # Hit/miss statistics still count per position, and each position's
-        # trace carries an equal share of the lookup so phase totals match.
-        lookup_started = time.monotonic()
-        found = self.cache.get_many(keys) if self.cache is not None else {}
-        lookup_share = (
-            (time.monotonic() - lookup_started) / len(requests) if requests else 0.0
-        )
-
-        # Key -> positions still to answer, in first-seen order.
-        pending: Dict[str, List[int]] = {}
-        for position, (request, key) in enumerate(zip(requests, keys)):
-            trace = traces[position]
-            trace.add_phase(PHASE_CACHE_LOOKUP, lookup_share)
-            observe_phases(self.registry, kind, trace.phases[-1:])
-            cached = found.get(key)
-            if cached is not None:
-                responses[position] = ScheduleResponse.from_result_dict(
-                    cached, request_id=request.request_id, cache=CACHE_HIT, cache_key=key
-                )
-            else:
-                pending.setdefault(key, []).append(position)
-
-        computed = self._execute_unique(
-            [
-                (key, requests[positions[0]], traces[positions[0]])
-                for key, positions in pending.items()
-            ]
-        )
-
-        # Mirror image of the lookup: all freshly computed results persist in
-        # one batched write (one SQLite transaction), each leader trace taking
-        # an equal share of the store phase.
-        store_share = 0.0
-        if self.cache is not None and pending:
-            store_started = time.monotonic()
-            self.cache.put_many(
-                [(key, computed[key].result_dict()) for key in pending]
-            )
-            store_share = (time.monotonic() - store_started) / len(pending)
-        for key, positions in pending.items():
-            base = computed[key]
-            if self.cache is not None:
-                leader_trace = traces[positions[0]]
-                leader_trace.add_phase(PHASE_STORE, store_share)
-                observe_phases(self.registry, kind, leader_trace.phases[-1:])
-            for occurrence, position in enumerate(positions):
-                if self.cache is None:
-                    status = CACHE_DISABLED
-                else:
-                    status = CACHE_MISS if occurrence == 0 else CACHE_HIT
-                responses[position] = replace(
-                    base,
-                    request_id=requests[position].request_id,
-                    cache=status,
-                    cache_key=key,
-                )
-        for response in responses:
-            if response is not None:
-                self.registry.counter_inc(
-                    REQUESTS_TOTAL,
-                    help="Requests answered, by kind and cache status.",
-                    kind=kind,
-                    cache=response.cache,
-                )
-        # Serial-path executions ran scheduler memo caches in this process;
-        # fold their hit/miss deltas into the service registry (pooled chunks
-        # already shipped theirs inside the merged snapshots).
-        drain_memo_metrics(self.registry)
-        self.last_traces = [trace.to_dict() for trace in traces]
-        return [response for response in responses if response is not None]
-
-    def _execute_unique(self, work) -> Dict[str, ScheduleResponse]:
-        """Execute one request per distinct content key; phases land on the
-        leader's trace (``work`` is ``(key, request, trace)`` triples)."""
-        if not work:
-            return {}
-        if self.n_workers == 1 or len(work) == 1:
-            results = []
-            for _, request, trace in work:
-                before = len(trace.phases)
-                with activate(trace):
-                    results.append(execute_request(request))
-                observe_phases(self.registry, self.METRICS_KIND, trace.phases[before:])
-        else:
-            submitted = time.monotonic()
-            chunksize = self.chunksize or max(1, len(work) // (self.n_workers * 4))
-            executor = self._get_executor()
-            futures = []
-            for start in range(0, len(work), chunksize):
-                chunk = work[start : start + chunksize]
-                # Slim payload: each distinct scenario envelope crosses the
-                # process boundary once per chunk, not once per job.
-                scenarios: Dict[str, Any] = {}
-                entries = [
-                    slim_job_entry(request, key, trace.trace_id, scenarios)
-                    for key, request, trace in chunk
-                ]
-                futures.append(
-                    executor.submit(
-                        execute_schedule_chunk, (scenarios, entries, submitted)
-                    )
-                )
-            results = []
-            for future in futures:
-                outcomes, snapshot = future.result()
-                # The worker already observed its phases (queue-wait and
-                # compute) into the shipped snapshot; merging it here is what
-                # makes pooled totals equal serial totals.
-                self.registry.merge(snapshot)
-                for response, trace_dict in outcomes:
-                    work[len(results)][2].phases.extend(trace_dict["phases"])
-                    results.append(response)
-        self.computed += len(results)
-        return {key: result for (key, _, _), result in zip(work, results)}
-
-    # -- introspection -----------------------------------------------------------
-
-    def stats(self) -> Dict[str, Any]:
-        """Lifetime counters: requests computed plus cache hit/miss/store totals.
-
-        ``cache_backend`` describes where cache entries persist (backend name,
-        location, entry count, size) — ``{"name": "memory"}`` when the cache
-        only lives in this process.
-        """
-        stats: Dict[str, Any] = {"computed": self.computed}
-        if self.cache is not None:
-            cache_stats = self.cache.stats()
-            stats.update(
-                cache_entries=cache_stats["entries"],
-                cache_hits=cache_stats["hits"],
-                cache_misses=cache_stats["misses"],
-                cache_stores=cache_stats["stores"],
-                cache_backend=cache_stats["backend"],
-            )
-        return stats
-
-    def metrics_registries(self) -> List[MetricsRegistry]:
-        """Every distinct registry this service's metrics live on."""
-        registries = [self.registry]
-        if self.cache is not None and self.cache.registry is not self.registry:
-            registries.append(self.cache.registry)
-        return registries
-
-    def metrics(self) -> Dict[str, Any]:
-        """Merged snapshot of this service's metrics (counters + histograms)."""
-        return merge_snapshots(
-            registry.snapshot() for registry in self.metrics_registries()
-        )
+    @staticmethod
+    @contextmanager
+    def open_worker(context: Any):
+        yield lambda request, extra: execute_request(request)

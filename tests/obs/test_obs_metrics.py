@@ -14,8 +14,8 @@ from repro.obs import (
     merge_snapshots,
     observe_phases,
 )
-from repro.service import ScheduleRequest, SchedulerSpec
-from repro.service.service import execute_request_observed
+from repro.service import ScheduleRequest, SchedulerSpec, SchedulingService
+from repro.service.core import execute_chunk
 from repro.service.__main__ import scenario_requests
 
 
@@ -159,9 +159,16 @@ class TestObservePhases:
         ) == 1
 
 
+def _chunk_of_one(request, trace_id):
+    """The pool-worker entry's payload for one scheduling job."""
+    scenarios = {}
+    entry = (SchedulingService.slim(request, scenarios), request.content_key(), trace_id, None)
+    return (SchedulingService, None, scenarios, [entry], None)
+
+
 def _observed_jobs(n_systems):
     requests = scenario_requests("short-hyperperiod", ["static"], n_systems)
-    return [(request, f"trace{i:02d}", None) for i, request in enumerate(requests)]
+    return [_chunk_of_one(request, f"trace{i:02d}") for i, request in enumerate(requests)]
 
 
 class TestWorkerSnapshotParity:
@@ -171,12 +178,12 @@ class TestWorkerSnapshotParity:
         jobs = _observed_jobs(4)
 
         serial = MetricsRegistry()
-        for _, _, snapshot in map(execute_request_observed, jobs):
+        for _, snapshot in map(execute_chunk, jobs):
             serial.merge(snapshot)
 
         pooled = MetricsRegistry()
         with ProcessPoolExecutor(max_workers=2) as executor:
-            for _, _, snapshot in executor.map(execute_request_observed, jobs):
+            for _, snapshot in executor.map(execute_chunk, jobs):
                 pooled.merge(snapshot)
 
         serial_families = serial.snapshot()["families"]
@@ -197,7 +204,7 @@ class TestWorkerSnapshotParity:
             system_index=0,
             spec=SchedulerSpec.parse("static"),
         )
-        response, trace, snapshot = execute_request_observed((request, "t0", None))
+        [(response, trace)], snapshot = execute_chunk(_chunk_of_one(request, "t0"))
         assert response.result_dict() == execute_request(request).result_dict()
         assert trace["trace_id"] == "t0"
         assert snapshot["families"]

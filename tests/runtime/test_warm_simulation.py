@@ -10,11 +10,7 @@ import pytest
 
 from repro.core.memo import reset_memos
 from repro.runtime import SimulationRequest, SimulationService
-from repro.runtime.service import (
-    execute_simulation_chunk,
-    inflate_simulation_entry,
-    slim_simulation_entry,
-)
+from repro.service.core import execute_chunk
 from repro.scenario import Scenario, WorkloadSpec
 from repro.taskgen import GeneratorConfig
 
@@ -91,11 +87,8 @@ class TestSlimPayloads:
     def test_entries_round_trip(self, tiny_scenario):
         scenarios = {}
         for request in request_batch(tiny_scenario):
-            entry = slim_simulation_entry(request, None, "t-1", scenarios)
-            rebuilt, cached_schedule, trace_id = inflate_simulation_entry(
-                entry, scenarios
-            )
-            assert (cached_schedule, trace_id) == (None, "t-1")
+            entry = SimulationService.slim(request, scenarios)
+            rebuilt = SimulationService.inflate(entry, scenarios)
             assert rebuilt == request
             assert rebuilt.content_key() == request.content_key()
         assert list(scenarios) == [tiny_scenario.content_key()]
@@ -105,14 +98,41 @@ class TestSlimPayloads:
         reference = run_batch(tiny_scenario)
         scenarios = {}
         entries = [
-            slim_simulation_entry(request, None, f"t-{index}", scenarios)
+            (
+                SimulationService.slim(request, scenarios),
+                request.content_key(),
+                f"t-{index}",
+                None,
+            )
             for index, request in enumerate(requests)
         ]
-        outcomes, snapshot = execute_simulation_chunk(
-            (scenarios, None, entries, None)
+        outcomes, snapshot = execute_chunk(
+            (SimulationService, None, scenarios, entries, None)
         )
         assert [response.result_dict() for response, _ in outcomes] == reference
         assert [trace["trace_id"] for _, trace in outcomes] == [
             f"t-{index}" for index in range(len(requests))
         ]
         assert "families" in snapshot
+
+    def test_chunk_worker_runs_shipped_schedules(self, tiny_scenario):
+        # What pool_context ships when the scheduling service already holds
+        # a job's schedule: the worker simulates it without rescheduling.
+        requests = request_batch(tiny_scenario)
+        reference = run_batch(tiny_scenario)
+        with SimulationService(cache=None) as service:
+            service.scheduling.submit_batch([r.schedule_request() for r in requests])
+            context, schedules = service.pool_context(requests)
+        assert context is None  # a memory-only schedule cache has no spec
+        assert all(schedule is not None for schedule in schedules)
+        scenarios = {}
+        entries = [
+            (SimulationService.slim(request, scenarios), request.content_key(), "t", schedule)
+            for request, schedule in zip(requests, schedules)
+        ]
+        outcomes, snapshot = execute_chunk(
+            (SimulationService, context, scenarios, entries, None)
+        )
+        assert [response.result_dict() for response, _ in outcomes] == reference
+        phases = [phase["phase"] for _, trace in outcomes for phase in trace["phases"]]
+        assert "schedule" not in phases

@@ -199,16 +199,16 @@ class TestStatsAndHealth:
         assert stats["requests"]["admitted"] >= 1
 
 
-class GatedStubService:
+class GatedStubService(SchedulingService):
     """Injectable service whose computations complete only when released."""
 
     def __init__(self):
-        self.cache = None
-        self.n_workers = 1
+        super().__init__(cache=None)
         self.calls = []
         self.release = threading.Event()
 
     def execute_in_pool(self, request):
+        from repro.obs import MetricsRegistry
         from repro.service.messages import ScheduleResponse
 
         future = Future()
@@ -216,22 +216,21 @@ class GatedStubService:
 
         def worker():
             self.release.wait(timeout=30)
-            future.set_result(
-                ScheduleResponse.from_result_dict(
-                    {
-                        "spec": "static",
-                        "horizon": 100,
-                        "schedulable": True,
-                        "psi": 0.5,
-                        "upsilon": 0.0,
-                        "best_psi": 0.5,
-                        "best_upsilon": 0.0,
-                        "per_device": {},
-                    },
-                    request_id=request.request_id,
-                    elapsed_s=0.1,
-                )
+            response = ScheduleResponse.from_result_dict(
+                {
+                    "spec": "static",
+                    "horizon": 100,
+                    "schedulable": True,
+                    "psi": 0.5,
+                    "upsilon": 0.0,
+                    "best_psi": 0.5,
+                    "best_upsilon": 0.0,
+                    "per_device": {},
+                },
+                request_id=request.request_id,
+                elapsed_s=0.1,
             )
+            future.set_result((response, {"phases": []}, MetricsRegistry().snapshot()))
 
         threading.Thread(target=worker, daemon=True).start()
         return future

@@ -3,7 +3,8 @@
 The services are replaced by gated stubs whose ``execute_in_pool`` returns a
 :class:`concurrent.futures.Future` the test resolves by hand, so concurrency
 windows (two requests in flight, a full queue, a drain with work pending) are
-constructed deterministically instead of raced.
+constructed deterministically instead of raced.  The stubs are real services
+otherwise, so cache lookups and stores take the services' own path.
 """
 
 import asyncio
@@ -11,6 +12,7 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.server.dispatcher import Dispatcher, Draining, Overloaded
 from repro.service import (
     CACHE_HIT,
@@ -18,6 +20,7 @@ from repro.service import (
     ScheduleCache,
     ScheduleRequest,
     SchedulerSpec,
+    SchedulingService,
 )
 from repro.taskgen import GeneratorConfig, SystemGenerator
 
@@ -43,12 +46,11 @@ def result_dict(marker: float) -> dict:
     }
 
 
-class StubService:
+class StubService(SchedulingService):
     """Service stand-in: every execute_in_pool call hands back a manual future."""
 
     def __init__(self, cache=None, n_workers: int = 1):
-        self.cache = cache
-        self.n_workers = n_workers
+        super().__init__(cache=cache, n_workers=n_workers)
         self.calls = []
 
     def execute_in_pool(self, request):
@@ -68,11 +70,10 @@ def resolve(service: StubService, call_index: int, marker: float):
     from repro.service.messages import ScheduleResponse
 
     request, future = service.calls[call_index]
-    future.set_result(
-        ScheduleResponse.from_result_dict(
-            result_dict(marker), request_id=request.request_id, elapsed_s=0.25
-        )
+    response = ScheduleResponse.from_result_dict(
+        result_dict(marker), request_id=request.request_id, elapsed_s=0.25
     )
+    future.set_result((response, {"phases": []}, MetricsRegistry().snapshot()))
 
 
 class TestDedup:
@@ -223,3 +224,34 @@ class TestDrain:
             return dispatcher
 
         assert asyncio.run(scenario()).draining
+
+
+class FailingStoreCache(ScheduleCache):
+    """A cache whose writes fail, as with a locked database or a full disk."""
+
+    def put(self, key, result):
+        raise OSError("no space left on device")
+
+
+class TestStoreFailure:
+    def test_store_error_fails_leader_and_follower(self):
+        async def scenario():
+            dispatcher, scheduling = make_dispatcher(cache=FailingStoreCache())
+            task_a = asyncio.ensure_future(dispatcher.schedule(make_request(0, "a")))
+            task_b = asyncio.ensure_future(dispatcher.schedule(make_request(0, "b")))
+            while not scheduling.calls:
+                await asyncio.sleep(0)
+            await asyncio.sleep(0)  # let the follower attach
+            assert dispatcher.deduped("schedule") == 1
+            resolve(scheduling, 0, marker=1.0)
+            results = await asyncio.wait_for(
+                asyncio.gather(task_a, task_b, return_exceptions=True), timeout=5
+            )
+            return dispatcher, results
+
+        dispatcher, results = asyncio.run(scenario())
+        assert [type(result) for result in results] == [OSError, OSError]
+        assert dispatcher.failed == 1
+        assert dispatcher.computed("schedule") == 0
+        assert dispatcher._inflight == {}
+        assert dispatcher.queue_depth == 0

@@ -10,7 +10,6 @@ import pytest
 from repro.core.memo import memo_stats, reset_memos
 from repro.scenario import create_scenario
 from repro.service import ScheduleRequest, SchedulingService
-from repro.service.service import inflate_job_entry, slim_job_entry
 
 METHODS = ("static", "gpiocp", "ga:population_size=8,generations=4")
 
@@ -68,9 +67,8 @@ class TestSlimPayloads:
     def test_entries_round_trip(self):
         scenarios = {}
         for request in make_batch():
-            entry = slim_job_entry(request, request.content_key(), "t-1", scenarios)
-            rebuilt, trace_id = inflate_job_entry(entry, scenarios)
-            assert trace_id == "t-1"
+            entry = SchedulingService.slim(request, scenarios)
+            rebuilt = SchedulingService.inflate(entry, scenarios)
             assert rebuilt == request
             assert rebuilt.content_key() == request.content_key()
 
@@ -78,7 +76,7 @@ class TestSlimPayloads:
         batch = make_batch()
         scenarios = {}
         for request in batch:
-            slim_job_entry(request, request.content_key(), "t", scenarios)
+            SchedulingService.slim(request, scenarios)
         distinct = {request.scenario.content_key() for request in batch}
         assert set(scenarios) == distinct
         assert len(scenarios) == 2
@@ -90,10 +88,10 @@ class TestSlimPayloads:
             task_set=probe.effective_task_set(), spec="static"
         )
         scenarios = {}
-        entry = slim_job_entry(request, request.content_key(), "t", scenarios)
+        entry = SchedulingService.slim(request, scenarios)
         assert entry[0] == "request"
         assert scenarios == {}
-        rebuilt, _ = inflate_job_entry(entry, scenarios)
+        rebuilt = SchedulingService.inflate(entry, scenarios)
         assert rebuilt == request
 
 
