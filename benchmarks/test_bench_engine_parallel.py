@@ -7,7 +7,9 @@ Two properties are demonstrated on ``ExperimentConfig.quick()``:
   >= 4 CPUs; the determinism assertion — bit-identical series at any worker
   count — holds everywhere);
 * **near-free cache hits** — re-running a sweep against a populated artifact
-  store recomputes nothing and completes orders of magnitude faster.
+  directory recomputes nothing: the sweep JSON answers it whole, and without
+  that JSON the cell cache answers every cell (counted, not timed; the
+  timings go to ``BENCH_results.json``).
 """
 
 import os
@@ -59,8 +61,8 @@ def test_engine_parallel_speedup(benchmark, quick_config, tmp_path_factory):
 
 @pytest.mark.benchmark(group="engine")
 def test_engine_artifact_cache_makes_reruns_near_free(benchmark, quick_config, tmp_path_factory):
-    artifact_dir = str(tmp_path_factory.mktemp("engine-cache"))
-    config = quick_config.with_overrides(n_workers=1, artifact_dir=artifact_dir)
+    artifact_dir = tmp_path_factory.mktemp("engine-cache")
+    config = quick_config.with_overrides(n_workers=1, artifact_dir=str(artifact_dir))
 
     start = time.perf_counter()
     with ExperimentEngine(config) as engine:
@@ -78,14 +80,19 @@ def test_engine_artifact_cache_makes_reruns_near_free(benchmark, quick_config, t
     warm = benchmark.pedantic(warm_run, rounds=1, iterations=1)
     warm_seconds = time.perf_counter() - start
 
+    # Without the sweep JSON, the cell cache answers every cell.
+    for sweep_json in artifact_dir.glob("*/schedulability-*.json"):
+        sweep_json.unlink()
+    with ExperimentEngine(config) as engine:
+        resumed = engine.schedulability_sweep()
+        stats = engine.service.stats()
+
     assert cold_cells > 0
+    assert (stats["computed"], stats["cache_hits"], stats["cache_stores"]) == (0, cold_cells, 0)
     assert warm.series == cold.series
+    assert resumed.series == cold.series
     print()
     print(
         f"artifact cache: cold {cold_seconds:.2f}s ({cold_cells} cells), "
         f"warm {warm_seconds:.3f}s"
-    )
-    assert warm_seconds < cold_seconds / 5, (
-        f"cached rerun ({warm_seconds:.3f}s) should be far faster than the "
-        f"cold run ({cold_seconds:.2f}s)"
     )

@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.experiments import ExperimentRunner
+from repro.experiments import run_fig6
 from repro.experiments.stats import mean
 
 
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_psi_sweep(benchmark, quick_config):
-    runner = ExperimentRunner(quick_config)
-    sweep = benchmark.pedantic(runner.accuracy_sweep, rounds=1, iterations=1)
-    result = sweep.psi
+    result = benchmark.pedantic(run_fig6, args=(quick_config,), rounds=1, iterations=1)
 
     print()
     print("Figure 6 — Psi of the offline scheduling methods (reduced-scale reproduction)")

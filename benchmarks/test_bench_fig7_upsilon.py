@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.experiments import ExperimentRunner
+from repro.experiments import run_fig7
 from repro.experiments.stats import mean
 
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_upsilon_sweep(benchmark, quick_config):
-    runner = ExperimentRunner(quick_config)
-    sweep = benchmark.pedantic(runner.accuracy_sweep, rounds=1, iterations=1)
-    result = sweep.upsilon
+    result = benchmark.pedantic(run_fig7, args=(quick_config,), rounds=1, iterations=1)
 
     print()
     print("Figure 7 — Upsilon of the offline scheduling methods (reduced-scale reproduction)")

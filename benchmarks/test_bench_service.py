@@ -6,11 +6,9 @@ Two properties are demonstrated on a synthetic request batch:
   :class:`~repro.service.SchedulingService` costs what the underlying
   schedulers cost (the facade adds only hashing and envelope building);
 * **near-free cache hits** — resubmitting the same batch against the
-  populated content-addressed cache recomputes nothing and completes orders
-  of magnitude faster.
+  populated content-addressed cache recomputes and stores nothing (counted,
+  not timed; the timings go to ``BENCH_results.json``).
 """
-
-import time
 
 import pytest
 
@@ -50,25 +48,18 @@ def test_service_batch_throughput(benchmark, request_batch):
 def test_service_cache_hits_are_near_free(benchmark, request_batch, tmp_path_factory):
     cache_dir = str(tmp_path_factory.mktemp("service-cache"))
 
-    start = time.perf_counter()
     with SchedulingService(cache_dir=cache_dir) as service:
         cold = service.submit_batch(request_batch)
         assert service.computed == len(request_batch)
-    cold_seconds = time.perf_counter() - start
 
     def warm_run():
         with SchedulingService(cache_dir=cache_dir) as service:
-            responses = service.submit_batch(request_batch)
-            assert service.computed == 0
-            return responses
+            return service.submit_batch(request_batch), service.stats()
 
-    start = time.perf_counter()
-    warm = benchmark.pedantic(warm_run, rounds=1, iterations=1)
-    warm_seconds = time.perf_counter() - start
+    warm, stats = benchmark.pedantic(warm_run, rounds=1, iterations=1)
 
+    assert stats["computed"] == 0
+    assert stats["cache_hits"] == len(request_batch)
+    assert stats["cache_stores"] == 0
     assert all(response.cache == "hit" for response in warm)
     assert [r.result_dict() for r in warm] == [r.result_dict() for r in cold]
-    # "Near-free": the warm batch must beat the cold one by a wide margin.
-    assert warm_seconds < cold_seconds / 5, (
-        f"warm batch took {warm_seconds:.3f}s vs cold {cold_seconds:.3f}s"
-    )

@@ -28,13 +28,11 @@ from repro.experiments.fig5_schedulability import run_fig5
 from repro.experiments.fig6_psi import run_fig6
 from repro.experiments.fig7_upsilon import run_fig7
 from repro.experiments.results import AccuracySweepResult, SweepResult
-from repro.experiments.runner import ExperimentRunner
 from repro.experiments.stats import SeriesStats, format_table, mean, median
 from repro.experiments.table1_resources import run_table1
 
 __all__ = [
     "ExperimentConfig",
-    "ExperimentRunner",
     "ExperimentEngine",
     "EvalJob",
     "CellResult",

@@ -253,7 +253,8 @@ def _run_figures(args, config, methods, wants) -> int:
         print()
 
     needs_engine = any(figure in wants for figure in ("fig5", "fig6", "fig7"))
-    metrics_snapshot = None
+    # A table1-only run uses no engine and writes an empty exposition.
+    metrics_snapshot = {}
     if needs_engine:
         with ExperimentEngine(config) as engine:
             if "fig5" in wants:
@@ -272,11 +273,8 @@ def _run_figures(args, config, methods, wants) -> int:
             metrics_snapshot = engine.metrics()
 
     if args.metrics_out is not None:
-        from repro.obs import MetricsRegistry, write_metrics_file
+        from repro.obs import write_metrics_file
 
-        if metrics_snapshot is None:
-            # A table1-only run uses no engine; emit a valid empty exposition.
-            metrics_snapshot = MetricsRegistry().snapshot()
         write_metrics_file(args.metrics_out, metrics_snapshot)
         relog.info("metrics-written", path=args.metrics_out)
 

@@ -1,36 +1,33 @@
-"""Persistent, versioned experiment artifacts and the resumable cell cache.
+"""Persistent, versioned experiment artifacts under an artifact directory.
 
 Two kinds of state are persisted under an artifact directory:
 
 * **Sweep results** — completed :class:`~repro.experiments.results.SweepResult`
   / :class:`~repro.experiments.results.AccuracySweepResult` values, written as
   versioned JSON (see :mod:`repro.core.serialization`) so they can be plotted,
-  diffed or reloaded without re-running anything.
-* **Evaluation cells** — the per-``(utilisation, system, method)`` outcomes the
-  engine computes, appended to a ``cells.jsonl`` journal as they complete.  A
-  sweep interrupted mid-run resumes from the journal: already-finished cells
-  are served from disk and only the remainder is recomputed.
-
-Artifacts are *content-keyed*: every store lives in a subdirectory named by a
-hash of the cell-relevant configuration (base seed, generator parameters, GA
-budget), so runs with different configurations can share one artifact root
-without ever mixing results.  Sweep-shape parameters (which utilisation points,
-how many systems, worker count) deliberately do not enter the key — a cell's
-value does not depend on them, so enlarging a sweep reuses every cell already
-computed.
+  diffed or reloaded without re-running anything.  They live in a
+  subdirectory named by a hash of the cell-relevant configuration (base seed,
+  generator parameters, GA budget, scenario) next to a ``config.json`` that
+  records the full configuration, so runs with different configurations can
+  share one artifact root without ever mixing results.
+* **Evaluation cells** — the schedule responses the engine's cells produce,
+  kept by the scheduling service's content-addressed cache in
+  ``<artifact_dir>/cache.db`` (:data:`CACHE_FILENAME`; inspect it with
+  ``python -m repro.store stats``).  A sweep interrupted mid-run resumes from
+  it: already-finished cells are served from disk and only the remainder is
+  recomputed.  Entries are keyed by request content, so they are shared
+  across configurations, sweep shapes and method aliases.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.core.serialization import (
     atomic_write_json,
-    canonical_json,
     content_hash,
     parse_versioned_payload,
     versioned_payload,
@@ -44,11 +41,12 @@ ACCURACY_KIND = "repro/accuracy-sweep"
 ACCURACY_VERSION = 1
 TABLE1_KIND = "repro/table1"
 TABLE1_VERSION = 1
+#: Kind and version of the configuration fingerprint and ``config.json``.
 CELL_CACHE_KIND = "repro/cell-cache"
 CELL_CACHE_VERSION = 1
 
-#: Key of one cached evaluation cell: (utilisation, system index, method).
-CellKey = Tuple[float, int, str]
+#: The service's cell cache, directly under the artifact directory.
+CACHE_FILENAME = "cache.db"
 
 
 # -- sweep results as versioned JSON -------------------------------------------
@@ -132,8 +130,8 @@ def cell_config_dict(config: ExperimentConfig) -> Dict[str, Any]:
     """The configuration subset that determines individual cell values.
 
     The scenario key is only present for scenario-backed configurations, so
-    fingerprints (and therefore cell caches) of legacy configurations are
-    unchanged by the scenario API's introduction.
+    fingerprints (and therefore sweep-artifact directories) of legacy
+    configurations are unchanged by the scenario API's introduction.
     """
     data = {
         "seed": config.seed,
@@ -146,7 +144,7 @@ def cell_config_dict(config: ExperimentConfig) -> Dict[str, Any]:
 
 
 def config_fingerprint(config: ExperimentConfig) -> str:
-    """Stable content key for ``config``'s cell cache (hex digest)."""
+    """Stable content key for ``config``'s sweep-artifact directory (hex digest)."""
     return content_hash(
         {
             "kind": CELL_CACHE_KIND,
@@ -160,15 +158,12 @@ def config_fingerprint(config: ExperimentConfig) -> str:
 
 
 class ArtifactStore:
-    """Directory-backed store for one configuration's cells and sweep results.
+    """Directory-backed store for one configuration's sweep results.
 
-    The store is safe to reopen after a crash or Ctrl-C: cells are appended to
-    a journal (``cells.jsonl``) and flushed per line, and a truncated trailing
-    line (a write cut short by the interruption) is ignored on load.  Completed
-    sweep artifacts are written atomically via a rename.
+    Completed sweep artifacts are written atomically via a rename, so a
+    crash or Ctrl-C never leaves a torn one behind.
     """
 
-    CELLS_FILENAME = "cells.jsonl"
     CONFIG_FILENAME = "config.json"
 
     def __init__(self, root: Union[str, Path], config: ExperimentConfig):
@@ -176,66 +171,7 @@ class ArtifactStore:
         self.fingerprint = config_fingerprint(config)
         self.directory = self.root / self.fingerprint
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._cells: Dict[CellKey, Dict[str, Any]] = {}
-        self._cells_path = self.directory / self.CELLS_FILENAME
-        self._journal: Optional[io.TextIOWrapper] = None
         self._write_config(config)
-        self._load_cells()
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
-
-    def __enter__(self) -> "ArtifactStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- cells -------------------------------------------------------------------
-
-    def get_cell(self, key: CellKey) -> Optional[Dict[str, Any]]:
-        """The cached record for ``key``, or ``None`` on a cache miss."""
-        return self._cells.get(key)
-
-    def put_cell(self, key: CellKey, record: Dict[str, Any]) -> None:
-        """Cache ``record`` under ``key`` and append it to the journal."""
-        if key in self._cells:
-            return
-        self._cells[key] = record
-        utilisation, system_index, method = key
-        line = canonical_json(
-            {"u": utilisation, "i": system_index, "m": method, "r": record}
-        )
-        if self._journal is None:
-            self._journal = open(self._cells_path, "a", encoding="utf-8")
-        self._journal.write(line + "\n")
-        self._journal.flush()
-
-    @property
-    def cell_count(self) -> int:
-        return len(self._cells)
-
-    def _load_cells(self) -> None:
-        if not self._cells_path.exists():
-            return
-        with open(self._cells_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    key = (float(entry["u"]), int(entry["i"]), str(entry["m"]))
-                    record = entry["r"]
-                except (ValueError, KeyError, TypeError):
-                    # A truncated/corrupt line: almost certainly the final write
-                    # of an interrupted run.  The cell will simply be recomputed.
-                    continue
-                self._cells[key] = record
 
     # -- whole-sweep artifacts ---------------------------------------------------
 
@@ -255,7 +191,7 @@ class ArtifactStore:
     # -- internals ---------------------------------------------------------------
 
     def _write_config(self, config: ExperimentConfig) -> None:
-        """Record the full configuration next to the cache for humans/tooling."""
+        """Record the full configuration next to the sweeps for humans/tooling."""
         path = self.directory / self.CONFIG_FILENAME
         if path.exists():
             return

@@ -1,13 +1,19 @@
-"""Parallel, cache-backed evaluation engine behind the figure sweeps.
+"""Figure sweeps as scheduling-service requests.
 
 The engine decomposes every sweep into independent **evaluation cells** — one
-:class:`EvalJob` per ``(utilisation, system index, method)`` — and executes
-them through a worker pool (:class:`concurrent.futures.ProcessPoolExecutor`;
-``n_workers=1`` runs serially in-process).  Each cell regenerates its system
-from the per-``(utilisation, system)`` deterministic seed, so a cell's value
-depends only on the configuration and the cell coordinates: results are
-bit-identical at any worker count, and cells can be cached on disk and reused
-across runs (see :mod:`repro.experiments.artifacts`).
+:class:`EvalJob` per ``(utilisation, system index, method)`` — and issues each
+cell as a :class:`~repro.service.ScheduleRequest` (:func:`cell_request`)
+through one :class:`~repro.service.SchedulingService` the engine owns.  The
+service runs the cells serially in-process (``n_workers=1``) or on its worker
+pool.  A cell's request is a pure function of the configuration and the cell
+coordinates, so results are bit-identical at any worker count.
+
+With an artifact directory, the service's content-addressed cache —
+``<artifact_dir>/cache.db`` (see :mod:`repro.experiments.artifacts`) — keeps
+every computed cell.  Cells are keyed by request content, not by
+configuration: a rerun, an enlarged sweep, a configuration differing only in
+settings a cell does not read, a method alias, or a direct service request
+for the same system all reuse one entry.
 
 Scheduling methods are resolved through the scheduler registry
 (:mod:`repro.scheduling.registry`); registering a new method makes it
@@ -16,16 +22,16 @@ available to every sweep without touching this module.
 
 from __future__ import annotations
 
-import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.memo import get_memo
 from repro.core.serialization import PayloadVersionError, content_hash
 from repro.core.task import TaskSet
 from repro.experiments.artifacts import (
+    CACHE_FILENAME,
     ArtifactStore,
     accuracy_sweep_from_dict,
     accuracy_sweep_to_dict,
@@ -35,25 +41,23 @@ from repro.experiments.artifacts import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import AccuracySweepResult, SweepResult
 from repro.experiments.stats import mean
-from repro.obs.metrics import REQUEST_LATENCY_MS, REQUESTS_TOTAL, MetricsRegistry
 from repro.scenario import Scenario, materialize
-
-# Back-compat re-export: the adapter now lives with the other schedulers, so
-# ``create_scheduler("fps-online")`` works without importing the experiments
-# package at all.
-from repro.scheduling import FPSOnlineSchedulabilityMethod  # noqa: F401
-from repro.service import ScheduleRequest, SchedulerSpec, execute_request
-
-# Back-compat re-export: the best-per-objective aggregation moved into the
-# scheduling service alongside the rest of the response building.
-from repro.service import ga_best_objectives  # noqa: F401
+from repro.service import (
+    ScheduleRequest,
+    ScheduleResponse,
+    SchedulerSpec,
+    SchedulingService,
+    execute_request,
+)
+from repro.store import SqliteBackend
 from repro.taskgen import SystemGenerator
 
 #: Canonical method ordering used in result tables.
 SCHEDULABILITY_METHODS = ("fps-offline", "fps-online", "gpiocp", "static", "ga")
 ACCURACY_METHODS = ("fps", "gpiocp", "static", "ga")
 
-#: Method-name aliases folded together for cache keys ("fps" is "fps-offline").
+#: Method-name aliases folded into their canonical names, so an alias cell is
+#: the same request (and the same cache entry) as its canonical cell.
 _CANONICAL_METHOD = {"fps": "fps-offline", "heuristic": "static"}
 
 #: Offset decorrelating the GA's derived RNG stream from the generator's.
@@ -92,23 +96,14 @@ class CellResult:
     best_psi: float
     best_upsilon: float
 
-    def to_record(self) -> Dict[str, Any]:
-        return {
-            "s": bool(self.schedulable),
-            "psi": self.psi,
-            "ups": self.upsilon,
-            "bpsi": self.best_psi,
-            "bups": self.best_upsilon,
-        }
-
     @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "CellResult":
+    def from_response(cls, response: ScheduleResponse) -> "CellResult":
         return cls(
-            schedulable=bool(record["s"]),
-            psi=float(record["psi"]),
-            upsilon=float(record["ups"]),
-            best_psi=float(record["bpsi"]),
-            best_upsilon=float(record["bups"]),
+            schedulable=response.schedulable,
+            psi=response.psi,
+            upsilon=response.upsilon,
+            best_psi=response.best_psi,
+            best_upsilon=response.best_upsilon,
         )
 
 
@@ -141,7 +136,7 @@ def generate_system(
 
     Scenario-backed configurations draw from the scenario's workload (with the
     sweep utilisation pinned); legacy configurations keep the historical
-    ``seed``/``generator`` derivation, so existing cell caches stay valid.
+    ``seed``/``generator`` derivation, so existing figures stay unchanged.
     """
     if config.scenario is not None:
         return materialize(
@@ -159,15 +154,17 @@ def generate_system(
 def cell_spec(config: ExperimentConfig, job: EvalJob) -> SchedulerSpec:
     """The fully-pinned scheduler spec one cell executes.
 
-    ``job.method`` is parsed as a spec string; for the GA, the configured
-    ``GAConfig`` supplies defaults under any options the spec pins, and the
-    RNG seed is derived from the cell seed whenever neither pins one — so GA
-    cells are as deterministic (and as worker-count-independent) as every
-    other method.
+    ``job.method`` is parsed as a spec string and method aliases fold into
+    their canonical names (``fps`` is ``fps-offline``); for the GA, the
+    configured ``GAConfig`` supplies defaults under any options the spec pins,
+    and the RNG seed is derived from the cell seed whenever neither pins one —
+    so GA cells are as deterministic (and as worker-count-independent) as
+    every other method.
     """
     spec = SchedulerSpec.parse(job.method)
-    if spec.name != "ga":
-        return spec
+    name = _CANONICAL_METHOD.get(spec.name, spec.name)
+    if name != "ga":
+        return SchedulerSpec(name, spec.options)
     options = asdict(config.ga)
     options.update(spec.options_dict())
     if options.get("seed") is None:
@@ -177,71 +174,43 @@ def cell_spec(config: ExperimentConfig, job: EvalJob) -> SchedulerSpec:
     return SchedulerSpec("ga", options)
 
 
-def evaluate_cell(config: ExperimentConfig, job: EvalJob) -> CellResult:
-    """Evaluate one cell; a pure function of ``(config, job)``.
+def cell_request(config: ExperimentConfig, job: EvalJob) -> ScheduleRequest:
+    """The schedule request one cell issues; a pure function of ``(config, job)``.
 
-    Cells execute through the scheduling service's pure request path
-    (:func:`repro.service.execute_request`), so a sweep cell and a direct
-    service request with the same content are the same computation.  With a
-    scenario-backed configuration the request itself is scenario-backed — the
-    worker materialises the system from the declarative description, exactly
-    as a direct ``--scenario`` service request would.
+    A sweep cell and a direct service request with the same content are the
+    same computation and share one cache entry.  With a scenario-backed
+    configuration the request itself is scenario-backed — the worker
+    materialises the system from the declarative description, exactly as a
+    direct ``--scenario`` service request would.
     """
+    spec = cell_spec(config, job)
     if config.scenario is not None:
-        request = ScheduleRequest(
+        return ScheduleRequest(
             scenario=cell_scenario(config, job.utilisation),
             system_index=job.system_index,
-            spec=cell_spec(config, job),
+            spec=spec,
         )
-    else:
-        task_set = generate_system(config, job.utilisation, job.system_index)
-        request = ScheduleRequest(task_set=task_set, spec=cell_spec(config, job))
-    response = execute_request(request)
-    return CellResult(
-        schedulable=response.schedulable,
-        psi=response.psi,
-        upsilon=response.upsilon,
-        best_psi=response.best_psi,
-        best_upsilon=response.best_upsilon,
-    )
+    task_set = generate_system(config, job.utilisation, job.system_index)
+    return ScheduleRequest(task_set=task_set, spec=spec)
 
 
-# -- worker-process plumbing ---------------------------------------------------
-
-_WORKER_CONFIG: Optional[ExperimentConfig] = None
-
-
-def _init_worker(config: ExperimentConfig) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = config
-
-
-def _worker_evaluate(job: EvalJob) -> CellResult:
-    assert _WORKER_CONFIG is not None, "worker used before initialisation"
-    return evaluate_cell(_WORKER_CONFIG, job)
-
-
-def _worker_evaluate_timed(job: EvalJob) -> Tuple[CellResult, float]:
-    """Worker entry returning the cell plus its in-worker compute seconds.
-
-    Timing in the worker keeps pooled latency honest — the parent's iteration
-    order would otherwise fold queueing into the compute time.
-    """
-    started = time.monotonic()
-    cell = _worker_evaluate(job)
-    return cell, time.monotonic() - started
+def evaluate_cell(config: ExperimentConfig, job: EvalJob) -> CellResult:
+    """Evaluate one cell in this process, without any cache."""
+    return CellResult.from_response(execute_request(cell_request(config, job)))
 
 
 # -- the engine ----------------------------------------------------------------
 
 
 class ExperimentEngine:
-    """Executes sweeps as parallel evaluation cells with optional persistence.
+    """Executes sweeps as service requests with optional persistence.
 
     Parameters default to what the configuration carries (``config.n_workers``
-    and ``config.artifact_dir``); both can be overridden per engine.  Use the
-    engine as a context manager (or call :meth:`close`) to release the worker
-    pool and the artifact journal.
+    and ``config.artifact_dir``); both can be overridden per engine.  With an
+    artifact directory, computed cells persist in its ``cache.db`` and
+    completed sweeps as JSON under the configuration's fingerprint directory;
+    without one, nothing is stored.  Use the engine as a context manager (or
+    call :meth:`close`) to release the worker pool and the cell cache.
     """
 
     def __init__(
@@ -250,36 +219,27 @@ class ExperimentEngine:
         *,
         n_workers: Optional[int] = None,
         artifact_dir: Optional[str] = None,
-        store: Optional[ArtifactStore] = None,
     ):
         self.config = config or ExperimentConfig()
         self.n_workers = n_workers if n_workers is not None else self.config.n_workers
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         directory = artifact_dir if artifact_dir is not None else self.config.artifact_dir
-        if store is not None:
-            self.store: Optional[ArtifactStore] = store
-            self._owns_store = False
-        elif directory is not None:
-            self.store = ArtifactStore(directory, self.config)
-            self._owns_store = True
+        if directory is None:
+            self.store: Optional[ArtifactStore] = None
+            self.service = SchedulingService(n_workers=self.n_workers, cache=None)
         else:
-            self.store = None
-            self._owns_store = False
-        self._executor: Optional[ProcessPoolExecutor] = None
-        #: Cells actually evaluated (cache misses) over this engine's lifetime.
-        self.cells_computed = 0
-        #: Cell counters and evaluate-latency histogram (kind="experiment").
-        self.registry = MetricsRegistry()
+            self.store = ArtifactStore(directory, self.config)
+            # A live backend rather than a spec string, so any path works.
+            self.service = SchedulingService(
+                n_workers=self.n_workers,
+                cache_backend=SqliteBackend(Path(directory) / CACHE_FILENAME),
+            )
 
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-        if self.store is not None and self._owns_store:
-            self.store.close()
+        self.service.close()
+        if self.service.cache is not None:
+            self.service.cache.close()
 
     def __enter__(self) -> "ExperimentEngine":
         return self
@@ -290,97 +250,43 @@ class ExperimentEngine:
     # -- cell execution ----------------------------------------------------------
 
     def run_cells(self, jobs: Sequence[EvalJob]) -> Dict[EvalJob, CellResult]:
-        """Evaluate ``jobs``, serving cache hits from the artifact store.
+        """Evaluate ``jobs`` through the service, one slice at a time.
 
-        Results are keyed by the input jobs; freshly computed cells are
-        journalled to the store as they complete, so an interrupted call
-        leaves every finished cell reusable.
+        The service stores each slice's new cells in one batch when the
+        slice returns, so an interrupted call loses at most the slice in
+        flight.  Serially a slice is one cell.  On a pool every slice ends
+        in a barrier that waits for the slowest worker, so there are at most
+        four slices, each of at least four cells per worker.  Responses are
+        reduced to :class:`CellResult` as their slice returns, so a sweep
+        never holds more than one slice of full responses.
         """
-        results: Dict[EvalJob, CellResult] = {}
-        pending: List[EvalJob] = []
-        for job in jobs:
-            cached = self._cache_get(job)
-            if cached is not None:
-                results[job] = cached
-                self._count_cell("hit")
-            else:
-                pending.append(job)
-
-        if not pending:
-            return results
-
+        jobs = list(jobs)
         if self.n_workers == 1:
-            for job in pending:
-                started = time.monotonic()
-                cell = evaluate_cell(self.config, job)
-                self._observe_evaluate(time.monotonic() - started)
-                self._record(job, cell)
-                results[job] = cell
-                self._count_cell("miss")
+            size = 1
         else:
-            chunksize = max(1, len(pending) // (self.n_workers * 4))
-            executor = self._get_executor()
-            for job, (cell, duration_s) in zip(
-                pending,
-                executor.map(_worker_evaluate_timed, pending, chunksize=chunksize),
-            ):
-                self._observe_evaluate(duration_s)
-                self._record(job, cell)
-                results[job] = cell
-                self._count_cell("miss")
+            size = max(4 * self.n_workers, -(-len(jobs) // 4))
+        results: Dict[EvalJob, CellResult] = {}
+        for start in range(0, len(jobs), size):
+            batch = jobs[start : start + size]
+            responses = self.service.submit_batch(
+                [cell_request(self.config, job) for job in batch]
+            )
+            for job, response in zip(batch, responses):
+                results[job] = CellResult.from_response(response)
+            if self.service.cache is not None:
+                # The backend holds the slice's cells; copies kept in memory
+                # would grow with the sweep (about 24 KB per cell).
+                self.service.cache.clear_memory()
         return results
 
-    def _count_cell(self, cache: str) -> None:
-        self.registry.counter_inc(
-            REQUESTS_TOTAL,
-            help="Requests answered, by kind and cache status.",
-            kind="experiment",
-            cache=cache,
-        )
-
-    def _observe_evaluate(self, duration_s: float) -> None:
-        self.registry.histogram_observe(
-            REQUEST_LATENCY_MS,
-            max(0.0, duration_s) * 1000.0,
-            help="Per-phase request latency in milliseconds.",
-            kind="experiment",
-            phase="evaluate",
-        )
+    @property
+    def cells_computed(self) -> int:
+        """Cells actually evaluated (cache misses) over this engine's lifetime."""
+        return self.service.computed
 
     def metrics(self) -> Dict[str, Any]:
-        """A merged metrics snapshot of this engine (see :mod:`repro.obs`)."""
-        return self.registry.snapshot()
-
-    def _get_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                initializer=_init_worker,
-                initargs=(self.config,),
-            )
-        return self._executor
-
-    def _cache_key(self, job: EvalJob):
-        # Canonicalise the method so aliases and differently-ordered spec
-        # strings ("ga:b=1,a=2" vs "ga:a=2,b=1") share one cache entry.  Bare
-        # canonical names map to themselves, keeping old journals readable.
-        spec = SchedulerSpec.parse(job.method)
-        name = _CANONICAL_METHOD.get(spec.name, spec.name)
-        method = str(SchedulerSpec(name, spec.options))
-        return (job.utilisation, job.system_index, method)
-
-    def _cache_get(self, job: EvalJob) -> Optional[CellResult]:
-        if self.store is None:
-            return None
-        record = self.store.get_cell(self._cache_key(job))
-        if record is None:
-            return None
-        return CellResult.from_record(record)
-
-    def _record(self, job: EvalJob, cell: CellResult) -> None:
-        self.cells_computed += 1
-        if self.store is not None:
-            self.store.put_cell(self._cache_key(job), cell.to_record())
+        """A merged metrics snapshot of this engine's service (see :mod:`repro.obs`)."""
+        return self.service.metrics()
 
     # -- the sweeps --------------------------------------------------------------
 
@@ -411,7 +317,7 @@ class ExperimentEngine:
         methods = list(methods) if methods is not None else self.schedulability_methods()
 
         artifact = self._sweep_artifact_name("schedulability", utilisations, methods)
-        cached = self._load_sweep_artifact(artifact)
+        cached = self._load_sweep_artifact(artifact, sweep_result_from_dict)
         if cached is not None:
             return cached
 
@@ -458,15 +364,9 @@ class ExperimentEngine:
         methods = list(methods) if methods is not None else self.accuracy_methods()
 
         artifact = self._sweep_artifact_name("accuracy", utilisations, methods)
-        if self.store is not None:
-            payload = self.store.load_result(artifact)
-            if payload is not None:
-                try:
-                    return accuracy_sweep_from_dict(payload)
-                except PayloadVersionError:
-                    raise  # newer artifact: never recompute-and-overwrite it
-                except (ValueError, KeyError, TypeError):
-                    pass  # corrupt/legacy artifact: recompute
+        cached = self._load_sweep_artifact(artifact, accuracy_sweep_from_dict)
+        if cached is not None:
+            return cached
 
         psi_series: Dict[str, List[float]] = {method: [] for method in methods}
         upsilon_series: Dict[str, List[float]] = {method: [] for method in methods}
@@ -578,14 +478,16 @@ class ExperimentEngine:
         )
         return f"{prefix}-{signature}"
 
-    def _load_sweep_artifact(self, name: str) -> Optional[SweepResult]:
+    def _load_sweep_artifact(
+        self, name: str, from_dict: Callable[[Dict[str, Any]], Any]
+    ) -> Any:
         if self.store is None:
             return None
         payload = self.store.load_result(name)
         if payload is None:
             return None
         try:
-            return sweep_result_from_dict(payload)
+            return from_dict(payload)
         except PayloadVersionError:
             raise  # newer artifact: never recompute-and-overwrite it
         except (ValueError, KeyError, TypeError):

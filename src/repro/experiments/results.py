@@ -1,4 +1,4 @@
-"""Result containers shared by the experiment engine, runner and artifacts."""
+"""Result containers shared by the experiment engine and artifacts."""
 
 from __future__ import annotations
 

@@ -268,6 +268,16 @@ class ScheduleCache:
         if self.backend is not None:
             self.backend.close()
 
+    def clear_memory(self) -> None:
+        """Drop the in-process copies of entries the backend holds.
+
+        Later lookups read them from the backend again.  A memory-only cache
+        keeps its entries, because they are the only copy.
+        """
+        if self.backend is not None:
+            with self._lock:
+                self._entries.clear()
+
     # -- the persisted form ------------------------------------------------------
 
     def _persist(self, key: str, result: Dict[str, Any]) -> None:

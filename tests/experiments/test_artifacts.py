@@ -110,52 +110,22 @@ class TestConfigFingerprint:
 
 
 class TestArtifactStore:
-    def test_cells_persist_across_reopen(self, tmp_path):
-        config = ExperimentConfig.smoke()
-        key = (0.3, 0, "static")
-        record = {"s": True, "psi": 0.5, "ups": 0.9, "bpsi": 0.5, "bups": 0.9}
-        with ArtifactStore(tmp_path, config) as store:
-            assert store.get_cell(key) is None
-            store.put_cell(key, record)
-            assert store.get_cell(key) == record
-        with ArtifactStore(tmp_path, config) as store:
-            assert store.cell_count == 1
-            assert store.get_cell(key) == record
-
     def test_different_configs_use_disjoint_directories(self, tmp_path):
         store_a = ArtifactStore(tmp_path, ExperimentConfig.smoke())
         store_b = ArtifactStore(tmp_path, ExperimentConfig.smoke().with_overrides(seed=1))
         assert store_a.directory != store_b.directory
-        store_a.close()
-        store_b.close()
-
-    def test_truncated_trailing_journal_line_is_ignored(self, tmp_path):
-        config = ExperimentConfig.smoke()
-        record = {"s": True, "psi": 1.0, "ups": 1.0, "bpsi": 1.0, "bups": 1.0}
-        with ArtifactStore(tmp_path, config) as store:
-            store.put_cell((0.3, 0, "static"), record)
-            journal = store.directory / ArtifactStore.CELLS_FILENAME
-        # Simulate a write cut short by an interrupted run.
-        with open(journal, "a", encoding="utf-8") as handle:
-            handle.write('{"u": 0.3, "i": 1, "m": "stat')
-        with ArtifactStore(tmp_path, config) as store:
-            assert store.cell_count == 1
-            assert store.get_cell((0.3, 0, "static")) == record
-            assert store.get_cell((0.3, 1, "static")) is None
 
     def test_save_and_load_result(self, tmp_path):
-        config = ExperimentConfig.smoke()
-        with ArtifactStore(tmp_path, config) as store:
-            payload = sweep_result_to_dict(make_sweep())
-            path = store.save_result("schedulability-test", payload)
-            assert path.exists()
-            assert store.load_result("schedulability-test") == payload
-            assert store.load_result("missing") is None
+        store = ArtifactStore(tmp_path, ExperimentConfig.smoke())
+        payload = sweep_result_to_dict(make_sweep())
+        path = store.save_result("schedulability-test", payload)
+        assert path.exists()
+        assert store.load_result("schedulability-test") == payload
+        assert store.load_result("missing") is None
 
     def test_config_json_written_for_humans(self, tmp_path):
         config = ExperimentConfig.smoke()
-        with ArtifactStore(tmp_path, config) as store:
-            config_path = store.directory / ArtifactStore.CONFIG_FILENAME
+        config_path = ArtifactStore(tmp_path, config).directory / ArtifactStore.CONFIG_FILENAME
         data = json.loads(config_path.read_text())
         assert data["data"]["fingerprint"] == config_fingerprint(config)
         assert data["data"]["full_config"]["n_systems"] == config.n_systems

@@ -1,14 +1,22 @@
 """Tests of the parallel experiment engine: determinism, caching, resume."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 import repro.experiments.engine as engine_mod
+import repro.service.service as service_mod
 from repro.experiments import ExperimentConfig, ExperimentEngine
-from repro.experiments.engine import CellResult, EvalJob, cell_seed, evaluate_cell
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.engine import (
+    EvalJob,
+    cell_request,
+    cell_seed,
+    evaluate_cell,
+    generate_system,
+)
 from repro.scheduling import GAConfig
+from repro.service import SchedulingService
 
 
 @pytest.fixture(scope="module")
@@ -35,15 +43,10 @@ class TestCells:
         assert pickle.loads(pickle.dumps(job)) == job
         assert len({job, EvalJob(0.3, 2, "static"), EvalJob(0.3, 3, "static")}) == 2
 
-    def test_cell_record_round_trip(self):
-        cell = CellResult(schedulable=True, psi=0.25, upsilon=0.75, best_psi=0.5, best_upsilon=0.9)
-        assert CellResult.from_record(cell.to_record()) == cell
-
     def test_cell_seed_matches_runner_seeding(self, tiny_config_no_ga):
         config = tiny_config_no_ga
         assert cell_seed(config, 0.3, 2) == config.seed + 30 * 10_000 + 2
-        runner = ExperimentRunner(config)
-        ts_a = runner.generate_system(0.4, 1)
+        ts_a = generate_system(config, 0.4, 1)
         with ExperimentEngine(config) as engine:
             ts_b = engine.generate_system(0.4, 1)
         assert [t.name for t in ts_a] == [t.name for t in ts_b]
@@ -88,6 +91,7 @@ class TestArtifactCache:
             cold = engine.schedulability_sweep()
             cold_acc = engine.accuracy_sweep()
             assert engine.cells_computed > 0
+            assert len(engine.service.cache) == 0, "cells held in memory"
         with ExperimentEngine(config, artifact_dir=str(tmp_path)) as engine:
             warm = engine.schedulability_sweep()
             warm_acc = engine.accuracy_sweep()
@@ -104,17 +108,19 @@ class TestArtifactCache:
         """The accuracy admission filter reuses schedulability-sweep static cells."""
         config = tiny_config_no_ga
         computed = []
-        real_evaluate = engine_mod.evaluate_cell
+        real_execute = service_mod.execute_request
         monkeypatch.setattr(
-            engine_mod,
-            "evaluate_cell",
-            lambda cfg, job: computed.append(job) or real_evaluate(cfg, job),
+            service_mod,
+            "execute_request",
+            lambda request: computed.append(request) or real_execute(request),
         )
         with ExperimentEngine(config, artifact_dir=str(tmp_path)) as engine:
             engine.schedulability_sweep()
             engine.accuracy_sweep()
-        static_jobs = [job for job in computed if job.method == "static"]
-        assert len(static_jobs) == len(set(static_jobs)), "a static cell was recomputed"
+        static_keys = [
+            request.content_key() for request in computed if request.spec.name == "static"
+        ]
+        assert len(static_keys) == len(set(static_keys)), "a static cell was recomputed"
 
     def test_interrupted_sweep_resumes_without_recomputation(self, tiny_config_no_ga, tmp_path, monkeypatch):
         """Acceptance: a killed run restarts from cached cells, not from scratch."""
@@ -126,25 +132,26 @@ class TestArtifactCache:
         interrupt_after = 7
         assert interrupt_after < total_cells
 
-        real_evaluate = engine_mod.evaluate_cell
+        real_execute = service_mod.execute_request
         first_run_calls = []
 
-        def interrupting(cfg, job):
+        def interrupting(request):
             if len(first_run_calls) >= interrupt_after:
                 raise KeyboardInterrupt
-            first_run_calls.append(job)
-            return real_evaluate(cfg, job)
+            first_run_calls.append(request.content_key())
+            return real_execute(request)
 
-        monkeypatch.setattr(engine_mod, "evaluate_cell", interrupting)
+        monkeypatch.setattr(service_mod, "execute_request", interrupting)
         with pytest.raises(KeyboardInterrupt):
             with ExperimentEngine(config, artifact_dir=str(tmp_path)) as engine:
                 engine.schedulability_sweep()
 
         second_run_calls = []
         monkeypatch.setattr(
-            engine_mod,
-            "evaluate_cell",
-            lambda cfg, job: second_run_calls.append(job) or real_evaluate(cfg, job),
+            service_mod,
+            "execute_request",
+            lambda request: second_run_calls.append(request.content_key())
+            or real_execute(request),
         )
         with ExperimentEngine(config, artifact_dir=str(tmp_path)) as engine:
             resumed = engine.schedulability_sweep()
@@ -157,6 +164,60 @@ class TestArtifactCache:
             fresh = engine.schedulability_sweep()
         assert resumed.series == fresh.series
 
+    def test_interrupted_pooled_sweep_loses_at_most_one_slice(self, tmp_path, monkeypatch):
+        """On a pool, every slice that returned before the interrupt is kept."""
+        config = ExperimentConfig.smoke()
+        real_submit = SchedulingService.submit_batch
+        batches = []
+
+        def interrupting(service, requests):
+            batches.append(requests)
+            if len(batches) == 2:
+                raise KeyboardInterrupt
+            return real_submit(service, requests)
+
+        monkeypatch.setattr(SchedulingService, "submit_batch", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            with ExperimentEngine(config, n_workers=2, artifact_dir=str(tmp_path)) as engine:
+                engine.schedulability_sweep()
+        monkeypatch.undo()
+
+        with ExperimentEngine(config, n_workers=2, artifact_dir=str(tmp_path)) as engine:
+            resumed = engine.schedulability_sweep()
+            recomputed = engine.cells_computed
+        assert (len(batches[0]), recomputed) == (8, 22)
+        with ExperimentEngine(config) as engine:
+            assert resumed.series == engine.schedulability_sweep().series
+
+    def test_fps_alias_shares_the_fps_offline_cells(self, tiny_config_no_ga, tmp_path):
+        config = tiny_config_no_ga
+        assert (
+            cell_request(config, EvalJob(0.3, 0, "fps")).content_key()
+            == cell_request(config, EvalJob(0.3, 0, "fps-offline")).content_key()
+        )
+        with ExperimentEngine(config, artifact_dir=str(tmp_path)) as engine:
+            offline = engine.schedulability_sweep(methods=["fps-offline"])
+            computed = engine.cells_computed
+            alias = engine.schedulability_sweep(methods=["fps"])
+            assert engine.cells_computed == computed, "the fps alias recomputed cells"
+        assert alias.series["fps"] == offline.series["fps-offline"]
+
+    def test_ga_budget_change_reuses_every_non_ga_cell(self, tiny_config_no_ga, tmp_path):
+        """Cells are keyed by request content, not by the whole configuration."""
+        from repro.experiments.artifacts import ArtifactStore
+
+        methods = ["static", "gpiocp", "fps-offline"]
+        config = tiny_config_no_ga
+        other = config.with_overrides(ga=GAConfig(population_size=6, generations=2))
+        assert ArtifactStore(tmp_path, config).directory != ArtifactStore(tmp_path, other).directory
+        with ExperimentEngine(config, artifact_dir=str(tmp_path)) as engine:
+            first = engine.schedulability_sweep(methods=methods)
+            assert engine.cells_computed == 18
+        with ExperimentEngine(other, artifact_dir=str(tmp_path)) as engine:
+            second = engine.schedulability_sweep(methods=methods)
+            assert engine.cells_computed == 0
+        assert second.series == first.series
+
 
 class TestNewerArtifactsAreProtected:
     def test_newer_sweep_artifact_is_not_overwritten(self, tiny_config_no_ga, tmp_path):
@@ -168,20 +229,17 @@ class TestNewerArtifactsAreProtected:
             engine.schedulability_sweep()
 
         # Rewrite the stored artifact as if a newer package version produced it.
-        with ArtifactStore(tmp_path, config) as store:
-            artifact_name = next(
-                p.stem for p in store.directory.glob("schedulability-*.json")
-            )
-            payload = store.load_result(artifact_name)
-            payload["version"] = 99
-            store.save_result(artifact_name, payload)
+        store = ArtifactStore(tmp_path, config)
+        artifact_name = next(p.stem for p in store.directory.glob("schedulability-*.json"))
+        payload = store.load_result(artifact_name)
+        payload["version"] = 99
+        store.save_result(artifact_name, payload)
 
         with pytest.raises(PayloadVersionError):
             with ExperimentEngine(config, artifact_dir=str(tmp_path)) as engine:
                 engine.schedulability_sweep()
         # The newer artifact must survive untouched.
-        with ArtifactStore(tmp_path, config) as store:
-            assert store.load_result(artifact_name)["version"] == 99
+        assert ArtifactStore(tmp_path, config).load_result(artifact_name)["version"] == 99
 
 
 class TestAccuracyShortfall:
@@ -192,10 +250,19 @@ class TestAccuracyShortfall:
             n_systems=2,
             include_ga=False,
         )
-        infeasible = CellResult(
-            schedulable=False, psi=0.0, upsilon=0.0, best_psi=0.0, best_upsilon=0.0
+        real_execute = service_mod.execute_request
+        monkeypatch.setattr(
+            service_mod,
+            "execute_request",
+            lambda request: replace(
+                real_execute(request),
+                schedulable=False,
+                psi=0.0,
+                upsilon=0.0,
+                best_psi=0.0,
+                best_upsilon=0.0,
+            ),
         )
-        monkeypatch.setattr(engine_mod, "evaluate_cell", lambda cfg, job: infeasible)
 
         with pytest.warns(UserWarning, match="only 0 of the requested 2"):
             with ExperimentEngine(config) as engine:

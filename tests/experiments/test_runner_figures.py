@@ -4,14 +4,14 @@ import pytest
 
 from repro.experiments import (
     ExperimentConfig,
-    ExperimentRunner,
+    ExperimentEngine,
     run_controller_sim,
     run_fig5,
     run_fig6,
     run_fig7,
     run_table1,
 )
-from repro.experiments.runner import ACCURACY_METHODS, SCHEDULABILITY_METHODS
+from repro.experiments.engine import ACCURACY_METHODS, SCHEDULABILITY_METHODS
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,8 @@ def schedulability(smoke_config):
 
 @pytest.fixture(scope="module")
 def accuracy(smoke_config):
-    return ExperimentRunner(smoke_config).accuracy_sweep()
+    with ExperimentEngine(smoke_config) as engine:
+        return engine.accuracy_sweep()
 
 
 class TestFig5:
@@ -106,13 +107,15 @@ class TestTable1AndControllerSim:
 
 class TestRunnerDeterminism:
     def test_same_seed_same_schedulability(self, smoke_config):
-        a = ExperimentRunner(smoke_config).schedulability_sweep(utilisations=[0.3])
-        b = ExperimentRunner(smoke_config).schedulability_sweep(utilisations=[0.3])
+        with ExperimentEngine(smoke_config) as engine:
+            a = engine.schedulability_sweep(utilisations=[0.3])
+        with ExperimentEngine(smoke_config) as engine:
+            b = engine.schedulability_sweep(utilisations=[0.3])
         assert a.series == b.series
 
     def test_generate_system_deterministic(self, smoke_config):
-        runner = ExperimentRunner(smoke_config)
-        ts1 = runner.generate_system(0.4, 0)
-        ts2 = runner.generate_system(0.4, 0)
+        with ExperimentEngine(smoke_config) as engine:
+            ts1 = engine.generate_system(0.4, 0)
+            ts2 = engine.generate_system(0.4, 0)
         assert [t.name for t in ts1] == [t.name for t in ts2]
         assert ts1.utilisation == pytest.approx(ts2.utilisation)

@@ -154,6 +154,20 @@ class TestScheduleCacheBatchOps:
         }
 
 
+    def test_clear_memory_keeps_entries_only_a_backend_holds(self, tmp_path):
+        backend = CountingBackend(tmp_path / "c")
+        cache = ScheduleCache(backend=backend)
+        cache.put("aa" * 8, result(1))
+        cache.clear_memory()
+        assert len(cache) == 0
+        assert cache.get_many(["aa" * 8]) == {"aa" * 8: result(1)}
+        assert backend.get_many_calls == 1
+        memory_only = ScheduleCache()
+        memory_only.put("aa" * 8, result(1))
+        memory_only.clear_memory()
+        assert memory_only.peek("aa" * 8) == result(1)
+
+
 class TestBatchLookupInService:
     def make_requests(self):
         return [

@@ -5,14 +5,16 @@ and module functions wherever a ``repro`` module bound them by name.  If a
 service stopped defining ``submit_batch`` in its own class body, or bound
 ``execute_simulation`` / ``build_response`` / the cache accessors at import
 time, the traced benchmark would silently report zero for those layers.
-This test installs the wrappers and drives each layer once, in-process.
+These tests install the wrappers and drive each layer once, in-process.
 """
 
 import asyncio
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
+from repro.experiments import ExperimentConfig, ExperimentEngine
 from repro.runtime import SimulationRequest, SimulationService
 from repro.scenario import Scenario, WorkloadSpec
 from repro.server.dispatcher import Dispatcher
@@ -30,13 +32,22 @@ TINY = Scenario(
 )
 
 
-def test_traced_layers_record_calls(monkeypatch):
+@contextmanager
+def installed_tracer(monkeypatch, **options):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracer as perfbench_tracer
 
     tracer = perfbench_tracer.Tracer()
-    perfbench_tracer.install(tracer, daemon=True)
+    perfbench_tracer.install(tracer, **options)
     try:
+        yield tracer
+    finally:
+        perfbench_tracer.uninstall(tracer)
+        sys.modules.pop("tracer", None)
+
+
+def test_traced_layers_record_calls(monkeypatch):
+    with installed_tracer(monkeypatch, daemon=True) as tracer:
         with SchedulingService() as scheduling:
             schedule_requests = [
                 ScheduleRequest(scenario=TINY, system_index=i, spec="static")
@@ -50,11 +61,22 @@ def test_traced_layers_record_calls(monkeypatch):
                 dispatcher = Dispatcher(scheduling=scheduling, simulation=simulation)
                 response = asyncio.run(dispatcher.schedule(schedule_requests[0]))
         assert response.cache == "hit"
-    finally:
-        perfbench_tracer.uninstall(tracer)
-        sys.modules.pop("tracer", None)
 
     calls = Counter(tracer.layers[layer] for layer in tracer.layer)
     for layer in ("service.batch", "service.envelope", "runtime.simulate", "server.cache"):
         assert calls[layer] > 0, f"no {layer} spans recorded"
     assert tracer.counts["runtime.events"] > 0
+
+
+def test_traced_layers_attribute_a_sweep(monkeypatch):
+    """A sweep's service batches are recorded inside its ``experiments`` spans."""
+    config = ExperimentConfig.smoke().with_overrides(n_systems=1)
+    with installed_tracer(monkeypatch) as tracer:
+        with ExperimentEngine(config) as engine:
+            engine.schedulability_sweep(utilisations=[0.3], methods=["static"])
+
+    layers = [tracer.layers[layer] for layer in tracer.layer]
+    batches = [index for index, layer in enumerate(layers) if layer == "service.batch"]
+    assert "experiments" in layers
+    assert batches, "no service.batch spans recorded"
+    assert all(layers[tracer.parent[index]] == "experiments" for index in batches)
