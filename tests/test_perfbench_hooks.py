@@ -79,4 +79,5 @@ def test_traced_layers_attribute_a_sweep(monkeypatch):
     batches = [index for index, layer in enumerate(layers) if layer == "service.batch"]
     assert "experiments" in layers
     assert batches, "no service.batch spans recorded"
-    assert all(layers[tracer.parent[index]] == "experiments" for index in batches)
+    parents = [tracer.parent[index] for index in batches]
+    assert all(parent >= 0 and layers[parent] == "experiments" for parent in parents)
