@@ -1,12 +1,15 @@
 """Micro-benchmarks of the individual schedulers (ablation support).
 
 These are not paper figures; they quantify the cost of each scheduling method
-on a fixed medium-load system, which backs the design discussion in DESIGN.md
-(the heuristic is polynomial, the GA dominates the experiment run time).
+on a fixed medium-load system (the heuristic is polynomial, the GA dominates
+the experiment run time).  The GA benchmarks run several rounds on cold
+per-process memos (``reset_memos`` before every round), one at the quick
+budget and one at the paper's population of 300.
 """
 
 import pytest
 
+from repro.core.memo import reset_memos
 from repro.scheduling import (
     FPSOfflineScheduler,
     GAConfig,
@@ -40,10 +43,32 @@ def test_bench_heuristic(benchmark, medium_system):
     assert result.schedulable
 
 
+def cold_memos():
+    reset_memos()
+    return (), {}
+
+
 @pytest.mark.benchmark(group="schedulers")
 def test_bench_ga(benchmark, medium_system):
     scheduler = GAScheduler(GAConfig(population_size=20, generations=10, seed=5))
     result = benchmark.pedantic(
-        lambda: scheduler.schedule_taskset(medium_system), rounds=1, iterations=1
+        lambda: scheduler.schedule_taskset(medium_system),
+        setup=cold_memos,
+        rounds=5,
+        iterations=1,
     )
     assert result.schedulable
+
+
+@pytest.mark.benchmark(group="schedulers")
+def test_bench_ga_paper_population(benchmark, medium_system):
+    """One GA cell at the paper's population size (300), 40 generations."""
+    scheduler = GAScheduler(GAConfig(population_size=300, generations=40, seed=5))
+    result = benchmark.pedantic(
+        lambda: scheduler.schedule_taskset(medium_system),
+        setup=cold_memos,
+        rounds=5,
+        iterations=1,
+    )
+    assert result.schedulable
+    assert result.per_device["dev0"].info["evaluations"] == 300 * 41

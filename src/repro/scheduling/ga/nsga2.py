@@ -8,23 +8,26 @@ selection, and an external archive of all feasible non-dominated individuals
 encountered during the run (the paper returns "all the non-dominated solutions
 being found during the search").
 
-The inner loops are vectorized over a ``(pop, n_genes)`` population matrix:
+The generation loop runs on a ``(pop, n_genes)`` population matrix, and its
+kernels return exactly what the scalar algorithms (kept as
+:func:`_reference_fast_non_dominated_sort` and
+:func:`_reference_crowding_distance`) return:
 
-* :func:`domination_matrix` builds the full pairwise Pareto-domination matrix
-  by broadcasting, and :func:`fast_non_dominated_sort` peels fronts off its
-  column sums — producing fronts in exactly the order the scalar algorithm
-  (kept as :func:`_reference_fast_non_dominated_sort`) emits them;
-* :func:`crowding_distance` replaces the per-front Python sort with stable
-  argsorts and a sliced gap sum, bit-identical to
-  :func:`_reference_crowding_distance`;
-* fitness is evaluated per *matrix* through a batch evaluator, fronted by a
-  row-level cache keyed on the gene bytes, so offspring whose genes did not
-  change (crossover coin came up tails and no gene mutated — the common case
-  under the ``1/n`` mutation rate) are never re-scored;
-* :class:`ParetoArchive` remembers every objective vector it has rejected.
-  Dominance is transitive and entries are only ever displaced by dominators,
-  so a rejected vector stays rejected forever — re-encounters short-circuit
-  without re-comparing against the archive.
+* :func:`fast_non_dominated_sort` sorts two objectives in O(N log N)
+  (Jensen, IEEE TEC 7(5), 2003): one sweep by Psi then Upsilon, both
+  descending, finds each point's front by binary search over the fronts'
+  last members.  A point's dominators in the previous front form a
+  contiguous run of that front's sweep order, so the reference's order
+  inside a front (by the position of the last dominator) is a maximum over
+  that run.  Other objective counts peel fronts off the broadcast
+  :func:`domination_matrix`;
+* :func:`rank_and_crowding` returns the front rank and crowding distance of
+  every point as arrays, from one lexsort per objective over all fronts;
+  :func:`crowding_distance` is its one-front case;
+* :meth:`ParetoArchive.merge` inserts a whole generation in one step: a
+  candidate enters iff no earlier element weakly dominates it and no later
+  element strictly dominates it, which is exactly the outcome (entries and
+  order) of inserting the candidates one by one.
 
 Determinism contract: each generation consumes a documented, fixed-shape
 sequence of draws from the single ``numpy.random.Generator`` (see
@@ -35,8 +38,10 @@ host.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,10 +54,6 @@ from repro.scheduling.ga.operators import (
 )
 
 Objectives = Tuple[float, ...]
-
-#: Row-cache size cap; the cache resets (rather than evicts) beyond this, which
-#: keeps paper-scale runs (300 x 500 = 150k offspring) bounded in memory.
-_EVAL_CACHE_LIMIT = 200_000
 
 
 def dominates(a: Objectives, b: Objectives) -> bool:
@@ -76,16 +77,72 @@ def domination_matrix(objectives: np.ndarray) -> np.ndarray:
 def fast_non_dominated_sort(objectives: Sequence[Objectives]) -> List[List[int]]:
     """Deb's fast non-dominated sort; returns fronts as lists of indices (front 0 first).
 
-    Vectorized: domination counts come from the broadcast domination matrix
-    and each front is peeled off in one step.  The indices within each front
-    are ordered exactly as the scalar reference emits them — front 0
-    ascending, later fronts by (position of the last dominator in the previous
-    front, index) — so downstream tie-breaks are unchanged.
+    The indices within each front are ordered exactly as the scalar reference
+    emits them — front 0 ascending, later fronts by (position of the last
+    dominator in the previous front, index) — so downstream tie-breaks are
+    unchanged.
     """
     obj = np.asarray(objectives, dtype=np.float64)
-    n = obj.shape[0]
-    if n == 0:
+    if obj.shape[0] == 0:
         return []
+    if obj.shape[1] == 2:
+        return _two_objective_fronts(obj)
+    return _peeled_fronts(obj)
+
+
+def _two_objective_fronts(obj: np.ndarray) -> List[List[int]]:
+    # Sweep by Psi descending, then Upsilon descending: every point swept
+    # before q has x >= x_q, so it dominates q iff its y >= y_q and it is not
+    # a duplicate of q.  Inside a front the sweep order has y non-decreasing,
+    # so a front dominates q iff its last swept member does.
+    x = obj[:, 0]
+    y = obj[:, 1]
+    sweep = np.lexsort((-y, -x))
+    swept_x = x[sweep]
+    swept_y = y[sweep]
+    repeats = np.zeros(sweep.size, dtype=bool)
+    repeats[1:] = (swept_x[1:] == swept_x[:-1]) & (swept_y[1:] == swept_y[:-1])
+
+    last_y: List[float] = []  # -y of each front's last member; non-decreasing
+    members: List[List[int]] = []  # each front in sweep order
+    member_y: List[List[float]] = []
+    runs: List[List[Tuple[int, int, int]]] = []  # (q, lo, hi) per front
+    rank = lo = hi = 0
+    for q, yq, repeat in zip(sweep.tolist(), swept_y.tolist(), repeats.tolist()):
+        if not repeat:  # a duplicate shares its predecessor's front and run
+            rank = bisect_right(last_y, -yq)
+            if rank == len(last_y):
+                last_y.append(-yq)
+                members.append([])
+                member_y.append([])
+                runs.append([])
+            else:
+                last_y[rank] = -yq
+            if rank:
+                above = member_y[rank - 1]
+                lo, hi = bisect_left(above, yq), len(above)
+        members[rank].append(q)
+        member_y[rank].append(yq)
+        if rank:
+            runs[rank].append((q, lo, hi))
+
+    # The reference appends q when its last dominator in the previous front
+    # is visited: order each front by the largest previous-front position
+    # over q's run of dominators, then by index.
+    position = [0] * sweep.size
+    fronts = [sorted(members[0])]
+    for rank in range(1, len(members)):
+        for index, q in enumerate(fronts[-1]):
+            position[q] = index
+        swept_positions = [position[p] for p in members[rank - 1]]
+        keyed = sorted((max(swept_positions[lo:hi]), q) for q, lo, hi in runs[rank])
+        fronts.append([q for _, q in keyed])
+    return fronts
+
+
+def _peeled_fronts(obj: np.ndarray) -> List[List[int]]:
+    # Any objective count: domination counts from the broadcast matrix, one
+    # front peeled off per step.
     dom = domination_matrix(obj)
     count = dom.sum(axis=0).astype(np.int64)
 
@@ -107,33 +164,62 @@ def fast_non_dominated_sort(objectives: Sequence[Objectives]) -> List[List[int]]
     return fronts
 
 
+def _front_crowding(obj: np.ndarray, front_of: np.ndarray) -> np.ndarray:
+    """Crowding distances of points listed front by front.
+
+    ``obj`` holds the points in front order (``front_of`` non-decreasing);
+    within a front, ties on an objective keep that order, as the reference's
+    stable sort does.  Each distance is built from the same float operations
+    in the same order as the reference, so the results are bit-identical.
+    """
+    size, n_objectives = obj.shape
+    distance = np.zeros(size, dtype=np.float64)
+    if size == 0:
+        return distance
+    first = np.ones(size, dtype=bool)
+    first[1:] = front_of[1:] != front_of[:-1]
+    last = np.ones(size, dtype=bool)
+    last[:-1] = first[1:]
+    front = np.cumsum(first) - 1
+    lo_at = np.flatnonzero(first)[front]
+    hi_at = np.flatnonzero(last)[front]
+    boundary = first | last
+    for m in range(n_objectives):
+        # One stable sort by (front, value) orders every front at once.
+        by_value = np.lexsort((obj[:, m], front_of))
+        values = obj[by_value, m]
+        span = values[hi_at] - values[lo_at]
+        distance[by_value[boundary]] = np.inf
+        gaps = np.flatnonzero(~boundary & (span != 0))
+        distance[by_value[gaps]] += (values[gaps + 1] - values[gaps - 1]) / span[gaps]
+    return distance
+
+
+def rank_and_crowding(objectives: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Front rank and crowding distance of every point, as two arrays."""
+    obj = np.asarray(objectives, dtype=np.float64)
+    fronts = fast_non_dominated_sort(obj)
+    order = np.fromiter(chain.from_iterable(fronts), dtype=np.int64, count=obj.shape[0])
+    front_of = np.repeat(
+        np.arange(len(fronts), dtype=np.int64), [len(front) for front in fronts]
+    )
+    rank = np.empty(obj.shape[0], dtype=np.int64)
+    rank[order] = front_of
+    crowding = np.empty(obj.shape[0], dtype=np.float64)
+    crowding[order] = _front_crowding(obj[order], front_of)
+    return rank, crowding
+
+
 def crowding_distance(
     objectives: Sequence[Objectives], front: Sequence[int]
 ) -> Dict[int, float]:
-    """Crowding distance of the individuals in one front.
-
-    Vectorized with stable argsorts; bit-identical to the scalar reference
-    (same float operations in the same order, per objective).
-    """
+    """Crowding distance of the individuals in one front (bit-identical to the reference)."""
     front = list(front)
     if not front:
         return {}
     obj = np.asarray(objectives, dtype=np.float64)[front]
-    size, n_objectives = obj.shape
-    distance = np.zeros(size, dtype=np.float64)
-    for m in range(n_objectives):
-        values = obj[:, m]
-        order = np.argsort(values, kind="stable")
-        lo = values[order[0]]
-        hi = values[order[-1]]
-        distance[order[0]] = np.inf
-        distance[order[-1]] = np.inf
-        if hi == lo:
-            continue
-        if size > 2:
-            ordered_values = values[order]
-            distance[order[1:-1]] += (ordered_values[2:] - ordered_values[:-2]) / (hi - lo)
-    return {int(index): float(distance[i]) for i, index in enumerate(front)}
+    distance = _front_crowding(obj, np.zeros(len(front), dtype=np.int64))
+    return {int(index): value for index, value in zip(front, distance.tolist())}
 
 
 # -- scalar reference implementations ----------------------------------------
@@ -213,18 +299,14 @@ class ArchiveEntry:
 class ParetoArchive:
     """External archive of feasible non-dominated solutions found so far.
 
-    Candidate objective vectors are screened against the archive's objective
-    matrix in one vectorized comparison.  Every rejected vector is remembered:
-    rejection means some entry dominates-or-equals it, entries are only ever
-    displaced by their own dominators, and dominance is transitive — so a
-    rejected vector can never enter later, and re-encounters (frequent once
-    the search converges) skip the comparison entirely.
+    Entries stay in insertion order.  :meth:`merge` inserts a batch of
+    candidates with a few ``(M, M)`` comparisons over the archive and the
+    batch together; :meth:`add` is its one-row case.
     """
 
     def __init__(self) -> None:
         self._entries: List[ArchiveEntry] = []
         self._matrix: Optional[np.ndarray] = None
-        self._rejected: Set[Objectives] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -238,31 +320,50 @@ class ParetoArchive:
 
     def add(self, genes: np.ndarray, objectives: Objectives, payload: object = None) -> bool:
         """Insert a candidate; returns True if it enters the archive."""
-        objectives = tuple(objectives)
-        if objectives in self._rejected:
-            return False
-        candidate = np.asarray(objectives, dtype=np.float64)
-        if self._matrix is not None and self._matrix.size:
-            # Some entry >= candidate everywhere <=> it dominates or equals it.
-            if (self._matrix >= candidate).all(axis=1).any():
-                self._rejected.add(objectives)
-                return False
-            displaced = (candidate >= self._matrix).all(axis=1) & (
-                candidate > self._matrix
-            ).any(axis=1)
-            if displaced.any():
-                kept = ~displaced
-                self._entries = [
-                    entry for entry, keep in zip(self._entries, kept) if keep
-                ]
-                self._matrix = self._matrix[kept]
-            self._matrix = np.vstack([self._matrix, candidate[None, :]])
-        else:
-            self._matrix = candidate[None, :].copy()
-        self._entries.append(
-            ArchiveEntry(genes=genes.copy(), objectives=objectives, payload=payload)
+        return bool(self.merge(np.asarray(genes)[None], [objectives], [payload])[0])
+
+    def merge(
+        self,
+        genes: np.ndarray,
+        objectives: np.ndarray,
+        payloads: Sequence[object],
+    ) -> np.ndarray:
+        """Insert candidate rows in order; returns the mask of those that entered.
+
+        The archive ends up exactly as if each row had been inserted on its
+        own, in order.  A sequential insert rejects a candidate that some
+        entry weakly dominates, and every element seen so far is weakly
+        dominated by some entry.  So a candidate is rejected iff an earlier
+        element (entry or candidate) weakly dominates it.  An accepted
+        element is later displaced iff a later element strictly dominates
+        it.
+        """
+        candidates = np.asarray(objectives, dtype=np.float64)
+        if candidates.shape[0] == 0:
+            return np.zeros(0, dtype=bool)
+        n_entries = len(self._entries)
+        combined = (
+            candidates if self._matrix is None else np.vstack([self._matrix, candidates])
         )
-        return True
+        # weakly[p, q]: p >= q on every objective.
+        weakly = np.ones((combined.shape[0],) * 2, dtype=bool)
+        for column in combined.T:
+            weakly &= column[:, None] >= column[None, :]
+        strictly = weakly & ~weakly.T
+        kept = ~(np.triu(weakly, 1).any(axis=0) | np.tril(strictly, -1).any(axis=0))
+        entered = kept[n_entries:]
+        self._entries = [
+            entry for entry, keep in zip(self._entries, kept.tolist()) if keep
+        ] + [
+            ArchiveEntry(
+                genes=np.array(genes[row]),
+                objectives=tuple(candidates[row].tolist()),
+                payload=payloads[row],
+            )
+            for row in np.flatnonzero(entered).tolist()
+        ]
+        self._matrix = combined[kept]
+        return entered
 
     def best_by(self, objective_index: int) -> Optional[ArchiveEntry]:
         """Archive entry with the best value of one objective (ties: best other objectives)."""
@@ -297,7 +398,7 @@ class NSGA2:
     The population lives as a ``(pop, n_genes)`` int64 matrix; one generation
     consumes exactly six fixed-shape draws from the run's single
     ``numpy.random.Generator`` (see :meth:`_make_offspring`), which pins the
-    RNG stream to the seed regardless of how fitness is computed or cached.
+    RNG stream to the seed regardless of how fitness is computed.
 
     ``evaluate`` is the per-individual callable
     (``genes -> (objectives, payload)``); pass ``evaluate_batch`` instead to
@@ -335,7 +436,6 @@ class NSGA2:
         self.gene_mutation_probability = gene_mutation_probability
         self.rng = rng if rng is not None else np.random.default_rng()
         self.seeds = list(seeds or [])
-        self._cache: Dict[bytes, Tuple[np.ndarray, object]] = {}
 
     @staticmethod
     def _rowwise(
@@ -361,14 +461,14 @@ class NSGA2:
         population = initial_population_matrix(
             self.problem, self.population_size, self.rng, seeds=self.seeds
         )
-        objectives, _ = self._evaluate_matrix(population, archive)
+        objectives = self._evaluate_matrix(population, archive)
         evaluations += population.shape[0]
 
         generations_run = 0
         for _ in range(self.generations):
             generations_run += 1
             offspring = self._make_offspring(population, objectives)
-            offspring_objectives, _ = self._evaluate_matrix(offspring, archive)
+            offspring_objectives = self._evaluate_matrix(offspring, archive)
             evaluations += offspring.shape[0]
 
             population, objectives = self._environmental_selection(
@@ -382,55 +482,23 @@ class NSGA2:
 
     # -- internals -----------------------------------------------------------
 
-    def _evaluate_matrix(
-        self, population: np.ndarray, archive: ParetoArchive
-    ) -> Tuple[np.ndarray, List[object]]:
-        """Score a population matrix through the cache; archive fresh feasible rows.
+    def _evaluate_matrix(self, population: np.ndarray, archive: ParetoArchive) -> np.ndarray:
+        """Score every row of a population matrix; merge the feasible rows into the archive.
 
-        Rows already scored this run (unchanged offspring, re-discovered
-        individuals) come from the cache; only genuinely new rows reach the
-        batch evaluator and the archive — a duplicate's objectives are exactly
-        equal to its first occurrence's, so the archive would reject it
-        anyway.
+        Rows are scored even when an identical row was scored before: a
+        row's objectives do not depend on the rest of its batch, and the
+        archive rejects a repeat (some entry weakly dominates it).
         """
-        if len(self._cache) > _EVAL_CACHE_LIMIT:
-            self._cache.clear()
-        n_rows = population.shape[0]
-        keys = [population[i].tobytes() for i in range(n_rows)]
-        fresh: Dict[bytes, int] = {}
-        for i, key in enumerate(keys):
-            if key not in self._cache and key not in fresh:
-                fresh[key] = i
-        if fresh:
-            rows = np.fromiter(fresh.values(), dtype=np.int64, count=len(fresh))
-            fresh_objectives, fresh_payloads = self.evaluate_batch(population[rows])
-            fresh_objectives = np.asarray(fresh_objectives, dtype=np.float64)
-            for j, i in enumerate(rows):
-                objective_row = fresh_objectives[j]
-                payload = fresh_payloads[j]
-                self._cache[keys[i]] = (objective_row, payload)
-                if payload is not None and (objective_row >= 0.0).all():
-                    archive.add(
-                        population[i],
-                        tuple(float(v) for v in objective_row),
-                        payload,
-                    )
-        objectives = np.stack([self._cache[key][0] for key in keys])
-        payloads = [self._cache[key][1] for key in keys]
-        return objectives, payloads
-
-    def _rank_and_crowding(
-        self, objectives: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        fronts = fast_non_dominated_sort(objectives)
-        rank = np.empty(objectives.shape[0], dtype=np.int64)
-        crowding = np.empty(objectives.shape[0], dtype=np.float64)
-        for front_index, front in enumerate(fronts):
-            distances = crowding_distance(objectives, front)
-            for index in front:
-                rank[index] = front_index
-                crowding[index] = distances[index]
-        return rank, crowding
+        objectives, payloads = self.evaluate_batch(population)
+        objectives = np.asarray(objectives, dtype=np.float64)
+        rows = [
+            row
+            for row in np.flatnonzero((objectives >= 0.0).all(axis=1)).tolist()
+            if payloads[row] is not None
+        ]
+        if rows:
+            archive.merge(population[rows], objectives[rows], [payloads[row] for row in rows])
+        return objectives
 
     def _make_offspring(
         self, population: np.ndarray, objectives: np.ndarray
@@ -449,13 +517,13 @@ class NSGA2:
         outcomes, so the stream is reproducible by construction.  The last
         child is dropped when ``population_size`` is odd.
         """
-        rank, crowding = self._rank_and_crowding(objectives)
+        rank, crowding = rank_and_crowding(objectives)
         n_children = 2 * ((self.population_size + 1) // 2)
         winners = tournament_winners(self.rng, rank, crowding, n_children)
         children = batch_uniform_crossover(
             self.rng, population[winners], self.crossover_probability
         )
-        mutated, _changed = batch_mutate(
+        mutated = batch_mutate(
             self.problem,
             children,
             self.rng,
@@ -468,15 +536,19 @@ class NSGA2:
         combined: np.ndarray,
         combined_objectives: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        fronts = fast_non_dominated_sort(combined_objectives)
         selected: List[int] = []
-        for front in fronts:
-            if len(selected) + len(front) <= self.population_size:
+        for front in fast_non_dominated_sort(combined_objectives):
+            room = self.population_size - len(selected)
+            if len(front) <= room:
                 selected.extend(front)
                 continue
-            distances = crowding_distance(combined_objectives, front)
-            remaining = sorted(front, key=lambda index: -distances[index])
-            selected.extend(remaining[: self.population_size - len(selected)])
+            # The first front that does not fit: largest crowding distance
+            # first, ties in front order.
+            distance = _front_crowding(
+                combined_objectives[front], np.zeros(len(front), dtype=np.int64)
+            )
+            best = np.argsort(-distance, kind="stable")[:room]
+            selected.extend(np.asarray(front)[best].tolist())
             break
         chosen = np.asarray(selected, dtype=np.int64)
         return combined[chosen], combined_objectives[chosen]

@@ -181,24 +181,20 @@ def batch_mutate(
     *,
     gene_mutation_probability: float,
     snap_to_ideal_probability: float = SNAP_TO_IDEAL_PROBABILITY,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Vectorized per-gene mutation of a whole ``(pop, genes)`` matrix.
 
     Three fixed-shape draws: a mutation-coin matrix, a snap-coin matrix and a
-    bounded resample matrix (all ``(pop, genes)``).  Returns ``(mutated,
-    changed)`` where ``changed`` marks the genes whose value actually moved —
-    the dirty mask driving the incremental re-scoring path.
+    bounded resample matrix (all ``(pop, genes)``).
     """
     compiled = problem.compiled()
     pop, n_genes = children.shape
     if n_genes == 0:
-        return children.copy(), np.zeros_like(children, dtype=bool)
+        return children.copy()
     mutating = rng.random((pop, n_genes)) < gene_mutation_probability
     snapping = rng.random((pop, n_genes)) < snap_to_ideal_probability
     resampled = rng.integers(
         compiled.lo, compiled.hi + 1, size=(pop, n_genes), dtype=np.int64
     )
     replacement = np.where(snapping, compiled.ideal_clamped, resampled)
-    mutated = np.where(mutating, replacement, children)
-    changed = mutating & (mutated != children)
-    return mutated, changed
+    return np.where(mutating, replacement, children)

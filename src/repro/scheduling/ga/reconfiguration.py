@@ -21,11 +21,14 @@ Two implementations coexist:
   the readable reference, still used by unit tests and one-off callers;
 * the batched :func:`reconfigure_batch` / :func:`evaluate_batch` pair,
   repairing and scoring a whole ``(pop, n_genes)`` population matrix at once
-  through :class:`~repro.scheduling.ga.encoding.CompiledPartition` arrays.
-  The forward conflict-resolution scan is expressed as a running maximum
-  (``start_k = W_{k-1} + max_{j<=k}(base_j - W_{j-1})`` with ``W`` the
-  cumulative WCET), so only the order-dependent snap-to-ideal pass iterates
-  over job positions — vectorized across the population at each position.
+  through :class:`~repro.scheduling.ga.encoding.CompiledPartition` arrays,
+  with no loop over job positions.  The forward conflict-resolution scan is
+  a running maximum (``start_k = W_{k-1} + max_{j<=k}(base_j - W_{j-1})``
+  with ``W`` the cumulative WCET).  The snap pass is in closed form: whether
+  job k snaps is a function of whether job k-1 did (constant, identity or
+  negation), so each bit is the value at the last constant position XOR the
+  parity of the negations since — one ``maximum.accumulate`` and one
+  ``logical_xor.accumulate`` per batch.
   Both pairs produce bit-identical objectives for every individual (property
   tested), down to floating-point summation order.
 """
@@ -39,12 +42,6 @@ import numpy as np
 from repro.core.schedule import Schedule
 from repro.core.task import IOJob
 from repro.scheduling.ga.encoding import CompiledPartition, GAProblem
-
-#: Sentinel "no next job" start used by the vectorized snap pass; large enough
-#: to exceed any real start time, small enough that ``ideal + wcet`` cannot
-#: overflow when compared against it.
-_NO_NEXT = np.iinfo(np.int64).max // 4
-
 
 def reconfigure(
     jobs: Sequence[IOJob],
@@ -124,58 +121,64 @@ def evaluate(
 def _repair_batch(
     compiled: CompiledPartition, genes: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared batched repair: ``(order, starts_sorted, wcet_sorted, feasible)``.
+    """Shared batched repair: ``(order, starts_sorted, ideal_sorted, feasible)``.
 
     ``order`` is the execution-order permutation per row; ``starts_sorted``
     the realised start times in that order (strictly increasing, since
-    executions never overlap).
+    executions never overlap) and ``ideal_sorted`` the ideal starts in that
+    order.
     """
     n_rows, n = genes.shape
+    cells = np.arange(n_rows * n, dtype=np.int64).reshape(n_rows, n)
 
     # Execution order implied by the genes; same start -> higher priority first
     # (the composite key folds the (-priority, key) tie-break into the value).
     composite = genes * np.int64(n) + compiled.order_tiebreak
     order = np.argsort(composite, axis=1, kind="stable")
 
-    desired = np.take_along_axis(genes, order, axis=1)
+    desired = genes.take(order + cells[:, :1])
     release = compiled.release[order]
     wcet = compiled.wcet[order]
-    deadline = compiled.deadline[order]
     ideal = compiled.ideal[order]
 
     # Forward scan: start_k = max(desired_k, release_k, finish_{k-1}) becomes a
     # prefix maximum over base_j - W_{j-1} (W = cumulative WCET).
     base = np.maximum(desired, release)
-    cum_wcet = np.cumsum(wcet, axis=1)
-    cum_before = cum_wcet - wcet
+    cum_before = np.cumsum(wcet, axis=1) - wcet
     starts = cum_before + np.maximum.accumulate(base - cum_before, axis=1)
 
     # Opportunistic snap-to-ideal.  Eligibility against the *pre-snap* next
-    # start is vectorized; the dependency on the (post-snap) previous finish
-    # runs position by position, vectorized across the population.
-    next_start = np.empty_like(starts)
-    next_start[:, :-1] = starts[:, 1:]
-    next_start[:, -1] = _NO_NEXT
-    eligible = (
-        (starts != ideal)
-        & (release <= ideal)
-        & (ideal <= deadline - wcet)
-        & (ideal + wcet <= next_start)
+    # start is elementwise; whether job k clears its predecessor depends on
+    # whether job k-1 snapped.  So each position maps that bit through one of
+    # four functions of it: constant false, constant true, identity or
+    # negation.  The bit at k is the value at the last constant position,
+    # XOR the parity of the negations since.
+    in_window = (compiled.release <= compiled.ideal) & (compiled.ideal <= compiled.latest)
+    ideal_finish = ideal + wcet
+    eligible = (starts != ideal) & in_window[order]
+    eligible[:, :-1] &= ideal_finish[:, :-1] <= starts[:, 1:]
+    eligible[:, 0] &= ideal[:, 0] >= 0  # the first job follows an idle device
+    if_kept = eligible.copy()  # may job k snap if job k-1 kept its start?
+    if_kept[:, 1:] &= ideal[:, 1:] >= starts[:, :-1] + wcet[:, :-1]
+    if_snapped = eligible  # ... and if job k-1 snapped to its ideal start?
+    if_snapped[:, 1:] &= ideal[:, 1:] >= ideal_finish[:, :-1]
+    parity = np.logical_xor.accumulate(if_kept > if_snapped, axis=1)  # negations
+    last_constant = np.maximum.accumulate(
+        np.where(if_kept == if_snapped, cells, 0), axis=1
     )
-    any_eligible = eligible.any(axis=0)
-    prev_finish = np.zeros(n_rows, dtype=np.int64)
-    for position in range(n):
-        column = starts[:, position]
-        wcet_col = wcet[:, position]
-        if any_eligible[position]:
-            ideal_col = ideal[:, position]
-            snap = eligible[:, position] & (ideal_col >= prev_finish)
-            column = np.where(snap, ideal_col, column)
-            starts[:, position] = column
-        prev_finish = column + wcet_col
+    snap = if_kept.take(last_constant) ^ parity ^ parity.take(last_constant)
+    starts = np.where(snap, ideal, starts)
 
-    feasible = ~((starts + wcet > deadline).any(axis=1))
-    return order, starts, wcet, feasible
+    feasible = ~(starts > compiled.latest[order]).any(axis=1)
+    return order, starts, ideal, feasible
+
+
+def _in_job_order(order: np.ndarray, sorted_rows: np.ndarray) -> np.ndarray:
+    """Rows given in execution order, scattered back to problem job order."""
+    n_rows, n = order.shape
+    rows = np.empty_like(sorted_rows)
+    rows.reshape(-1)[order + (np.arange(n_rows, dtype=np.int64) * n)[:, None]] = sorted_rows
+    return rows
 
 
 def _validate_matrix(compiled: CompiledPartition, genes_matrix: np.ndarray) -> np.ndarray:
@@ -202,9 +205,7 @@ def reconfigure_batch(
     if genes.shape[1] == 0:
         return genes.copy(), np.ones(genes.shape[0], dtype=bool)
     order, starts, _, feasible = _repair_batch(compiled, genes)
-    job_starts = np.empty_like(starts)
-    np.put_along_axis(job_starts, order, starts, axis=1)
-    return job_starts, feasible
+    return _in_job_order(order, starts), feasible
 
 
 def evaluate_batch(
@@ -229,28 +230,25 @@ def evaluate_batch(
         objectives[:] = 1.0
         return objectives, genes.copy(), np.ones(n_rows, dtype=bool)
 
-    order, starts_sorted, _, feasible = _repair_batch(compiled, genes)
-    job_starts = np.empty_like(starts_sorted)
-    np.put_along_axis(job_starts, order, starts_sorted, axis=1)
-
-    ideal_sorted = compiled.ideal[order]
+    order, starts_sorted, ideal_sorted, feasible = _repair_batch(compiled, genes)
+    job_starts = _in_job_order(order, starts_sorted)
     theta_sorted = compiled.theta[order]
     v_max_sorted = compiled.v_max[order]
-    v_min_sorted = compiled.v_min[order]
 
     # Psi: the fraction of exactly timing-accurate jobs.
     exact = starts_sorted == ideal_sorted
     psi = exact.sum(axis=1) / n
 
     # Upsilon: linear quality curve, evaluated element-wise exactly as
-    # LinearQualityCurve.value does (same operations, same order).
+    # LinearQualityCurve.value does (same operations, same order).  Distances
+    # are non-negative, so ``distance >= theta`` covers ``theta <= 0`` too.
     distance = np.abs(starts_sorted - ideal_sorted)
-    safe_theta = np.where(theta_sorted > 0, theta_sorted, 1)
-    fraction = 1.0 - distance / safe_theta
-    decayed = v_min_sorted + (v_max_sorted - v_min_sorted) * fraction
+    fraction = 1.0 - distance / np.maximum(compiled.theta, 1)[order]
+    decayed = compiled.v_min[order] + (compiled.v_max - compiled.v_min)[order] * fraction
     quality = np.where(
-        exact, v_max_sorted,
-        np.where((theta_sorted <= 0) | (distance >= theta_sorted), v_min_sorted, decayed),
+        exact,
+        v_max_sorted,
+        np.where(distance >= theta_sorted, compiled.v_min[order], decayed),
     )
     obtained = np.cumsum(quality, axis=1)[:, -1]
     ideal_total = np.cumsum(v_max_sorted, axis=1)[:, -1]

@@ -105,11 +105,12 @@ class GAScheduler(Scheduler):
         # The batch evaluator scores a whole (pop, n_genes) matrix per call.
         # Archive payloads are the repaired start-time rows — Schedule objects
         # are only materialised for the handful of entries reported below.
+        # Each row is a copy: an archived view would keep its whole batch's
+        # start matrix alive for the rest of the run.
         def evaluate_batch(genes_matrix: np.ndarray):
             objectives, starts, feasible = evaluate_genes_batch(problem, genes_matrix)
             payloads = [
-                starts[row] if feasible[row] else None
-                for row in range(genes_matrix.shape[0])
+                row.copy() if ok else None for row, ok in zip(starts, feasible.tolist())
             ]
             return objectives, payloads
 
