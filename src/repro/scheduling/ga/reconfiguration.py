@@ -133,19 +133,23 @@ def _repair_batch(
 
     # Execution order implied by the genes; same start -> higher priority first
     # (the composite key folds the (-priority, key) tie-break into the value).
-    composite = genes * np.int64(n) + compiled.order_tiebreak
+    composite = genes * np.int64(n)
+    composite += compiled.order_tiebreak
     order = np.argsort(composite, axis=1, kind="stable")
 
-    desired = genes.take(order + cells[:, :1])
-    release = compiled.release[order]
     wcet = compiled.wcet[order]
     ideal = compiled.ideal[order]
 
     # Forward scan: start_k = max(desired_k, release_k, finish_{k-1}) becomes a
-    # prefix maximum over base_j - W_{j-1} (W = cumulative WCET).
-    base = np.maximum(desired, release)
-    cum_before = np.cumsum(wcet, axis=1) - wcet
-    starts = cum_before + np.maximum.accumulate(base - cum_before, axis=1)
+    # prefix maximum over base_j - W_{j-1} (W = cumulative WCET).  In place:
+    # the matrices here are (pop, n_genes) and the GA repairs one per batch.
+    cum_before = np.cumsum(wcet, axis=1)
+    cum_before -= wcet
+    starts = genes.take(order + cells[:, :1])  # desired starts
+    np.maximum(starts, compiled.release[order], out=starts)
+    starts -= cum_before
+    np.maximum.accumulate(starts, axis=1, out=starts)
+    starts += cum_before
 
     # Opportunistic snap-to-ideal.  Eligibility against the *pre-snap* next
     # start is elementwise; whether job k clears its predecessor depends on
@@ -163,11 +167,10 @@ def _repair_batch(
     if_snapped = eligible  # ... and if job k-1 snapped to its ideal start?
     if_snapped[:, 1:] &= ideal[:, 1:] >= ideal_finish[:, :-1]
     parity = np.logical_xor.accumulate(if_kept > if_snapped, axis=1)  # negations
-    last_constant = np.maximum.accumulate(
-        np.where(if_kept == if_snapped, cells, 0), axis=1
-    )
+    last_constant = np.where(if_kept == if_snapped, cells, 0)
+    np.maximum.accumulate(last_constant, axis=1, out=last_constant)
     snap = if_kept.take(last_constant) ^ parity ^ parity.take(last_constant)
-    starts = np.where(snap, ideal, starts)
+    np.copyto(starts, ideal, where=snap)
 
     feasible = ~(starts > compiled.latest[order]).any(axis=1)
     return order, starts, ideal, feasible
@@ -232,6 +235,10 @@ def evaluate_batch(
 
     order, starts_sorted, ideal_sorted, feasible = _repair_batch(compiled, genes)
     job_starts = _in_job_order(order, starts_sorted)
+    # Only feasible rows are scored; the others keep their -1 objectives.
+    rows = np.flatnonzero(feasible)
+    if rows.size < n_rows:
+        order, starts_sorted, ideal_sorted = order[rows], starts_sorted[rows], ideal_sorted[rows]
     theta_sorted = compiled.theta[order]
     v_max_sorted = compiled.v_max[order]
 
@@ -255,6 +262,6 @@ def evaluate_batch(
     with np.errstate(divide="ignore", invalid="ignore"):
         upsilon = np.where(ideal_total == 0, 1.0, obtained / ideal_total)
 
-    objectives[feasible, 0] = psi[feasible]
-    objectives[feasible, 1] = upsilon[feasible]
+    objectives[rows, 0] = psi
+    objectives[rows, 1] = upsilon
     return objectives, job_starts, feasible
