@@ -536,19 +536,15 @@ class NSGA2:
         combined: np.ndarray,
         combined_objectives: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
+        fronts = fast_non_dominated_sort(combined_objectives)
         selected: List[int] = []
-        for front in fast_non_dominated_sort(combined_objectives):
-            room = self.population_size - len(selected)
-            if len(front) <= room:
+        for front in fronts:
+            if len(selected) + len(front) <= self.population_size:
                 selected.extend(front)
                 continue
-            # The first front that does not fit: largest crowding distance
-            # first, ties in front order.
-            distance = _front_crowding(
-                combined_objectives[front], np.zeros(len(front), dtype=np.int64)
-            )
-            best = np.argsort(-distance, kind="stable")[:room]
-            selected.extend(np.asarray(front)[best].tolist())
+            distances = crowding_distance(combined_objectives, front)
+            remaining = sorted(front, key=lambda index: -distances[index])
+            selected.extend(remaining[: self.population_size - len(selected)])
             break
         chosen = np.asarray(selected, dtype=np.int64)
         return combined[chosen], combined_objectives[chosen]

@@ -141,8 +141,8 @@ def _repair_batch(
     ideal = compiled.ideal[order]
 
     # Forward scan: start_k = max(desired_k, release_k, finish_{k-1}) becomes a
-    # prefix maximum over base_j - W_{j-1} (W = cumulative WCET).  In place:
-    # the matrices here are (pop, n_genes) and the GA repairs one per batch.
+    # prefix maximum over base_j - W_{j-1} (W = cumulative WCET), computed in
+    # place to spare (pop, n_genes) temporaries.
     cum_before = np.cumsum(wcet, axis=1)
     cum_before -= wcet
     starts = genes.take(order + cells[:, :1])  # desired starts
