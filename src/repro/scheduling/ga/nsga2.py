@@ -328,7 +328,7 @@ class ParetoArchive:
         objectives: np.ndarray,
         payloads: Sequence[object],
     ) -> np.ndarray:
-        """Insert candidate rows in order; returns the mask of those that entered.
+        """Insert candidate rows in order; returns the mask of those now in the archive.
 
         The archive ends up exactly as if each row had been inserted on its
         own, in order.  A sequential insert rejects a candidate that some

@@ -115,7 +115,9 @@ class SequentialArchive:
         self.entries = [
             entry for entry in self.entries if not dominates(objectives, entry.objectives)
         ]
-        self.entries.append(ArchiveEntry(genes=genes.copy(), objectives=objectives, payload=payload))
+        self.entries.append(
+            ArchiveEntry(genes=genes.copy(), objectives=objectives, payload=payload)
+        )
         return True
 
 
