@@ -8,11 +8,11 @@ Three properties of the PR-10 fast path are demonstrated:
   misses (the timings go to ``BENCH_results.json``; pass/fail rests on the
   deterministic counters, not on one wall-clock sample);
 * **batched vs per-key SQLite lookup** — one ``get_many`` query answers a
-  whole batch of keys far faster than a ``get`` per key;
+  whole batch of keys where the per-key loop sends one ``SELECT`` per key
+  (counted through the connection's trace callback; the timings go to
+  ``BENCH_results.json``);
 * the batched path stays byte-identical to the per-key path.
 """
-
-import time
 
 import pytest
 
@@ -114,17 +114,27 @@ def test_sqlite_lookup_per_key(benchmark, populated_sqlite):
     assert len(found) == N_KEYS
 
 
+def count_selects(backend, lookup):
+    """``lookup()`` and the number of ``SELECT`` statements it sent to SQLite."""
+    statements = []
+    backend._connection.set_trace_callback(statements.append)
+    try:
+        result = lookup()
+    finally:
+        backend._connection.set_trace_callback(None)
+    return result, sum(sql.lstrip().upper().startswith("SELECT") for sql in statements)
+
+
 @pytest.mark.benchmark(group="dispatch")
 def test_sqlite_lookup_batched(benchmark, populated_sqlite):
-    """One batched ``get_many`` query — same answers, far fewer round trips."""
+    """One batched ``get_many`` query — same answers, one round trip."""
     keys = [f"{index:016x}" for index in range(N_KEYS)]
 
-    start = time.perf_counter()
-    per_key = {key: populated_sqlite.get(key) for key in keys}
-    per_key_seconds = time.perf_counter() - start
+    per_key, per_key_selects = count_selects(
+        populated_sqlite, lambda: {key: populated_sqlite.get(key) for key in keys}
+    )
+    _, batched_selects = count_selects(populated_sqlite, lambda: populated_sqlite.get_many(keys))
+    assert (batched_selects, per_key_selects) == (1, N_KEYS)
 
     found = benchmark(lambda: populated_sqlite.get_many(keys))
     assert found == per_key
-    assert benchmark.stats.stats.median < per_key_seconds, (
-        "batched lookup no faster than per-key"
-    )

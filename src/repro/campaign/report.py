@@ -228,13 +228,6 @@ class CampaignReport:
         """The stats of one (metric, scenario, method) entry, or ``None``."""
         return self.entries.get(metric, {}).get(scenario, {}).get(method)
 
-    def runtime_stats(
-        self, metric: str, scenario: str, method: str, execution_model: str
-    ) -> Optional[StatsDict]:
-        """The stats of one (metric, scenario, method, model) entry, or ``None``."""
-        label = runtime_label(method, execution_model)
-        return self.runtime_entries.get(metric, {}).get(scenario, {}).get(label)
-
     def leaderboard(self, metric: str) -> List[Tuple[str, StatsDict]]:
         """Methods ranked by their overall mean of ``metric`` (best first).
 

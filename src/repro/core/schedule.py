@@ -130,12 +130,6 @@ class Schedule:
         except KeyError:
             raise KeyError(f"job {job.name} is not in the schedule") from None
 
-    def entry_of(self, job: IOJob) -> ScheduleEntry:
-        try:
-            return self._entries[job.key]
-        except KeyError:
-            raise KeyError(f"job {job.name} is not in the schedule") from None
-
     def jobs(self) -> List[IOJob]:
         return [entry.job for entry in self.sorted_entries()]
 

@@ -75,10 +75,6 @@ class ControllerMemory:
     def used_bytes(self) -> int:
         return sum(task.size_bytes for task in self._tasks.values())
 
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self.used_bytes
-
     def store(self, task_name: str, commands: Sequence[IOCommand]) -> StoredTask:
         """Pre-load the command sequence of one I/O task (Phase 1)."""
         commands = list(commands)
@@ -107,6 +103,3 @@ class ControllerMemory:
 
     def contains(self, task_name: str) -> bool:
         return task_name in self._tasks
-
-    def task_names(self) -> List[str]:
-        return sorted(self._tasks)

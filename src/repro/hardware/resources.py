@@ -49,15 +49,6 @@ class ResourceEstimate:
     bram_kb: int
     power_mw: float
 
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "luts": self.luts,
-            "registers": self.registers,
-            "dsps": self.dsps,
-            "bram_kb": self.bram_kb,
-            "power_mw": round(self.power_mw, 1),
-        }
-
 
 @dataclass(frozen=True)
 class HardwareDesign:

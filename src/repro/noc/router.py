@@ -51,12 +51,3 @@ class Router:
         self.forwarded += 1
         self.total_blocking += blocking
         return start, departure
-
-    def link_utilisation(self, horizon: int) -> Dict[NodeId, float]:
-        """Fraction of ``[0, horizon)`` each output link has been busy (approximate)."""
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        return {
-            neighbour: min(1.0, busy_until / horizon)
-            for neighbour, busy_until in self._link_free_at.items()
-        }

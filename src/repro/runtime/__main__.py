@@ -25,9 +25,11 @@ Examples::
     python -m repro.runtime - < requests.jsonl > responses.jsonl
 
 Re-running the same requests against a populated ``--cache-dir`` simulates
-nothing: every response comes back flagged ``cache: hit`` (the schedule cache
-under ``<cache-dir>/schedules`` is shared with ``python -m repro.service``
-consumers pointing at the same directory).
+nothing: every response comes back flagged ``cache: hit``.  ``--cache-dir DIR``
+keeps schedules under ``DIR/schedules`` and simulation responses under
+``DIR/sim-responses``, as ``python -m repro.server serve`` does.
+``python -m repro.service --cache-dir DIR`` stores schedules directly in
+``DIR``, so it shares them with this CLI only when given ``DIR/schedules``.
 """
 
 from __future__ import annotations

@@ -38,16 +38,6 @@ class DependencyGraphs:
         """Penalty weight ``psi`` of a job: its degree in the conflict graph."""
         return int(self.graph.degree(job.key))
 
-    def job_by_key(self, key: Tuple[str, int]) -> IOJob:
-        return self.graph.nodes[key]["job"]
-
-    def conflicting_pairs(self) -> List[Tuple[IOJob, IOJob]]:
-        """All pairs of jobs whose ideal executions overlap."""
-        return [
-            (self.graph.nodes[a]["job"], self.graph.nodes[b]["job"])
-            for a, b in self.graph.edges
-        ]
-
 
 def build_dependency_graphs(jobs: Sequence[IOJob]) -> DependencyGraphs:
     """Phase 1 of Algorithm 1: build the conflict graph of the ideal executions.

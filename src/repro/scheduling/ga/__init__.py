@@ -8,48 +8,9 @@ executions), using an NSGA-II style evolutionary algorithm with a
 reconfiguration (repair) function.
 """
 
-from repro.scheduling.ga.constraints import (
-    constraint1_matrix,
-    count_conflicts_batch,
-    first_interfering_job_index,
-    interfering_jobs,
-    last_interfering_job_index,
-    satisfies_constraint1,
-    satisfies_constraint2,
-    violations_batch,
-)
-from repro.scheduling.ga.encoding import CompiledPartition, GAProblem
-from repro.scheduling.ga.nsga2 import (
-    NSGA2,
-    crowding_distance,
-    domination_matrix,
-    fast_non_dominated_sort,
-)
-from repro.scheduling.ga.reconfiguration import (
-    evaluate_batch,
-    reconfigure,
-    reconfigure_batch,
-)
+from repro.scheduling.ga.encoding import GAProblem
+from repro.scheduling.ga.nsga2 import NSGA2
+from repro.scheduling.ga.reconfiguration import evaluate_batch
 from repro.scheduling.ga.scheduler import GAConfig, GAScheduler
 
-__all__ = [
-    "CompiledPartition",
-    "GAProblem",
-    "GAConfig",
-    "GAScheduler",
-    "NSGA2",
-    "reconfigure",
-    "reconfigure_batch",
-    "evaluate_batch",
-    "fast_non_dominated_sort",
-    "crowding_distance",
-    "domination_matrix",
-    "satisfies_constraint1",
-    "satisfies_constraint2",
-    "constraint1_matrix",
-    "count_conflicts_batch",
-    "violations_batch",
-    "interfering_jobs",
-    "first_interfering_job_index",
-    "last_interfering_job_index",
-]
+__all__ = ["GAConfig", "GAScheduler", "GAProblem", "NSGA2", "evaluate_batch"]

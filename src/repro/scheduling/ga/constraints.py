@@ -9,88 +9,22 @@
   ``lambda_i^j`` (Equations (4) and (5) bound the first and last interfering
   job index of each other task).
 
-The scalar predicates operate on one job or one pair; the ``*_batch``
-kernels check whole ``(pop, n_jobs)`` start-time matrices at once against a
-:class:`~repro.scheduling.ga.encoding.CompiledPartition`, returning per-row
-counts that agree exactly with the scalar loop (property tested).
+The kernels check whole ``(pop, n_jobs)`` start-time matrices at once
+against a :class:`~repro.scheduling.ga.encoding.CompiledPartition` and
+return per-row counts.  Constraint 2* only narrows which pairs Constraint 2
+must compare; the kernels need no such bound, because a row has an
+overlapping pair iff two jobs adjacent in start order overlap.  The counts
+agree exactly with the scalar checks kept as test oracles in
+``tests/scheduling/ga_oracles.py`` (property tested).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict
 
 import numpy as np
 
-from repro.core.task import IOJob, IOTask
 from repro.scheduling.ga.encoding import CompiledPartition
-
-
-def satisfies_constraint1(job: IOJob, start: int) -> bool:
-    """Constraint 1: the job starts in its release window and meets its deadline."""
-    return job.release <= start <= job.deadline - job.wcet
-
-
-def satisfies_constraint2(job_a: IOJob, start_a: int, job_b: IOJob, start_b: int) -> bool:
-    """Constraint 2: the two executions do not overlap."""
-    return start_a + job_a.wcet <= start_b or start_a >= start_b + job_b.wcet
-
-
-def first_interfering_job_index(job: IOJob, other: IOTask) -> int:
-    """Equation (4): index of the first job of ``other`` that can interfere.
-
-    ``alpha = max(floor(T_i * j / T_x) - 1, 0)``.
-    """
-    return max(job.release // other.period - 1, 0)
-
-
-def last_interfering_job_index(job: IOJob, other: IOTask) -> int:
-    """Equation (5): index of the last job of ``other`` that can interfere.
-
-    ``beta = ceil((T_i * j + D_i) / T_x)``.
-    """
-    return -(-job.deadline // other.period)
-
-
-def interfering_jobs(job: IOJob, others: Iterable[IOTask], horizon: int) -> List[IOJob]:
-    """Constraint 2*: the jobs of other tasks that may overlap ``job``'s window.
-
-    Only jobs released before ``horizon`` are returned (the offline schedule
-    covers exactly one hyper-period).
-    """
-    interfering: List[IOJob] = []
-    for other in others:
-        if other.name == job.task.name:
-            continue
-        alpha = first_interfering_job_index(job, other)
-        beta = last_interfering_job_index(job, other)
-        for index in range(alpha, beta + 1):
-            release = other.offset + other.period * index
-            if release >= horizon:
-                break
-            interfering.append(other.job(index))
-    return interfering
-
-
-def count_conflicts(jobs: Sequence[IOJob], starts: Sequence[int]) -> int:
-    """Number of overlapping job pairs in a candidate assignment (diagnostic)."""
-    order = sorted(range(len(jobs)), key=lambda i: starts[i])
-    conflicts = 0
-    for a, b in zip(order, order[1:]):
-        if starts[a] + jobs[a].wcet > starts[b]:
-            conflicts += 1
-    return conflicts
-
-
-def violations(jobs: Sequence[IOJob], starts: Sequence[int]) -> Dict[str, int]:
-    """Summary of constraint violations of a candidate assignment (diagnostic)."""
-    c1 = sum(
-        0 if satisfies_constraint1(job, start) else 1
-        for job, start in zip(jobs, starts)
-    )
-    return {"constraint1": c1, "constraint2": count_conflicts(jobs, starts)}
-
-
-# -- batched kernels ----------------------------------------------------------
 
 
 def constraint1_matrix(
@@ -110,8 +44,8 @@ def count_conflicts_batch(
 ) -> np.ndarray:
     """Per-row overlapping-pair counts of a start-time matrix (Constraint 2).
 
-    Matches :func:`count_conflicts` row by row: jobs are ordered by start
-    (stable, ties by job index) and adjacent overlaps counted.
+    Jobs are ordered by start (stable, ties by job index) and adjacent
+    overlaps counted.
     """
     starts = np.asarray(starts_matrix, dtype=np.int64)
     n_rows, n = starts.shape
@@ -127,7 +61,7 @@ def count_conflicts_batch(
 def violations_batch(
     compiled: CompiledPartition, starts_matrix: np.ndarray
 ) -> Dict[str, np.ndarray]:
-    """Per-row violation counts of a start-time matrix (batched :func:`violations`)."""
+    """Per-row Constraint-1 and Constraint-2 violation counts of a start-time matrix."""
     c1 = (~constraint1_matrix(compiled, starts_matrix)).sum(axis=1).astype(np.int64)
     return {
         "constraint1": c1,

@@ -121,14 +121,6 @@ class GAProblem:
         """Gene vector with every job at its ideal start time."""
         return np.array([job.ideal_start for job in self.jobs], dtype=np.int64)
 
-    def genes_from_starts(self, starts: Sequence[int]) -> np.ndarray:
-        """Gene vector from an explicit list of start times (job order preserved)."""
-        if len(starts) != self.n_genes:
-            raise ValueError(
-                f"expected {self.n_genes} start times, got {len(starts)}"
-            )
-        return np.array([int(s) for s in starts], dtype=np.int64)
-
     def genes_from_schedule_mapping(self, starts_by_key) -> np.ndarray:
         """Gene vector from a ``{job key: start}`` mapping (e.g. another scheduler's output)."""
         return np.array(

@@ -8,19 +8,18 @@ selection, and an external archive of all feasible non-dominated individuals
 encountered during the run (the paper returns "all the non-dominated solutions
 being found during the search").
 
-The generation loop runs on a ``(pop, n_genes)`` population matrix, and its
-kernels return exactly what the scalar algorithms (kept as
-:func:`_reference_fast_non_dominated_sort` and
-:func:`_reference_crowding_distance`) return:
+The generation loop runs on a ``(pop, n_genes)`` population matrix through
+these array kernels, each the only implementation of its step (the scalar
+algorithms they reproduce exactly live on as test oracles in
+``tests/scheduling/ga_oracles.py``):
 
-* :func:`fast_non_dominated_sort` sorts two objectives in O(N log N)
+* :func:`fast_non_dominated_sort` sorts the two objectives in O(N log N)
   (Jensen, IEEE TEC 7(5), 2003): one sweep by Psi then Upsilon, both
   descending, finds each point's front by binary search over the fronts'
   last members.  A point's dominators in the previous front form a
   contiguous run of that front's sweep order, so the reference's order
   inside a front (by the position of the last dominator) is a maximum over
-  that run.  Other objective counts peel fronts off the broadcast
-  :func:`domination_matrix`;
+  that run;
 * :func:`rank_and_crowding` returns the front rank and crowding distance of
   every point as arrays, from one lexsort per objective over all fronts;
   :func:`crowding_distance` is its one-front case;
@@ -56,41 +55,21 @@ from repro.scheduling.ga.operators import (
 Objectives = Tuple[float, ...]
 
 
-def dominates(a: Objectives, b: Objectives) -> bool:
-    """Pareto dominance for maximisation: ``a`` is no worse everywhere and better somewhere."""
-    at_least_as_good = all(x >= y for x, y in zip(a, b))
-    strictly_better = any(x > y for x, y in zip(a, b))
-    return at_least_as_good and strictly_better
-
-
-def domination_matrix(objectives: np.ndarray) -> np.ndarray:
-    """Pairwise domination matrix by broadcasting: ``D[p, q]`` iff ``p`` dominates ``q``.
-
-    Maximisation semantics, identical to :func:`dominates` applied pairwise.
-    """
-    obj = np.asarray(objectives, dtype=np.float64)
-    a = obj[:, None, :]
-    b = obj[None, :, :]
-    return (a >= b).all(axis=2) & (a > b).any(axis=2)
-
-
 def fast_non_dominated_sort(objectives: Sequence[Objectives]) -> List[List[int]]:
-    """Deb's fast non-dominated sort; returns fronts as lists of indices (front 0 first).
+    """Deb's fast non-dominated sort of (Psi, Upsilon) points; fronts as index lists.
 
     The indices within each front are ordered exactly as the scalar reference
     emits them — front 0 ascending, later fronts by (position of the last
     dominator in the previous front, index) — so downstream tie-breaks are
-    unchanged.
+    unchanged.  Only two objective columns are accepted: the search has
+    exactly Psi and Upsilon.
     """
     obj = np.asarray(objectives, dtype=np.float64)
     if obj.shape[0] == 0:
         return []
-    if obj.shape[1] == 2:
-        return _two_objective_fronts(obj)
-    return _peeled_fronts(obj)
+    if obj.ndim != 2 or obj.shape[1] != 2:
+        raise ValueError(f"expected (n, 2) objectives, got shape {obj.shape}")
 
-
-def _two_objective_fronts(obj: np.ndarray) -> List[List[int]]:
     # Sweep by Psi descending, then Upsilon descending: every point swept
     # before q has x >= x_q, so it dominates q iff its y >= y_q and it is not
     # a duplicate of q.  Inside a front the sweep order has y non-decreasing,
@@ -137,30 +116,6 @@ def _two_objective_fronts(obj: np.ndarray) -> List[List[int]]:
         swept_positions = [position[p] for p in members[rank - 1]]
         keyed = sorted((max(swept_positions[lo:hi]), q) for q, lo, hi in runs[rank])
         fronts.append([q for _, q in keyed])
-    return fronts
-
-
-def _peeled_fronts(obj: np.ndarray) -> List[List[int]]:
-    # Any objective count: domination counts from the broadcast matrix, one
-    # front peeled off per step.
-    dom = domination_matrix(obj)
-    count = dom.sum(axis=0).astype(np.int64)
-
-    fronts: List[List[int]] = []
-    current = np.flatnonzero(count == 0)
-    while current.size:
-        fronts.append([int(index) for index in current])
-        freed_by_front = dom[current]
-        freed_counts = freed_by_front.sum(axis=0)
-        count -= freed_counts
-        newly_free = np.flatnonzero((count == 0) & (freed_counts > 0))
-        if newly_free.size == 0:
-            break
-        # The scalar loop appends q the moment its *last* dominator in the
-        # current front is processed; reproduce that order.
-        positions = np.arange(current.size, dtype=np.int64)[:, None]
-        last_dominator = np.where(freed_by_front[:, newly_free], positions, -1).max(axis=0)
-        current = newly_free[np.lexsort((newly_free, last_dominator))]
     return fronts
 
 
@@ -220,71 +175,6 @@ def crowding_distance(
     obj = np.asarray(objectives, dtype=np.float64)[front]
     distance = _front_crowding(obj, np.zeros(len(front), dtype=np.int64))
     return {int(index): value for index, value in zip(front, distance.tolist())}
-
-
-# -- scalar reference implementations ----------------------------------------
-#
-# The original per-element versions, retained verbatim as oracles: the
-# property tests assert the vectorized kernels above return *exactly* equal
-# results on arbitrary objective sets (duplicates and degenerate fronts
-# included).
-
-
-def _reference_fast_non_dominated_sort(
-    objectives: Sequence[Objectives],
-) -> List[List[int]]:
-    """Scalar fast non-dominated sort (reference oracle)."""
-    n = len(objectives)
-    domination_count = [0] * n
-    dominated_by: List[List[int]] = [[] for _ in range(n)]
-    fronts: List[List[int]] = [[]]
-
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            if dominates(objectives[p], objectives[q]):
-                dominated_by[p].append(q)
-            elif dominates(objectives[q], objectives[p]):
-                domination_count[p] += 1
-        if domination_count[p] == 0:
-            fronts[0].append(p)
-
-    current = 0
-    while fronts[current]:
-        next_front: List[int] = []
-        for p in fronts[current]:
-            for q in dominated_by[p]:
-                domination_count[q] -= 1
-                if domination_count[q] == 0:
-                    next_front.append(q)
-        current += 1
-        fronts.append(next_front)
-    fronts.pop()  # the last front is always empty
-    return fronts
-
-
-def _reference_crowding_distance(
-    objectives: Sequence[Objectives], front: Sequence[int]
-) -> Dict[int, float]:
-    """Scalar crowding distance (reference oracle)."""
-    distances: Dict[int, float] = {index: 0.0 for index in front}
-    if not front:
-        return distances
-    n_objectives = len(objectives[front[0]])
-    for m in range(n_objectives):
-        ordered = sorted(front, key=lambda index: objectives[index][m])
-        lo = objectives[ordered[0]][m]
-        hi = objectives[ordered[-1]][m]
-        distances[ordered[0]] = float("inf")
-        distances[ordered[-1]] = float("inf")
-        if hi == lo:
-            continue
-        for position in range(1, len(ordered) - 1):
-            previous = objectives[ordered[position - 1]][m]
-            following = objectives[ordered[position + 1]][m]
-            distances[ordered[position]] += (following - previous) / (hi - lo)
-    return distances
 
 
 @dataclass
@@ -387,7 +277,7 @@ class NSGA2Result:
     evaluations: int
 
 
-#: Batch evaluator signature: ``(pop, n_genes) matrix -> ((pop, m) objective
+#: Batch evaluator signature: ``(pop, n_genes) matrix -> ((pop, 2) objective
 #: matrix, payload list)``.  Payload ``None`` marks an infeasible row.
 BatchEvaluator = Callable[[np.ndarray], Tuple[np.ndarray, List[object]]]
 
@@ -399,19 +289,13 @@ class NSGA2:
     consumes exactly six fixed-shape draws from the run's single
     ``numpy.random.Generator`` (see :meth:`_make_offspring`), which pins the
     RNG stream to the seed regardless of how fitness is computed.
-
-    ``evaluate`` is the per-individual callable
-    (``genes -> (objectives, payload)``); pass ``evaluate_batch`` instead to
-    score whole matrices at once (the GA wraps a scalar ``evaluate`` into a
-    row loop when only that is given).
     """
 
     def __init__(
         self,
         problem: GAProblem,
-        evaluate: Optional[Callable[[np.ndarray], Tuple[Objectives, object]]] = None,
         *,
-        evaluate_batch: Optional[BatchEvaluator] = None,
+        evaluate_batch: BatchEvaluator,
         population_size: int = 100,
         generations: int = 100,
         crossover_probability: float = 0.9,
@@ -421,13 +305,8 @@ class NSGA2:
     ):
         if population_size < 4:
             raise ValueError("population size must be at least 4")
-        if evaluate is None and evaluate_batch is None:
-            raise ValueError("provide evaluate or evaluate_batch")
         self.problem = problem
-        self.evaluate = evaluate
-        self.evaluate_batch = (
-            evaluate_batch if evaluate_batch is not None else self._rowwise(evaluate)
-        )
+        self.evaluate_batch = evaluate_batch
         self.population_size = population_size
         self.generations = generations
         self.crossover_probability = crossover_probability
@@ -436,21 +315,6 @@ class NSGA2:
         self.gene_mutation_probability = gene_mutation_probability
         self.rng = rng if rng is not None else np.random.default_rng()
         self.seeds = list(seeds or [])
-
-    @staticmethod
-    def _rowwise(
-        evaluate: Callable[[np.ndarray], Tuple[Objectives, object]],
-    ) -> BatchEvaluator:
-        def batch(matrix: np.ndarray) -> Tuple[np.ndarray, List[object]]:
-            objectives: List[Objectives] = []
-            payloads: List[object] = []
-            for row in matrix:
-                objs, payload = evaluate(row)
-                objectives.append(tuple(objs))
-                payloads.append(payload)
-            return np.asarray(objectives, dtype=np.float64), payloads
-
-        return batch
 
     # -- main loop ---------------------------------------------------------
 

@@ -4,41 +4,26 @@ Genes are integer start times.  Initialisation and mutation sample uniformly
 inside each job's timing boundary (per the paper); crossover is uniform, which
 suits the job-wise independent structure of the chromosome.
 
-The batch operators (:func:`initial_population_matrix`,
+The operators (:func:`initial_population_matrix`,
 :func:`tournament_winners`, :func:`batch_uniform_crossover`,
 :func:`batch_mutate`) act on a whole ``(pop, n_genes)`` population matrix
 with a fixed number of fixed-shape draws from one ``numpy.random.Generator``,
 which makes the GA's RNG stream a pure function of the seed — the per-
 generation draw order is documented in :class:`~repro.scheduling.ga.nsga2.NSGA2`.
-The scalar operators are retained as the readable single-individual
-reference implementations.
+A single individual is a one-row matrix.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.scheduling.ga.encoding import GAProblem
 
 #: Fraction of mutations that snap the gene to the job's ideal start time
-#: instead of a uniform resample (see :func:`mutate`).
+#: instead of a uniform resample (see :func:`batch_mutate`).
 SNAP_TO_IDEAL_PROBABILITY = 0.2
-
-
-def initial_population(
-    problem: GAProblem,
-    size: int,
-    rng: np.random.Generator,
-    seeds: Optional[Sequence[np.ndarray]] = None,
-) -> List[np.ndarray]:
-    """Random initial population as a list of gene vectors (reference API).
-
-    Kept for single-individual callers and tests; the GA itself uses
-    :func:`initial_population_matrix`.
-    """
-    return list(initial_population_matrix(problem, size, rng, seeds=seeds))
 
 
 def initial_population_matrix(
@@ -68,66 +53,6 @@ def initial_population_matrix(
     return population
 
 
-def uniform_crossover(
-    parent_a: np.ndarray,
-    parent_b: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    swap_probability: float = 0.5,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Uniform crossover: each gene is swapped between the parents with probability ``swap_probability``."""
-    mask = rng.random(parent_a.shape[0]) < swap_probability
-    child_a = np.where(mask, parent_b, parent_a).astype(np.int64)
-    child_b = np.where(mask, parent_a, parent_b).astype(np.int64)
-    return child_a, child_b
-
-
-def single_point_crossover(
-    parent_a: np.ndarray,
-    parent_b: np.ndarray,
-    rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Classic single-point crossover on the gene vector."""
-    n = parent_a.shape[0]
-    if n < 2:
-        return parent_a.copy(), parent_b.copy()
-    point = int(rng.integers(1, n))
-    child_a = np.concatenate([parent_a[:point], parent_b[point:]]).astype(np.int64)
-    child_b = np.concatenate([parent_b[:point], parent_a[point:]]).astype(np.int64)
-    return child_a, child_b
-
-
-def mutate(
-    problem: GAProblem,
-    genes: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    gene_mutation_probability: float,
-    snap_to_ideal_probability: float = SNAP_TO_IDEAL_PROBABILITY,
-) -> np.ndarray:
-    """Per-gene mutation: resample inside the timing boundary (reference).
-
-    A fraction of mutations snap the gene to the job's ideal start time
-    instead of a uniform resample — a small exploitation bias that speeds up
-    convergence towards exactly-accurate placements without changing the
-    search space.
-    """
-    mutated = genes.astype(np.int64, copy=True)
-    for index in range(problem.n_genes):
-        if rng.random() >= gene_mutation_probability:
-            continue
-        lo, hi = problem.gene_bounds(index)
-        if rng.random() < snap_to_ideal_probability:
-            ideal = problem.jobs[index].ideal_start
-            mutated[index] = min(max(ideal, lo), hi)
-        else:
-            mutated[index] = rng.integers(lo, hi + 1)
-    return mutated
-
-
-# -- batch operators ----------------------------------------------------------
-
-
 def tournament_winners(
     rng: np.random.Generator,
     rank: np.ndarray,
@@ -137,8 +62,8 @@ def tournament_winners(
     """Binary tournaments on (rank, crowding): ``n_winners`` population indices.
 
     Draws one ``(n_winners, 2)`` index matrix; each row is an ``(a, b)``
-    tournament decided like the scalar loop — lower rank wins, ties go to the
-    larger crowding distance, with ``a`` favoured on exact ties.
+    tournament — lower rank wins, ties go to the larger crowding distance,
+    with ``a`` favoured on exact ties.
     """
     n = rank.shape[0]
     candidates = rng.integers(0, n, size=(n_winners, 2))
@@ -183,6 +108,11 @@ def batch_mutate(
     snap_to_ideal_probability: float = SNAP_TO_IDEAL_PROBABILITY,
 ) -> np.ndarray:
     """Vectorized per-gene mutation of a whole ``(pop, genes)`` matrix.
+
+    A mutated gene is resampled inside its timing boundary, or, for a
+    fraction of mutations, snapped to the job's ideal start time — a small
+    exploitation bias that speeds up convergence towards exactly-accurate
+    placements without changing the search space.
 
     Three fixed-shape draws: a mutation-coin matrix, a snap-coin matrix and a
     bounded resample matrix (all ``(pop, genes)``).

@@ -14,114 +14,34 @@ ideal start times when doing so causes no conflict:
 4. if any job now misses its deadline the individual is infeasible and both
    objectives evaluate to -1.
 
-Two implementations coexist:
-
-* the scalar :func:`reconfigure` / :func:`evaluate` pair, operating on one
-  individual and producing :class:`~repro.core.schedule.Schedule` objects —
-  the readable reference, still used by unit tests and one-off callers;
-* the batched :func:`reconfigure_batch` / :func:`evaluate_batch` pair,
-  repairing and scoring a whole ``(pop, n_genes)`` population matrix at once
-  through :class:`~repro.scheduling.ga.encoding.CompiledPartition` arrays,
-  with no loop over job positions.  The forward conflict-resolution scan is
-  a running maximum (``start_k = W_{k-1} + max_{j<=k}(base_j - W_{j-1})``
-  with ``W`` the cumulative WCET).  The snap pass is in closed form: whether
-  job k snaps is a function of whether job k-1 did (constant, identity or
-  negation), so each bit is the value at the last constant position XOR the
-  parity of the negations since — one ``maximum.accumulate`` and one
-  ``logical_xor.accumulate`` per batch.
-  Both pairs produce bit-identical objectives for every individual (property
-  tested), down to floating-point summation order.
+:func:`evaluate_batch` repairs and scores a whole ``(pop, n_genes)``
+population matrix at once through
+:class:`~repro.scheduling.ga.encoding.CompiledPartition` arrays, with no
+loop over job positions.  The forward conflict-resolution scan is a running
+maximum (``start_k = W_{k-1} + max_{j<=k}(base_j - W_{j-1})`` with ``W`` the
+cumulative WCET).  The snap pass is in closed form: whether job k snaps is a
+function of whether job k-1 did (constant, identity or negation), so each
+bit is the value at the last constant position XOR the parity of the
+negations since — one ``maximum.accumulate`` and one
+``logical_xor.accumulate`` per batch.  Its objectives, repaired starts and
+feasibility are bit-identical to the scalar per-individual repair, down to
+floating-point summation order; that scalar repair is kept as a test oracle
+in ``tests/scheduling/ga_oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.schedule import Schedule
-from repro.core.task import IOJob
 from repro.scheduling.ga.encoding import CompiledPartition, GAProblem
-
-def reconfigure(
-    jobs: Sequence[IOJob],
-    genes: Sequence[int],
-) -> Optional[Schedule]:
-    """Repair a gene vector into a conflict-free schedule, or ``None`` if infeasible."""
-    if len(jobs) != len(genes):
-        raise ValueError("genes and jobs must have the same length")
-    if not jobs:
-        return Schedule()
-
-    # Execution order implied by the genes; same start time -> higher priority first.
-    order = sorted(
-        range(len(jobs)),
-        key=lambda i: (int(genes[i]), -jobs[i].priority, jobs[i].key),
-    )
-
-    starts: List[Tuple[IOJob, int]] = []
-    device_free_at = 0
-    for index in order:
-        job = jobs[index]
-        desired = int(genes[index])
-        start = max(desired, device_free_at, job.release)
-        starts.append((job, start))
-        device_free_at = start + job.wcet
-
-    # Opportunistic snap-to-ideal: a job may move to its ideal start time if the
-    # move keeps it inside its release window and clear of its neighbours.
-    for position, (job, start) in enumerate(starts):
-        ideal = job.ideal_start
-        if start == ideal:
-            continue
-        if not (job.release <= ideal <= job.deadline - job.wcet):
-            continue
-        previous_finish = 0
-        if position > 0:
-            prev_job, prev_start = starts[position - 1]
-            previous_finish = prev_start + prev_job.wcet
-        next_start = None
-        if position + 1 < len(starts):
-            next_start = starts[position + 1][1]
-        if ideal < previous_finish:
-            continue
-        if next_start is not None and ideal + job.wcet > next_start:
-            continue
-        starts[position] = (job, ideal)
-
-    schedule = Schedule()
-    for job, start in starts:
-        if start + job.wcet > job.deadline:
-            return None
-        schedule.set_start(job, start)
-    return schedule
-
-
-def evaluate(
-    jobs: Sequence[IOJob],
-    genes: Sequence[int],
-) -> Tuple[float, float, Optional[Schedule]]:
-    """Objectives ``(Psi, Upsilon)`` of an individual after reconfiguration.
-
-    Infeasible individuals (a deadline miss survives the repair) score -1 on
-    both objectives, exactly as the paper prescribes.
-    """
-    from repro.core.metrics import psi as _psi
-    from repro.core.metrics import upsilon as _upsilon
-
-    schedule = reconfigure(jobs, genes)
-    if schedule is None:
-        return -1.0, -1.0, None
-    return _psi(schedule), _upsilon(schedule), schedule
-
-
-# -- batched implementation ---------------------------------------------------
 
 
 def _repair_batch(
     compiled: CompiledPartition, genes: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared batched repair: ``(order, starts_sorted, ideal_sorted, feasible)``.
+    """Batched repair: ``(order, starts_sorted, ideal_sorted, feasible)``.
 
     ``order`` is the execution-order permutation per row; ``starts_sorted``
     the realised start times in that order (strictly increasing, since
@@ -193,24 +113,6 @@ def _validate_matrix(compiled: CompiledPartition, genes_matrix: np.ndarray) -> n
     return genes
 
 
-def reconfigure_batch(
-    problem: GAProblem, genes_matrix: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Repair a whole population matrix at once.
-
-    Returns ``(starts, feasible)`` where ``starts`` is a ``(pop, n_genes)``
-    int64 matrix of realised start times in problem job order and ``feasible``
-    a ``(pop,)`` bool vector.  Rows flagged infeasible still carry the
-    repaired start times (useful for diagnostics) but violate a deadline.
-    """
-    compiled = problem.compiled()
-    genes = _validate_matrix(compiled, genes_matrix)
-    if genes.shape[1] == 0:
-        return genes.copy(), np.ones(genes.shape[0], dtype=bool)
-    order, starts, _, feasible = _repair_batch(compiled, genes)
-    return _in_job_order(order, starts), feasible
-
-
 def evaluate_batch(
     problem: GAProblem, genes_matrix: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,8 +120,9 @@ def evaluate_batch(
 
     Returns ``(objectives, starts, feasible)``: a ``(pop, 2)`` float64
     objective matrix (``-1`` rows for infeasible individuals, exactly as the
-    scalar :func:`evaluate`), the repaired ``(pop, n_genes)`` start times in
-    problem job order, and the feasibility vector.
+    paper prescribes), the repaired ``(pop, n_genes)`` start times in problem
+    job order (infeasible rows keep theirs, which miss a deadline), and the
+    feasibility vector.
 
     Quality sums accumulate sequentially (``np.cumsum``) in execution order —
     the same associativity as the scalar metrics path — so the objectives are

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.core.schedule import Schedule
 from repro.core.task import IOJob
 from repro.scheduling.base import Scheduler, ScheduleResult
 from repro.scheduling.ga.encoding import GAProblem
-from repro.scheduling.ga.nsga2 import NSGA2, ParetoArchive
+from repro.scheduling.ga.nsga2 import NSGA2
 from repro.scheduling.ga.reconfiguration import evaluate_batch as evaluate_genes_batch
 from repro.scheduling.heuristic import HeuristicScheduler
 from repro.scheduling.registry import register_scheduler

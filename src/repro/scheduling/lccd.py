@@ -135,11 +135,6 @@ class LCCDAllocator:
         schedule.set_start(job, start)
         return True
 
-    @staticmethod
-    def _contention(slot: FreeSlot, remaining: Sequence[IOJob]) -> int:
-        """Number of still-pending jobs that could also use this slot (reference)."""
-        return sum(1 for other in remaining if slot.can_fit(other))
-
     # -- case 2: fit by shifting ----------------------------------------------
 
     def _allocate_by_shifting(self, schedule: Schedule, job: IOJob, horizon: int) -> bool:

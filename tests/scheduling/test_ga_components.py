@@ -2,22 +2,17 @@
 
 import numpy as np
 import pytest
+from ga_oracles import dominates
 
 from repro.core import MS, IOTask
-from repro.scheduling.ga import (
-    GAProblem,
-    crowding_distance,
-    fast_non_dominated_sort,
-    first_interfering_job_index,
-    interfering_jobs,
-    last_interfering_job_index,
-    reconfigure,
-    satisfies_constraint1,
-    satisfies_constraint2,
+from repro.scheduling.ga import GAProblem, evaluate_batch
+from repro.scheduling.ga.constraints import constraint1_matrix, count_conflicts_batch
+from repro.scheduling.ga.nsga2 import ParetoArchive, crowding_distance, fast_non_dominated_sort
+from repro.scheduling.ga.operators import (
+    batch_mutate,
+    batch_uniform_crossover,
+    initial_population_matrix,
 )
-from repro.scheduling.ga.nsga2 import ParetoArchive, dominates
-from repro.scheduling.ga.operators import initial_population, mutate, uniform_crossover
-from repro.scheduling.ga.reconfiguration import evaluate
 
 
 def make_task(name, wcet=2 * MS, period=40 * MS, delta=10 * MS, priority=1):
@@ -27,33 +22,37 @@ def make_task(name, wcet=2 * MS, period=40 * MS, delta=10 * MS, priority=1):
     )
 
 
+def evaluate_one(jobs, genes):
+    """``evaluate_batch`` on a one-row matrix: ``(psi, upsilon, starts)``.
+
+    ``genes`` follow the order of ``jobs``; ``starts`` maps each job to its
+    repaired start time, or is ``None`` when the row is infeasible.
+    """
+    problem = GAProblem(jobs=list(jobs), horizon=max(job.deadline for job in jobs))
+    gene_of = dict(zip(jobs, genes))
+    row = np.array([[gene_of[job] for job in problem.jobs]])
+    objectives, starts, feasible = evaluate_batch(problem, row)
+    psi_value, upsilon_value = objectives[0].tolist()
+    if not feasible[0]:
+        return psi_value, upsilon_value, None
+    return psi_value, upsilon_value, dict(zip(problem.jobs, starts[0].tolist()))
+
+
 class TestConstraints:
     def test_constraint1(self):
-        job = make_task("a").job(0)
-        assert satisfies_constraint1(job, job.release)
-        assert satisfies_constraint1(job, job.deadline - job.wcet)
-        assert not satisfies_constraint1(job, job.deadline - job.wcet + 1)
-        assert not satisfies_constraint1(job, job.release - 1)
+        problem = GAProblem(jobs=[make_task("a").job(0)], horizon=40 * MS)
+        job = problem.jobs[0]
+        latest = job.deadline - job.wcet
+        starts = np.array([[job.release], [latest], [latest + 1], [job.release - 1]])
+        satisfied = constraint1_matrix(problem.compiled(), starts)
+        assert satisfied[:, 0].tolist() == [True, True, False, False]
 
     def test_constraint2(self):
         a = make_task("a").job(0)
         b = make_task("b").job(0)
-        assert satisfies_constraint2(a, 0, b, 2 * MS)
-        assert satisfies_constraint2(a, 2 * MS, b, 0)
-        assert not satisfies_constraint2(a, 0, b, MS)
-
-    def test_interference_bounds_equations_4_and_5(self):
-        job = make_task("a", period=40 * MS).job(1)  # window [40, 80) ms
-        other = make_task("b", period=15 * MS)
-        assert first_interfering_job_index(job, other) == 40 * MS // (15 * MS) - 1  # = 1
-        assert last_interfering_job_index(job, other) == -(-80 * MS // (15 * MS))  # = 6
-
-    def test_interfering_jobs_bounded_by_horizon(self):
-        job = make_task("a", period=40 * MS).job(0)
-        other = make_task("b", period=20 * MS)
-        jobs = interfering_jobs(job, [other], horizon=40 * MS)
-        assert {j.index for j in jobs} == {0, 1}
-        assert all(j.task.name == "b" for j in jobs)
+        compiled = GAProblem(jobs=[a, b], horizon=40 * MS).compiled()
+        starts = np.array([[0, 2 * MS], [2 * MS, 0], [0, MS]])  # columns: a, b
+        assert count_conflicts_batch(compiled, starts).tolist() == [0, 0, 1]
 
 
 class TestGAProblem:
@@ -95,40 +94,40 @@ class TestGAProblem:
 class TestReconfiguration:
     def test_conflict_free_genes_untouched(self):
         jobs = [make_task("a", delta=10 * MS).job(0), make_task("b", delta=20 * MS).job(0)]
-        schedule = reconfigure(jobs, [jobs[0].ideal_start, jobs[1].ideal_start])
-        assert schedule.start_of(jobs[0]) == jobs[0].ideal_start
-        assert schedule.start_of(jobs[1]) == jobs[1].ideal_start
+        _, _, starts = evaluate_one(jobs, [jobs[0].ideal_start, jobs[1].ideal_start])
+        assert starts[jobs[0]] == jobs[0].ideal_start
+        assert starts[jobs[1]] == jobs[1].ideal_start
 
     def test_conflicting_genes_are_serialised(self):
         jobs = [make_task("a", wcet=4 * MS).job(0), make_task("b", wcet=4 * MS, delta=11 * MS).job(0)]
-        schedule = reconfigure(jobs, [10 * MS, 11 * MS])
-        assert schedule.start_of(jobs[0]) == 10 * MS
-        assert schedule.start_of(jobs[1]) == 14 * MS
+        _, _, starts = evaluate_one(jobs, [10 * MS, 11 * MS])
+        assert starts[jobs[0]] == 10 * MS
+        assert starts[jobs[1]] == 14 * MS
 
     def test_same_start_executes_higher_priority_first(self):
         hi = make_task("hi", priority=5).job(0)
         lo = make_task("lo", priority=1).job(0)
-        schedule = reconfigure([lo, hi], [10 * MS, 10 * MS])
-        assert schedule.start_of(hi) == 10 * MS
-        assert schedule.start_of(lo) == 10 * MS + hi.wcet
+        _, _, starts = evaluate_one([lo, hi], [10 * MS, 10 * MS])
+        assert starts[hi] == 10 * MS
+        assert starts[lo] == 10 * MS + hi.wcet
 
     def test_snap_to_ideal_when_possible(self):
         job = make_task("a", delta=10 * MS).job(0)
-        schedule = reconfigure([job], [12 * MS])
-        assert schedule.start_of(job) == job.ideal_start
+        _, _, starts = evaluate_one([job], [12 * MS])
+        assert starts[job] == job.ideal_start
 
     def test_infeasible_returns_none(self):
         # Two jobs that cannot both fit before their (equal) deadlines.
         a = IOTask(name="a", wcet=12 * MS, period=20 * MS, ideal_offset=5 * MS, theta=5 * MS)
         b = IOTask(name="b", wcet=12 * MS, period=20 * MS, ideal_offset=6 * MS, theta=5 * MS)
-        assert reconfigure([a.job(0), b.job(0)], [5 * MS, 6 * MS]) is None
+        assert evaluate_one([a.job(0), b.job(0)], [5 * MS, 6 * MS])[2] is None
 
     def test_evaluate_returns_minus_one_for_infeasible(self):
         a = IOTask(name="a", wcet=12 * MS, period=20 * MS, ideal_offset=5 * MS, theta=5 * MS)
         b = IOTask(name="b", wcet=12 * MS, period=20 * MS, ideal_offset=6 * MS, theta=5 * MS)
-        psi_value, upsilon_value, schedule = evaluate([a.job(0), b.job(0)], [5 * MS, 6 * MS])
+        psi_value, upsilon_value, starts = evaluate_one([a.job(0), b.job(0)], [5 * MS, 6 * MS])
         assert (psi_value, upsilon_value) == (-1.0, -1.0)
-        assert schedule is None
+        assert starts is None
 
 
 class TestNSGA2Machinery:
@@ -169,15 +168,17 @@ class TestOperators:
         problem = self.make_problem()
         rng = np.random.default_rng(1)
         seeds = [problem.ideal_genes()]
-        population = initial_population(problem, 10, rng, seeds=seeds)
-        assert len(population) == 10
+        population = initial_population_matrix(problem, 10, rng, seeds=seeds)
+        assert population.shape == (10, problem.n_genes)
         assert np.array_equal(population[0], problem.clamp(problem.ideal_genes()))
 
     def test_uniform_crossover_preserves_gene_values(self):
         problem = self.make_problem()
         rng = np.random.default_rng(2)
         a, b = problem.random_genes(rng), problem.random_genes(rng)
-        child_a, child_b = uniform_crossover(a, b, rng)
+        child_a, child_b = batch_uniform_crossover(
+            rng, np.vstack([a, b]), crossover_probability=1.0
+        )
         for i in range(problem.n_genes):
             assert {child_a[i], child_b[i]} == {a[i], b[i]}
 
@@ -185,7 +186,7 @@ class TestOperators:
         problem = self.make_problem()
         rng = np.random.default_rng(3)
         genes = problem.random_genes(rng)
-        mutated = mutate(problem, genes, rng, gene_mutation_probability=1.0)
+        (mutated,) = batch_mutate(problem, genes[None], rng, gene_mutation_probability=1.0)
         for i in range(problem.n_genes):
             lo, hi = problem.gene_bounds(i)
             assert lo <= mutated[i] <= hi

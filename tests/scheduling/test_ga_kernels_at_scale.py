@@ -6,8 +6,9 @@ sorts 2 x population points per generation (600 at the paper's population
 of 300) and repairs partitions of 100-280 jobs, so these tests check the
 same exact-equality contracts at those sizes:
 
-* the two-objective front sort against the scalar reference, on up to 600
-  points with ties, duplicates and infeasible ``-1`` rows;
+* the two-objective front sort against the scalar reference in
+  ``ga_oracles.py``, on up to 600 points with ties, duplicates and
+  infeasible ``-1`` rows;
 * all-fronts rank and crowding against the scalar crowding reference,
   bitwise;
 * ``ParetoArchive.merge`` against inserting the same rows one at a time
@@ -21,6 +22,12 @@ from typing import List
 
 import numpy as np
 import pytest
+from ga_oracles import (
+    dominates,
+    evaluate,
+    reference_crowding_distance,
+    reference_fast_non_dominated_sort,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -29,13 +36,10 @@ from repro.scheduling.ga.encoding import GAProblem
 from repro.scheduling.ga.nsga2 import (
     ArchiveEntry,
     ParetoArchive,
-    _reference_crowding_distance,
-    _reference_fast_non_dominated_sort,
-    dominates,
     fast_non_dominated_sort,
     rank_and_crowding,
 )
-from repro.scheduling.ga.reconfiguration import evaluate, evaluate_batch
+from repro.scheduling.ga.reconfiguration import evaluate_batch
 from repro.taskgen import GeneratorConfig, SystemGenerator
 
 SCALE_SETTINGS = settings(
@@ -75,12 +79,12 @@ class TestTwoObjectiveSortAtScale:
     @SCALE_SETTINGS
     def test_fronts_rank_and_crowding_equal_reference(self, points):
         objectives = [tuple(row) for row in points.tolist()]
-        reference = _reference_fast_non_dominated_sort(objectives)
+        reference = reference_fast_non_dominated_sort(objectives)
         # The same fronts with the same order inside each front.
         assert fast_non_dominated_sort(points) == reference
         rank, crowding = rank_and_crowding(points)
         for front_index, front in enumerate(reference):
-            distances = _reference_crowding_distance(objectives, front)
+            distances = reference_crowding_distance(objectives, front)
             for index in front:
                 assert rank[index] == front_index
                 # == on floats: inf == inf holds and any ULP drift fails.
@@ -93,7 +97,7 @@ class TestTwoObjectiveSortAtScale:
         objectives = [tuple(row) for row in points.tolist()]
         fronts = fast_non_dominated_sort(points)
         assert len(fronts) > 10
-        assert fronts == _reference_fast_non_dominated_sort(objectives)
+        assert fronts == reference_fast_non_dominated_sort(objectives)
 
 
 class SequentialArchive:

@@ -1,36 +1,35 @@
 """Property tests: the vectorized GA kernels exactly equal their scalar oracles.
 
-Every vectorized kernel introduced by the NSGA-II array rewrite is checked
-against the retained reference implementation for *exact* equality — same
-fronts in the same order, bit-identical crowding distances and objectives —
-on adversarial inputs: duplicated objective vectors, degenerate fronts where
-every point ties on one objective, infeasible (-1, -1) rows, and partitions
-whose repair has to serialise conflicting jobs.
+Every vectorized kernel is checked against its scalar reference in
+``ga_oracles.py`` for *exact* equality — same fronts in the same order,
+bit-identical crowding distances and objectives — on adversarial inputs:
+duplicated objective vectors, degenerate fronts where every point ties on
+one objective, infeasible (-1, -1) rows, and partitions whose repair has to
+serialise conflicting jobs.
 """
 
 import numpy as np
+import pytest
+from ga_oracles import (
+    count_conflicts,
+    evaluate,
+    reference_crowding_distance,
+    reference_fast_non_dominated_sort,
+    satisfies_constraint1,
+    violations,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MS, IOTask
 from repro.scheduling.ga.constraints import (
-    count_conflicts,
-    count_conflicts_batch,
-    satisfies_constraint1,
     constraint1_matrix,
-    violations,
+    count_conflicts_batch,
     violations_batch,
 )
 from repro.scheduling.ga.encoding import GAProblem
-from repro.scheduling.ga.nsga2 import (
-    _reference_crowding_distance,
-    _reference_fast_non_dominated_sort,
-    crowding_distance,
-    dominates,
-    domination_matrix,
-    fast_non_dominated_sort,
-)
-from repro.scheduling.ga.reconfiguration import evaluate, evaluate_batch, reconfigure_batch
+from repro.scheduling.ga.nsga2 import crowding_distance, fast_non_dominated_sort
+from repro.scheduling.ga.reconfiguration import evaluate_batch
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -38,37 +37,35 @@ PROPERTY_SETTINGS = settings(
 
 # Small value pool so duplicates and degenerate (all-equal) fronts are common.
 objective_values = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0])
-objective_sets = st.integers(1, 3).flatmap(
-    lambda m: st.lists(
-        st.tuples(*[objective_values] * m), min_size=1, max_size=24
+
+
+def objective_sets(n_objectives):
+    return st.lists(
+        st.tuples(*[objective_values] * n_objectives), min_size=1, max_size=24
     )
-)
 
 
 class TestDominationKernels:
-    @given(objectives=objective_sets)
-    @PROPERTY_SETTINGS
-    def test_domination_matrix_matches_scalar_dominates(self, objectives):
-        matrix = domination_matrix(np.asarray(objectives))
-        for p, a in enumerate(objectives):
-            for q, b in enumerate(objectives):
-                assert bool(matrix[p, q]) == (p != q and dominates(a, b))
-
-    @given(objectives=objective_sets)
+    @given(objectives=objective_sets(2))
     @PROPERTY_SETTINGS
     def test_fast_non_dominated_sort_equals_reference_exactly(self, objectives):
         # Not just the same partition into fronts: the same index order within
         # each front, so every downstream tie-break behaves identically.
-        assert fast_non_dominated_sort(objectives) == _reference_fast_non_dominated_sort(
+        assert fast_non_dominated_sort(objectives) == reference_fast_non_dominated_sort(
             objectives
         )
 
-    @given(objectives=objective_sets)
+    @pytest.mark.parametrize("n_objectives", [1, 3])
+    def test_fast_non_dominated_sort_rejects_other_objective_counts(self, n_objectives):
+        with pytest.raises(ValueError):
+            fast_non_dominated_sort(np.zeros((4, n_objectives)))
+
+    @given(objectives=st.integers(1, 3).flatmap(objective_sets))
     @PROPERTY_SETTINGS
     def test_crowding_distance_equals_reference_bitwise(self, objectives):
-        for front in _reference_fast_non_dominated_sort(objectives):
+        for front in reference_fast_non_dominated_sort(objectives):
             vectorized = crowding_distance(objectives, front)
-            reference = _reference_crowding_distance(objectives, front)
+            reference = reference_crowding_distance(objectives, front)
             assert vectorized.keys() == reference.keys()
             for index in reference:
                 # == on floats: inf == inf holds and any ULP drift fails.
@@ -122,17 +119,6 @@ class TestBatchedFitnessKernels:
             if schedule is not None:
                 scalar_starts = [schedule.start_of(job) for job in problem.jobs]
                 assert scalar_starts == list(starts[row])
-
-    @given(task_params=task_param_lists, seed=st.integers(0, 10_000))
-    @PROPERTY_SETTINGS
-    def test_reconfigure_batch_feasibility_matches_scalar(self, task_params, seed):
-        problem = build_problem(task_params)
-        rng = np.random.default_rng(seed)
-        population = problem.random_population(6, rng)
-        _, feasible = reconfigure_batch(problem, population)
-        for row in range(population.shape[0]):
-            _, _, schedule = evaluate(problem.jobs, population[row])
-            assert feasible[row] == (schedule is not None)
 
     @given(task_params=task_param_lists, seed=st.integers(0, 10_000))
     @PROPERTY_SETTINGS

@@ -221,3 +221,5 @@ class TestServeSubprocess:
                     daemon.wait(timeout=10)
                 except subprocess.TimeoutExpired:
                     daemon.kill()
+            daemon.stdout.close()
+            daemon.stderr.close()
