@@ -7,9 +7,9 @@ pipeline::
        × method (how to schedule)     repro.service.SchedulerSpec
        × system × utilisation × replication
     ------------------------------------------------  CampaignSpec (versioned JSON)
-    CampaignRunner  — grid -> ScheduleRequests through one SchedulingService
-                      (worker pool, in-batch dedup, content-addressed cache),
-                      checkpointed to campaign.jsonl for zero-recompute resume
+    CampaignRunner  — grid -> ScheduleRequests streamed through one
+                      SchedulingService (worker pool, dedup, content-addressed
+                      cache), each answer checkpointed to campaign.jsonl
     CampaignReport  — per-(scenario, method) Psi/Upsilon/schedulability/
                       response-time statistics, JSON + Markdown leaderboards
 

@@ -2,11 +2,12 @@
 
 The runner expands a :class:`~repro.campaign.spec.CampaignSpec` into
 :class:`~repro.service.ScheduleRequest` cells and streams them through one
-shared :class:`~repro.service.SchedulingService` — reusing its worker pool,
-in-batch dedup and content-addressed schedule cache — while checkpointing
-every finished cell to a ``campaign.jsonl`` journal under a directory keyed
-by the campaign's content key (one flushed line per cell; a torn trailing
-line left by an interrupt is truncated away on resume).  An interrupted
+shared :class:`~repro.service.SchedulingService`
+(:meth:`~repro.service.core.ContentAddressedService.submit_stream`) —
+reusing its worker pool, dedup and content-addressed schedule cache — while
+checkpointing every answered cell to a ``campaign.jsonl`` journal under a
+directory keyed by the campaign's content key (one flushed line per cell; a
+torn trailing line left by an interrupt is truncated away on resume).  An interrupted
 campaign re-launched with the same spec therefore resumes with **zero**
 recomputed cells, and because cells are journalled in the spec's canonical
 grid order, the journal — and any report built from it — is byte-identical
@@ -42,8 +43,9 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
+from itertools import tee
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.analysis import max_response_time
 from repro.campaign.report import CampaignReport
@@ -55,7 +57,7 @@ from repro.campaign.timings import (
 )
 from repro.core.serialization import atomic_write_json, canonical_json, content_hash
 from repro.runtime import SimulationRequest, SimulationResponse, SimulationService
-from repro.scenario import Scenario
+from repro.scenario import Scenario, pinned_scenario
 from repro.service import ScheduleRequest, ScheduleResponse, SchedulerSpec, SchedulingService
 from repro.service.core import check_exclusive
 from repro.service.service import DERIVED_SEED_METHODS
@@ -80,10 +82,15 @@ CellValues = Dict[str, Union[bool, float]]
 
 
 def cell_scenario(spec: CampaignSpec, cell: CampaignCell) -> Scenario:
-    """The concrete scenario of one cell (utilisation pinned when swept)."""
+    """The concrete scenario of one cell (utilisation pinned when swept).
+
+    Pinned copies come from the per-process ``cell-scenario`` memo the
+    experiment engine uses too, so all cells of one grid point share one
+    copy and hash it once.
+    """
     scenario = spec.scenario_by_name(cell.scenario)
     if cell.utilisation is not None:
-        scenario = scenario.with_utilisation(cell.utilisation)
+        scenario = pinned_scenario(scenario, cell.utilisation)
     return scenario
 
 
@@ -334,15 +341,6 @@ class CampaignResult:
         )
 
 
-@dataclass
-class _Progress:
-    """Internal accounting handed to progress callbacks."""
-
-    done: int
-    total: int
-    evaluated: int
-
-
 class CampaignRunner:
     """Runs one campaign, checkpointing progress for interruption-free resume.
 
@@ -381,7 +379,7 @@ class CampaignRunner:
         An existing service to schedule through (its worker pool and cache
         are reused; ``n_workers``/``cache_dir`` are then ignored).  The
         caller keeps ownership and must close it.  Anything with the
-        service's ``submit_batch``/``n_workers``/``close`` surface works —
+        service's ``submit_stream``/``n_workers``/``close`` surface works —
         in particular :class:`~repro.server.RemoteSchedulingService`, which
         rides a running serving daemon.
     simulation:
@@ -493,19 +491,17 @@ class CampaignRunner:
 
     # -- execution ---------------------------------------------------------------
 
-    def run(
-        self,
-        *,
-        max_cells: Optional[int] = None,
-        progress: Optional[Callable[[_Progress], None]] = None,
-    ) -> CampaignResult:
+    def run(self, *, max_cells: Optional[int] = None) -> CampaignResult:
         """Execute every pending cell of the grid (in canonical order).
 
-        ``max_cells`` bounds how many *pending* cells this call evaluates
-        (schedule cells first, then run-time cells) — the hook tests use to
-        simulate an interrupt mid-grid; a subsequent call picks up exactly
-        where this one stopped.  ``progress`` is called after every
-        checkpointed chunk.
+        Both grids stream through their service (:meth:`submit_stream
+        <repro.service.core.ContentAddressedService.submit_stream>`), and
+        every response is journalled as it arrives, in canonical grid order,
+        so the journal is the same at any worker count and an interrupt
+        loses only the work in flight.  ``max_cells`` bounds how many
+        *pending* cells this call evaluates (schedule cells first, then
+        run-time cells); a subsequent call picks up exactly where this one
+        stopped.
         """
         cells = list(self.spec.cells())
         runtime_cells = list(self.spec.runtime_cells())
@@ -524,7 +520,6 @@ class CampaignRunner:
                 for cell in runtime_cells
                 if runtime_cell_shard(self.spec, cell, n_shards) == index - 1
             ]
-        total = len(cells) + len(runtime_cells)
         resumed = sum(1 for cell in cells if cell.key() in self._records) + sum(
             1 for cell in runtime_cells if cell.key() in self._runtime_records
         )
@@ -539,55 +534,32 @@ class CampaignRunner:
         evaluated = 0
         # One response-time analysis per distinct system, not per cell.
         analysis_cache: Dict[Tuple[str, int], float] = {}
-        # Chunks bound how much work an interrupt can lose while still
-        # keeping every worker busy (serial runs checkpoint every cell); the
-        # journal content is chunking- (and therefore worker-count-)
-        # independent because cells are always processed and appended in
-        # canonical grid order.
-        chunk_size = 1 if self.n_workers == 1 else self.n_workers * 4
-        for start in range(0, len(pending), chunk_size):
-            chunk = pending[start : start + chunk_size]
-            requests = [cell_request(self.spec, cell) for cell in chunk]
-            responses = self.service.submit_batch(requests)
-            for cell, request, response in zip(chunk, requests, responses):
-                values = cell_values(
-                    self.spec, request, response, analysis_cache=analysis_cache
-                )
-                self._record(cell, values)
-                self._timings.write(
-                    schedule_timing_entry(
-                        cell, cache=response.cache, elapsed_s=response.elapsed_s
-                    )
-                )
-                evaluated += 1
-            if progress is not None:
-                progress(
-                    _Progress(
-                        done=resumed + evaluated, total=total, evaluated=evaluated
-                    )
-                )
+        # The service reads requests a window ahead; the tee hands each
+        # request back beside its response without holding the whole grid.
+        requests, echoed = tee(cell_request(self.spec, cell) for cell in pending)
+        for response, cell, request in zip(
+            self.service.submit_stream(requests), pending, echoed
+        ):
+            values = cell_values(self.spec, request, response, analysis_cache=analysis_cache)
+            self._record(cell, values)
+            self._timings.write(
+                schedule_timing_entry(cell, cache=response.cache, elapsed_s=response.elapsed_s)
+            )
+            evaluated += 1
 
         # The run-time grid follows the schedule grid, so every simulation's
         # embedded schedule question is already cached when it runs.
-        for start in range(0, len(runtime_pending), chunk_size):
-            chunk = runtime_pending[start : start + chunk_size]
+        if runtime_pending:
             assert self.simulation is not None
-            requests = [runtime_cell_request(self.spec, cell) for cell in chunk]
-            responses = self.simulation.submit_batch(requests)
-            for cell, response in zip(chunk, responses):
+            responses = self.simulation.submit_stream(
+                runtime_cell_request(self.spec, cell) for cell in runtime_pending
+            )
+            for response, cell in zip(responses, runtime_pending):
                 self._record_runtime(cell, runtime_cell_values(self.spec, response))
                 self._timings.write(
-                    runtime_timing_entry(
-                        cell, cache=response.cache, elapsed_s=response.elapsed_s
-                    )
+                    runtime_timing_entry(cell, cache=response.cache, elapsed_s=response.elapsed_s)
                 )
                 evaluated += 1
-            if progress is not None:
-                progress(
-                    _Progress(
-                        done=resumed + evaluated, total=total, evaluated=evaluated
-                    )
-                )
 
         records = {
             cell.key(): self._records[cell.key()]
@@ -687,7 +659,6 @@ def run_campaign(
     shard: Optional[Tuple[int, int]] = None,
     service: Optional[SchedulingService] = None,
     max_cells: Optional[int] = None,
-    progress: Optional[Callable[[_Progress], None]] = None,
     timings: bool = False,
 ) -> CampaignResult:
     """One-call convenience wrapper: construct a runner, run, close."""
@@ -701,7 +672,7 @@ def run_campaign(
         service=service,
         timings=timings,
     ) as runner:
-        return runner.run(max_cells=max_cells, progress=progress)
+        return runner.run(max_cells=max_cells)
 
 
 def read_campaign_journal_full(

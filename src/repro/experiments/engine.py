@@ -41,7 +41,7 @@ from repro.experiments.artifacts import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import AccuracySweepResult, SweepResult
 from repro.experiments.stats import mean
-from repro.scenario import Scenario, materialize
+from repro.scenario import Scenario, materialize, pinned_scenario
 from repro.service import (
     ScheduleRequest,
     ScheduleResponse,
@@ -120,13 +120,7 @@ def cell_scenario(config: ExperimentConfig, utilisation: float) -> Scenario:
     two always agree on which synthetic system the cell evaluates.
     """
     assert config.scenario is not None
-    # Every cell of a sweep re-pins the same scenario at the same few
-    # utilisation points (once per method per system); the pinned copy is a
-    # frozen value, so warm workers share it from a per-process memo.
-    return get_memo("cell-scenario").get_or_create(
-        (config.scenario.content_key(), utilisation),
-        lambda: config.scenario.with_utilisation(utilisation),
-    )
+    return pinned_scenario(config.scenario, utilisation)
 
 
 def generate_system(
@@ -252,13 +246,15 @@ class ExperimentEngine:
     def run_cells(self, jobs: Sequence[EvalJob]) -> Dict[EvalJob, CellResult]:
         """Evaluate ``jobs`` through the service, one slice at a time.
 
-        The service stores each slice's new cells in one batch when the
-        slice returns, so an interrupted call loses at most the slice in
-        flight.  Serially a slice is one cell.  On a pool every slice ends
-        in a barrier that waits for the slowest worker, so there are at most
-        four slices, each of at least four cells per worker.  Responses are
-        reduced to :class:`CellResult` as their slice returns, so a sweep
-        never holds more than one slice of full responses.
+        The service stores every cell before it answers it, so an
+        interrupted call loses only the cells in flight, and once a window
+        of a slice is answered the cache drops its in-process copies of the
+        cells its backend holds.  Serially a slice is one cell.  On a pool
+        every slice ends in a barrier that waits for the slowest worker, so
+        there are at most four slices, each of at least four cells per
+        worker.  Responses are reduced to :class:`CellResult` as their slice
+        returns, so a sweep never holds more than one slice of full
+        responses.
         """
         jobs = list(jobs)
         if self.n_workers == 1:
@@ -273,10 +269,6 @@ class ExperimentEngine:
             )
             for job, response in zip(batch, responses):
                 results[job] = CellResult.from_response(response)
-            if self.service.cache is not None:
-                # The backend holds the slice's cells; copies kept in memory
-                # would grow with the sweep (about 24 KB per cell).
-                self.service.cache.clear_memory()
         return results
 
     @property

@@ -260,11 +260,10 @@ class SimulationService(ContentAddressedService[SimulationRequest, SimulationRes
         and simulation).  The caller keeps ownership; ``n_workers`` should
         describe its size.
     chunksize:
-        Jobs per pool chunk for batch dispatch; ``None`` (the default)
-        derives ``max(1, unique_jobs // (n_workers * 4))`` per batch.  Each
-        chunk ships its distinct scenario envelopes once and re-opens the
-        persistent schedule cache once.  Responses are bit-identical at any
-        chunk size.
+        Jobs per pool chunk of a stream; ``None`` (the default) derives
+        ``max(1, STREAM_WINDOW // (2 * n_workers))``.  Each chunk ships its
+        distinct scenario envelopes once and re-opens the persistent
+        schedule cache once.  Responses are bit-identical at any chunk size.
     """
 
     METRICS_KIND = "simulation"

@@ -22,6 +22,7 @@ from repro.scenario.materialize import (
     Platform,
     build_platform,
     materialize,
+    pinned_scenario,
     system_seed,
 )
 from repro.scenario.registry import (
@@ -72,5 +73,6 @@ __all__ = [
     "MaterializedScenario",
     "Platform",
     "build_platform",
+    "pinned_scenario",
     "system_seed",
 ]

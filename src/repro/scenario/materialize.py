@@ -61,6 +61,21 @@ def system_seed(scenario: Scenario, system_index: int) -> int:
     )
 
 
+def pinned_scenario(scenario: Scenario, utilisation: float) -> Scenario:
+    """``scenario.with_utilisation(utilisation)``, shared within a process.
+
+    Sweeps and campaigns pin the same few scenarios at the same few
+    utilisation points once per cell.  The pinned copy is a frozen value, so
+    every cell of one point shares one copy from the ``cell-scenario`` memo,
+    and with it the copy's memoised content key: each grid point is hashed
+    once.
+    """
+    return get_memo("cell-scenario").get_or_create(
+        (scenario.content_key(), utilisation),
+        lambda: scenario.with_utilisation(utilisation),
+    )
+
+
 @dataclass
 class Platform:
     """The materialised execution platform of one run.

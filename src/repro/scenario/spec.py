@@ -24,7 +24,7 @@ reused stale schedule.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.core.serialization import (
@@ -54,6 +54,15 @@ def _check_positive(name: str, value: Any) -> None:
 def _check_non_negative(name: str, value: Any) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def _flat_dict(value: Any) -> Dict[str, Any]:
+    """The fields of a dataclass whose fields are all plain values, as a dict.
+
+    What ``dataclasses.asdict`` returns for such a value, without its
+    recursive deep copy: the specs build content keys on every grid cell.
+    """
+    return {f.name: getattr(value, f.name) for f in fields(value)}
 
 
 def _from_dict(cls, data: Mapping[str, Any], label: str) -> Dict[str, Any]:
@@ -105,7 +114,7 @@ class WorkloadSpec:
         return {
             "utilisation": self.utilisation,
             "n_tasks": self.n_tasks,
-            "generator": asdict(self.generator),
+            "generator": _flat_dict(self.generator),
             "seed": self.seed,
         }
 
@@ -174,7 +183,7 @@ class PlatformSpec:
         return (self.mesh_width - 1, self.mesh_height - 1)
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return _flat_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PlatformSpec":
@@ -207,7 +216,7 @@ class FaultPlanSpec:
         return len(self.faults)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"faults": [asdict(fault) for fault in self.faults]}
+        return {"faults": [_flat_dict(fault) for fault in self.faults]}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlanSpec":

@@ -11,8 +11,8 @@ background reader task.
 
 :class:`RemoteSchedulingService` / :class:`RemoteSimulationService` dress a
 client connection up as the corresponding in-process service (``n_workers``,
-``submit``/``submit_batch``, ``close``), so anything built against the
-services — most notably :class:`~repro.campaign.CampaignRunner` — can ride a
+``submit_stream``/``submit``/``submit_batch``, ``close``), so anything built
+against the services — most notably :class:`~repro.campaign.CampaignRunner` — can ride a
 warm daemon instead of spinning up its own pool, without knowing the wire
 protocol exists.
 
@@ -26,7 +26,8 @@ import asyncio
 import socket
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.runtime.messages import (
     SIM_REQUEST_KIND,
@@ -393,10 +394,10 @@ class RemoteSchedulingService:
     """A :class:`~repro.service.SchedulingService` look-alike over a daemon.
 
     Duck-types the surface :class:`~repro.campaign.CampaignRunner` (and
-    similar drivers) use — ``n_workers``, ``submit``/``submit_batch``,
-    ``stats``, ``close`` — so passing one as ``service=`` rides the daemon's
-    warm pool and caches.  Caching/dedup happen server-side; ``cache`` is
-    therefore ``None`` here.
+    similar drivers) use — ``n_workers``, ``submit_stream``, ``close``, plus
+    ``submit``/``submit_batch`` and ``stats`` — so passing one as
+    ``service=`` rides the daemon's warm pool and caches.  Caching/dedup
+    happen server-side; ``cache`` is therefore ``None`` here.
     """
 
     _response_cls = ScheduleResponse
@@ -410,10 +411,24 @@ class RemoteSchedulingService:
         return self.submit_batch([request])[0]
 
     def submit_batch(self, requests) -> List[Any]:
-        answers = self.client.submit_envelopes(
-            [request.to_dict() for request in requests]
-        )
-        return [self._response_cls.from_dict(answer) for answer in answers]
+        return list(self.submit_stream(requests))
+
+    def submit_stream(self, requests) -> Iterator[Any]:
+        """Answers in request order, pipelined two client windows at a time.
+
+        Each stream window goes through :meth:`ServerClient.submit_envelopes`;
+        the daemon caches every answer it computes, so a stream abandoned
+        mid-window loses nothing the daemon finished.
+        """
+        requests = iter(requests)
+        while True:
+            window = list(islice(requests, 2 * self.client.window))
+            if not window:
+                return
+            for answer in self.client.submit_envelopes(
+                [request.to_dict() for request in window]
+            ):
+                yield self._response_cls.from_dict(answer)
 
     def stats(self) -> Dict[str, Any]:
         return self.client.stats()

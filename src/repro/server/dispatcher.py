@@ -19,8 +19,8 @@ On top of that it layers three serving-only behaviours:
 * **cross-request in-flight dedup** — a request whose content key is already
   being computed (for any client, on any connection) awaits the same future
   instead of re-evaluating.  The leader's response is stamped ``miss``;
-  followers are stamped ``hit`` exactly like intra-batch duplicates in
-  :meth:`SchedulingService.submit_batch`.
+  followers are stamped ``hit`` exactly like repeats within a stream of
+  :meth:`SchedulingService.submit_stream`.
 * **drain** — once :meth:`drain` is called, new computations are refused with
   :class:`Draining` while everything already in flight runs to completion,
   which is what makes the daemon's shutdown graceful.

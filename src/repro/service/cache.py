@@ -268,15 +268,20 @@ class ScheduleCache:
         if self.backend is not None:
             self.backend.close()
 
-    def clear_memory(self) -> None:
-        """Drop the in-process copies of entries the backend holds.
+    def clear_memory(self, keys: Optional[Iterable[str]] = None) -> None:
+        """Drop the in-process copies of entries the backend holds: those of
+        ``keys``, or every one.
 
         Later lookups read them from the backend again.  A memory-only cache
         keeps its entries, because they are the only copy.
         """
         if self.backend is not None:
             with self._lock:
-                self._entries.clear()
+                if keys is None:
+                    self._entries.clear()
+                else:
+                    for key in keys:
+                        self._entries.pop(key, None)
 
     # -- the persisted form ------------------------------------------------------
 

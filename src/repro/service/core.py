@@ -7,11 +7,14 @@ owns the pipeline that exploits this, once for
 :class:`~repro.service.SchedulingService` and
 :class:`~repro.runtime.SimulationService`:
 
-content key → one batched cache lookup → in-batch dedup → serial or chunked
-pool execution → one batched store → per-position ``hit``/``miss``/
-``disabled`` provenance, with each request's phase breakdown in
-:attr:`~ContentAddressedService.last_traces` and the phase latency
-histograms and request counters on the service's registry.
+content key → one batched cache lookup per window → dedup → serial or
+chunked pool execution → a store before every answer → per-position
+``hit``/``miss``/``disabled`` provenance, with each request's phase
+breakdown in :attr:`~ContentAddressedService.last_traces` and the phase
+latency histograms and request counters on the service's registry.
+:meth:`~ContentAddressedService.submit_stream` runs the pipeline over any
+iterable of requests and yields answers in request order;
+:meth:`~ContentAddressedService.submit_batch` is its list.
 
 A subclass supplies only what differs: :meth:`~ContentAddressedService.execute`
 (the pure execution path, run in this process), the request fields a pooled
@@ -20,8 +23,8 @@ needs besides its request (:meth:`~ContentAddressedService.pool_context` and
 :meth:`~ContentAddressedService.open_worker`), and its request, response and
 cache classes.
 
-:func:`execute_chunk` is the one pool-worker entry.  :meth:`submit_batch
-<ContentAddressedService.submit_batch>` ships chunks of jobs through it, and
+:func:`execute_chunk` is the one pool-worker entry.  :meth:`submit_stream
+<ContentAddressedService.submit_stream>` ships chunks of jobs through it, and
 :meth:`execute_in_pool <ContentAddressedService.execute_in_pool>` — the
 serving daemon's unit of work — ships a chunk of one.
 """
@@ -29,16 +32,20 @@ serving daemon's unit of work — ships a chunk of one.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from dataclasses import replace
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     ContextManager,
+    Deque,
     Dict,
     Generic,
     Iterable,
+    Iterator,
     List,
     Optional,
     Tuple,
@@ -134,6 +141,36 @@ def execute_chunk(
     return outcomes, registry.snapshot()
 
 
+#: Requests per window of :meth:`ContentAddressedService.submit_stream`: one
+#: batched cache lookup answers a window, and once it is answered the cache
+#: drops its in-process copies of the window's entries.
+STREAM_WINDOW = 64
+
+
+class _Job:
+    """One distinct content key a stream computes, and its response once
+    the result is stored."""
+
+    __slots__ = ("key", "request", "trace", "response")
+
+    def __init__(self, key: str, request: Any, trace: Trace):
+        self.key = key
+        self.request = request
+        self.trace = trace
+        self.response: Any = None
+
+
+class _Window:
+    """The keys one lookup answered, and how many of its positions a stream
+    has still to yield."""
+
+    __slots__ = ("keys", "remaining")
+
+    def __init__(self, keys: List[str]):
+        self.keys = keys
+        self.remaining = len(keys)
+
+
 class ContentAddressedService(Generic[Req, Resp]):
     """Batching, caching and pooling over one pure request → response path.
 
@@ -199,8 +236,9 @@ class ContentAddressedService(Generic[Req, Resp]):
         self._owns_executor = executor is None
         #: Requests actually computed (cache misses) over this service's lifetime.
         self.computed = 0
-        #: Phase breakdowns of the most recent :meth:`submit_batch`, one
-        #: ``{"trace_id", "phases"}`` dict per request in request order.
+        #: Phase breakdowns of the most recent :meth:`submit_stream` (or
+        #: batch), one ``{"trace_id", "phases"}`` dict per answered request
+        #: in request order.
         self.last_traces: List[Dict[str, Any]] = []
 
     # -- what a subclass supplies ------------------------------------------------
@@ -209,7 +247,7 @@ class ContentAddressedService(Generic[Req, Resp]):
         """Execute one request in this process; pure in the request's content.
 
         The response carries no cache provenance (``cache="disabled"``);
-        :meth:`submit_batch` stamps hit/miss status and the content key.
+        :meth:`submit_stream` stamps hit/miss status and the content key.
         """
         raise NotImplementedError
 
@@ -283,130 +321,205 @@ class ContentAddressedService(Generic[Req, Resp]):
         return self.submit_batch([request])[0]
 
     def submit_batch(self, requests: Iterable[Req]) -> List[Resp]:
-        """Execute a batch; responses are returned in request order.
+        """Execute a batch; the responses of :meth:`submit_stream`, as a list."""
+        return list(self.submit_stream(requests))
 
-        Cached and duplicate requests are not recomputed: every distinct
-        content key in the batch is executed at most once, and each
+    def submit_stream(self, requests: Iterable[Req]) -> Iterator[Resp]:
+        """Execute requests as they arrive; yields responses in request order.
+
+        Requests are read in windows of :data:`STREAM_WINDOW`, and one batched
+        cache lookup answers a window.  Each distinct content key is computed
+        at most once: a key repeated inside a window, or one whose leader an
+        earlier window is still computing, waits for that leader.  Each
         response's ``cache`` field records what happened
-        (``hit``/``miss``/``disabled``).  Per-request phase breakdowns land
-        in :attr:`last_traces` and the phase latency histograms of
-        :attr:`registry`; responses carry none of it.
+        (``hit``/``miss``/``disabled``).  Without a cache, only repeats inside
+        one window share a computation.
+
+        Every result is stored before it is yielded.  Serially the stream runs
+        and stores one request at a time.  On a pool it keeps about
+        ``2 * n_workers`` chunks in flight, stores each chunk with one
+        ``put_many`` as it finishes, and admits the next window as soon as a
+        chunk slot frees up, so no window end waits for the slowest worker.
+        An abandoned stream (an interrupt, a consumer that stops) loses only
+        the chunks still in flight.  Once a window is answered, the cache
+        keeps no in-process copy of the entries its backend holds, so memory
+        stays bounded however long the stream runs.
+
+        Per-request phase breakdowns land in :attr:`last_traces` and the
+        phase latency histograms of :attr:`registry`; responses carry none of
+        it.
         """
-        requests = list(requests)
-        responses: List[Optional[Resp]] = [None] * len(requests)
-        keys = [request.content_key() for request in requests]
-        traces = [Trace() for _ in requests]
-        kind = self.METRICS_KIND
-
-        # One batched lookup covers the whole batch: each distinct key goes to
-        # the cache (and its backend) exactly once, however often it repeats.
-        # Hit/miss statistics still count per position, and each position's
-        # trace carries an equal share of the lookup so phase totals match.
-        lookup_started = time.monotonic()
-        found = self.cache.get_many(keys) if self.cache is not None else {}
-        lookup_share = (
-            (time.monotonic() - lookup_started) / len(requests) if requests else 0.0
-        )
-
-        # Key -> positions still to answer, in first-seen order.
-        pending: Dict[str, List[int]] = {}
-        for position, (request, key) in enumerate(zip(requests, keys)):
-            trace = traces[position]
-            trace.add_phase(PHASE_CACHE_LOOKUP, lookup_share)
-            observe_phases(self.registry, kind, trace.phases[-1:])
-            cached = found.get(key)
-            if cached is not None:
-                responses[position] = self.RESPONSE_CLS.from_result_dict(
-                    cached, request_id=request.request_id, cache=CACHE_HIT, cache_key=key
-                )
-            else:
-                pending.setdefault(key, []).append(position)
-
-        computed = self._execute_unique(
-            [
-                (key, requests[positions[0]], traces[positions[0]])
-                for key, positions in pending.items()
-            ]
-        )
-
-        # Mirror image of the lookup: all freshly computed results persist in
-        # one batched write (one SQLite transaction), each leader trace taking
-        # an equal share of the store phase.
-        store_share = 0.0
-        if self.cache is not None and pending:
-            store_started = time.monotonic()
-            self.cache.put_many(
-                [(key, computed[key].result_dict()) for key in pending]
-            )
-            store_share = (time.monotonic() - store_started) / len(pending)
-        for key, positions in pending.items():
-            base = computed[key]
-            if self.cache is not None:
-                leader_trace = traces[positions[0]]
-                leader_trace.add_phase(PHASE_STORE, store_share)
-                observe_phases(self.registry, kind, leader_trace.phases[-1:])
-            for occurrence, position in enumerate(positions):
-                if self.cache is None:
-                    status = CACHE_DISABLED
+        requests = iter(requests)
+        self.last_traces = []
+        pooled = self.n_workers > 1
+        limit = 2 * self.n_workers
+        chunksize = self.chunksize or max(1, STREAM_WINDOW // limit)
+        # Admitted positions not yet yielded, in request order.
+        order: Deque[Tuple[_Window, Req, str, Trace, Any, Optional[str]]] = deque()
+        # Keys this stream computes whose results are not stored yet.
+        unstored: Dict[str, _Job] = {}
+        running: Dict[Future, List[_Job]] = {}
+        queued: Deque[List[_Job]] = deque()
+        exhausted = False
+        try:
+            while True:
+                while not exhausted and (
+                    not queued and len(running) < limit and len(order) < 2 * STREAM_WINDOW
+                    if pooled
+                    else not order
+                ):
+                    window = list(islice(requests, STREAM_WINDOW))
+                    exhausted = len(window) < STREAM_WINDOW
+                    jobs = self._admit(window, order, unstored) if window else []
+                    # A stream's only miss runs in this process, as it would
+                    # serially: a pool round trip costs more than it saves.
+                    if jobs and pooled and (running or not exhausted or len(jobs) > 1):
+                        queued.extend(
+                            jobs[start : start + chunksize]
+                            for start in range(0, len(jobs), chunksize)
+                        )
+                while queued and len(running) < limit:
+                    chunk = queued.popleft()
+                    running[self._submit_jobs(chunk)] = chunk
+                if not order:
+                    return
+                window, request, key, trace, source, status = order[0]
+                if isinstance(source, _Job) and source.response is None:
+                    # Queued chunks were just submitted, so a pending job with
+                    # nothing running is one this process runs itself.
+                    if running:
+                        self._harvest(running, unstored)
+                    else:
+                        self._run_inline(source, unstored)
+                    continue
+                order.popleft()
+                if isinstance(source, _Job) and status is not None:
+                    response = replace(
+                        source.response,
+                        request_id=request.request_id,
+                        cache=status,
+                        cache_key=key,
+                    )
                 else:
-                    status = CACHE_MISS if occurrence == 0 else CACHE_HIT
-                responses[position] = replace(
-                    base,
-                    request_id=requests[position].request_id,
-                    cache=status,
-                    cache_key=key,
-                )
-        for response in responses:
-            if response is not None:
+                    # A cached entry, or (status None) the stored result of a
+                    # leader from an earlier window: read back as a hit.
+                    cached = source if status is not None else self.cache.get(key)
+                    response = self.RESPONSE_CLS.from_result_dict(
+                        cached, request_id=request.request_id, cache=CACHE_HIT, cache_key=key
+                    )
                 self.registry.counter_inc(
                     REQUESTS_TOTAL,
                     help="Requests answered, by kind and cache status.",
-                    kind=kind,
+                    kind=self.METRICS_KIND,
                     cache=response.cache,
                 )
-        # Serial-path executions ran memo caches in this process; fold their
-        # hit/miss deltas into the service registry (pooled chunks already
-        # shipped theirs inside the merged snapshots).
-        drain_memo_metrics(self.registry)
-        self.last_traces = [trace.to_dict() for trace in traces]
-        return [response for response in responses if response is not None]
+                self.last_traces.append(trace.to_dict())
+                window.remaining -= 1
+                if not window.remaining:
+                    if self.cache is not None:
+                        self.cache.clear_memory(window.keys)
+                    # Serial executions ran memo caches in this process; fold
+                    # their deltas in (pooled chunks shipped theirs already).
+                    drain_memo_metrics(self.registry)
+                yield response
+        finally:
+            for future in running:
+                future.cancel()
 
-    def _execute_unique(self, work) -> Dict[str, Resp]:
-        """Execute one request per distinct content key; phases land on the
-        leader's trace (``work`` is ``(key, request, trace)`` triples)."""
-        if not work:
-            return {}
-        if self.n_workers == 1 or len(work) == 1:
-            results = []
-            for _, request, trace in work:
-                before = len(trace.phases)
-                with activate(trace):
-                    results.append(self.execute(request))
-                observe_phases(self.registry, self.METRICS_KIND, trace.phases[before:])
-        else:
-            submitted = time.monotonic()
-            context, extras = self.pool_context([request for _, request, _ in work])
-            jobs = [
-                (key, request, trace.trace_id, extra)
-                for (key, request, trace), extra in zip(work, extras)
-            ]
-            chunksize = self.chunksize or max(1, len(work) // (self.n_workers * 4))
-            futures = [
-                self._submit_chunk(context, jobs[start : start + chunksize], submitted)
-                for start in range(0, len(jobs), chunksize)
-            ]
-            results = []
-            for future in futures:
-                outcomes, snapshot = future.result()
-                # The worker already observed its phases (queue-wait and
-                # compute) into the shipped snapshot; merging it here is what
-                # makes pooled totals equal serial totals.
-                self.registry.merge(snapshot)
-                for response, trace_dict in outcomes:
-                    work[len(results)][2].phases.extend(trace_dict["phases"])
-                    results.append(response)
-        self.computed += len(results)
-        return {key: result for (key, _, _), result in zip(work, results)}
+    def _admit(self, requests: List[Req], order, unstored: Dict[str, _Job]) -> List[_Job]:
+        """Look up one window and append its positions to ``order``; returns
+        the jobs the window adds, in first-seen order.
+
+        The lookup skips keys whose leader is still unstored: those positions
+        read the stored result back when their turn comes, which counts the
+        hit a serial stream would have counted.  Hit/miss statistics count
+        per position, and each position's trace carries an equal share of
+        the lookup.
+        """
+        keys = [request.content_key() for request in requests]
+        started = time.monotonic()
+        found = (
+            self.cache.get_many([key for key in keys if key not in unstored])
+            if self.cache is not None
+            else {}
+        )
+        share = (time.monotonic() - started) / len(requests)
+        window = _Window(keys)
+        jobs: Dict[str, _Job] = {}
+        for request, key in zip(requests, keys):
+            trace = Trace()
+            trace.add_phase(PHASE_CACHE_LOOKUP, share)
+            observe_phases(self.registry, self.METRICS_KIND, trace.phases[-1:])
+            source: Any = found.get(key)
+            status: Optional[str] = CACHE_HIT
+            if source is None:
+                source = unstored.get(key)
+                if source is not None:
+                    status = None
+                elif key in jobs:
+                    source = jobs[key]
+                    status = CACHE_DISABLED if self.cache is None else CACHE_HIT
+                else:
+                    source = jobs[key] = _Job(key, request, trace)
+                    status = CACHE_DISABLED if self.cache is None else CACHE_MISS
+            order.append((window, request, key, trace, source, status))
+        if self.cache is not None:
+            unstored.update(jobs)
+        return list(jobs.values())
+
+    def _run_inline(self, job: _Job, unstored: Dict[str, _Job]) -> None:
+        """Execute one job in this process and store its result."""
+        before = len(job.trace.phases)
+        with activate(job.trace):
+            job.response = self.execute(job.request)
+        observe_phases(self.registry, self.METRICS_KIND, job.trace.phases[before:])
+        self.computed += 1
+        self._store([job], unstored)
+
+    def _submit_jobs(self, jobs: List[_Job]) -> Future:
+        """Ship one chunk of jobs to the pool."""
+        submitted = time.monotonic()
+        context, extras = self.pool_context([job.request for job in jobs])
+        return self._submit_chunk(
+            context,
+            [
+                (job.key, job.request, job.trace.trace_id, extra)
+                for job, extra in zip(jobs, extras)
+            ],
+            submitted,
+        )
+
+    def _harvest(self, running: Dict[Future, List[_Job]], unstored) -> None:
+        """Wait for at least one running chunk; store every finished one.
+
+        Raises what a finished chunk raised.
+        """
+        done, _ = wait(running, return_when=FIRST_COMPLETED)
+        for future in [future for future in running if future in done]:
+            jobs = running.pop(future)
+            outcomes, snapshot = future.result()
+            # The worker already observed its phases (queue-wait and compute)
+            # into the shipped snapshot; merging it here is what makes pooled
+            # totals equal serial totals.
+            self.registry.merge(snapshot)
+            for job, (response, trace_dict) in zip(jobs, outcomes):
+                job.trace.phases.extend(trace_dict["phases"])
+                job.response = response
+            self.computed += len(jobs)
+            self._store(jobs, unstored)
+
+    def _store(self, jobs: List[_Job], unstored: Dict[str, _Job]) -> None:
+        """Persist finished jobs in one batched write (one SQLite
+        transaction); each job's trace takes an equal share of the store."""
+        if self.cache is None:
+            return
+        started = time.monotonic()
+        self.cache.put_many([(job.key, job.response.result_dict()) for job in jobs])
+        share = (time.monotonic() - started) / len(jobs)
+        for job in jobs:
+            job.trace.add_phase(PHASE_STORE, share)
+            observe_phases(self.registry, self.METRICS_KIND, job.trace.phases[-1:])
+            unstored.pop(job.key, None)
 
     def _submit_chunk(self, context: Any, jobs, submitted: float) -> Future:
         """Ship ``(key, request, trace_id, extra)`` jobs to the pool as one

@@ -200,8 +200,9 @@ class SchedulingService(ContentAddressedService[ScheduleRequest, ScheduleRespons
         An explicit :class:`ScheduleCache` to share between services, or
         ``None`` to disable the cache: nothing is stored across batches and
         responses carry ``cache="disabled"``.  Content-identical requests
-        *within* one batch are still computed only once (the execution path
-        is pure, so recomputing them could never change the answer).
+        *within* one window of a stream are still computed only once (the
+        execution path is pure, so recomputing them could never change the
+        answer).
     executor:
         An existing worker pool to execute on instead of creating one — the
         serving daemon of :mod:`repro.server` shares one warm
@@ -210,8 +211,9 @@ class SchedulingService(ContentAddressedService[ScheduleRequest, ScheduleRespons
         not shut a borrowed executor down); ``n_workers`` should describe
         its size.
     chunksize:
-        Jobs per pool chunk for batch dispatch; ``None`` (the default)
-        derives ``max(1, unique_jobs // (n_workers * 4))`` per batch.  Each
+        Jobs per pool chunk of a stream; ``None`` (the default) derives
+        ``max(1, STREAM_WINDOW // (2 * n_workers))``, so a window of misses
+        fills the ``2 * n_workers`` chunks a stream keeps in flight.  Each
         chunk ships its distinct scenario envelopes once, however many jobs
         reference them.  Responses are bit-identical at any chunk size.
 

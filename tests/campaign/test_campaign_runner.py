@@ -1,7 +1,10 @@
 """CampaignRunner: resume-after-interrupt, worker invariance, determinism."""
 
+import os
+
 import pytest
 
+import repro.service.service as service_module
 from repro.campaign import (
     CAMPAIGN_JOURNAL_FILENAME,
     CampaignRunner,
@@ -23,6 +26,47 @@ def small_spec() -> CampaignSpec:
         n_systems=2,
         utilisations=(0.4,),
     )
+
+
+@pytest.fixture()
+def interrupt_spec() -> CampaignSpec:
+    """A 2-scenario x 3-method x 4-system grid (24 fast cells)."""
+    return CampaignSpec(
+        name="interrupt",
+        scenarios=("paper-default", "short-hyperperiod"),
+        methods=("static", "gpiocp", "fps-offline"),
+        n_systems=4,
+        utilisations=(0.4,),
+    )
+
+
+def journal_bytes(artifact_dir, spec) -> bytes:
+    path = artifact_dir / spec.content_key() / CAMPAIGN_JOURNAL_FILENAME
+    return path.read_bytes() if path.exists() else b""
+
+
+def interrupt_after(monkeypatch, calls_file, completed: int) -> None:
+    """Make every ``execute_request`` call after the first ``completed``
+    raise ``KeyboardInterrupt``.
+
+    Calls are numbered through an append-only file, so forked pool workers
+    share the count; an ``O_APPEND`` write and the descriptor's offset after
+    it give each call its number atomically.
+    """
+    original = service_module.execute_request
+
+    def execute_request(request):
+        fd = os.open(calls_file, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, b".")
+            number = os.lseek(fd, 0, os.SEEK_CUR)
+        finally:
+            os.close(fd)
+        if number > completed:
+            raise KeyboardInterrupt
+        return original(request)
+
+    monkeypatch.setattr(service_module, "execute_request", execute_request)
 
 
 class TestRun:
@@ -81,6 +125,55 @@ class TestResume:
         # The report is byte-identical to the uninterrupted run's.
         assert final.report().to_json() == reference_json
         assert resumed.report().to_json() == reference_json
+
+    @pytest.mark.parametrize("completed", [0, 7, 23])
+    def test_keyboard_interrupt_resumes_computing_only_the_rest(
+        self, interrupt_spec, tmp_path, monkeypatch, completed
+    ):
+        run_campaign(interrupt_spec, artifact_dir=tmp_path / "ref")
+        with monkeypatch.context() as patch:
+            interrupt_after(patch, tmp_path / "calls", completed)
+            with pytest.raises(KeyboardInterrupt):
+                run_campaign(interrupt_spec, artifact_dir=tmp_path / "run")
+        # Serially every answered cell was journalled before the next ran.
+        assert journal_bytes(tmp_path / "run", interrupt_spec).count(b"\n") == completed
+
+        with CampaignRunner(interrupt_spec, artifact_dir=tmp_path / "run") as runner:
+            assert runner.completed_cells == completed
+            result = runner.run()
+            assert runner.service.computed == interrupt_spec.n_cells - completed
+        assert result.complete and result.resumed == completed
+        assert journal_bytes(tmp_path / "run", interrupt_spec) == journal_bytes(
+            tmp_path / "ref", interrupt_spec
+        )
+
+    def test_pooled_keyboard_interrupt_loses_at_most_the_chunks_in_flight(
+        self, interrupt_spec, tmp_path, monkeypatch
+    ):
+        n_workers, completed = 2, 13
+        backend = f"sqlite:path={tmp_path / 'cache.db'}"
+        run_campaign(interrupt_spec, artifact_dir=tmp_path / "ref")
+        with monkeypatch.context() as patch:
+            interrupt_after(patch, tmp_path / "calls", completed)
+            with SchedulingService(
+                n_workers=n_workers, chunksize=1, cache_backend=backend
+            ) as service:
+                with pytest.raises(KeyboardInterrupt):
+                    run_campaign(interrupt_spec, artifact_dir=tmp_path / "run", service=service)
+
+        with SchedulingService(
+            n_workers=n_workers, chunksize=1, cache_backend=backend
+        ) as service:
+            result = run_campaign(interrupt_spec, artifact_dir=tmp_path / "run", service=service)
+            recomputed = service.computed
+        # Each finished chunk was stored before its cells were answered, so
+        # only the chunks in flight (2 * n_workers chunks of one cell) can
+        # have been lost with the interrupt.
+        assert recomputed <= interrupt_spec.n_cells - completed + 2 * n_workers
+        assert result.complete
+        assert journal_bytes(tmp_path / "run", interrupt_spec) == journal_bytes(
+            tmp_path / "ref", interrupt_spec
+        )
 
     def test_torn_trailing_journal_line_recomputes_only_that_cell(
         self, small_spec, tmp_path

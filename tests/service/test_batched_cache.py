@@ -1,7 +1,7 @@
 """Batched cache I/O: get_many/put_many on backends, caches and the services.
 
-One backend round trip per batch, statistics identical to the per-key calls,
-and per-position hit/miss provenance untouched.
+One backend read per window of a batch, statistics identical to the
+per-key calls, and per-position hit/miss provenance untouched.
 """
 
 import pytest
@@ -185,11 +185,27 @@ class TestBatchLookupInService:
         requests = self.make_requests()
         with SchedulingService(cache=ScheduleCache(backend=backend)) as service:
             responses = service.submit_batch(requests)
-        # One batched read and one batched write, however many requests.
+        # One batched read for the window.  Serially each result is stored
+        # before it is yielded: one write per distinct key.
         assert backend.get_many_calls == 1 and backend.get_calls == 0
-        assert backend.put_many_calls == 1 and backend.put_calls == 0
+        assert backend.put_many_calls == 3 and backend.put_calls == 0
         # Per-position provenance is untouched: first occurrence of each key
         # is the miss, its duplicate an in-batch hit.
+        assert [response.cache for response in responses] == [
+            CACHE_MISS,
+            CACHE_HIT,
+        ] * 3
+
+    def test_pooled_batch_stores_each_finished_chunk_once(self, tmp_path):
+        backend = CountingBackend(tmp_path / "c")
+        requests = self.make_requests()
+        with SchedulingService(
+            n_workers=2, cache=ScheduleCache(backend=backend)
+        ) as service:
+            responses = service.submit_batch(requests)
+        # The three distinct keys form one chunk: one read, one write.
+        assert backend.get_many_calls == 1 and backend.get_calls == 0
+        assert backend.put_many_calls == 1 and backend.put_calls == 0
         assert [response.cache for response in responses] == [
             CACHE_MISS,
             CACHE_HIT,
@@ -200,6 +216,7 @@ class TestBatchLookupInService:
         requests = self.make_requests()
         with SchedulingService(cache=ScheduleCache(backend=backend)) as service:
             service.submit_batch(requests)
+            stored = backend.put_many_calls
             responses = service.submit_batch(requests)
         assert all(response.cache == CACHE_HIT for response in responses)
-        assert backend.put_many_calls == 1  # nothing new to store
+        assert backend.put_many_calls == stored == 3  # nothing new to store
