@@ -7,11 +7,11 @@ shared :class:`~repro.service.SchedulingService`
 reusing its worker pool, dedup and content-addressed schedule cache — while
 checkpointing every answered cell to a ``campaign.jsonl`` journal under a
 directory keyed by the campaign's content key (one flushed line per cell; a
-torn trailing line left by an interrupt is truncated away on resume).  An interrupted
-campaign re-launched with the same spec therefore resumes with **zero**
-recomputed cells, and because cells are journalled in the spec's canonical
-grid order, the journal — and any report built from it — is byte-identical
-at every worker count.
+torn trailing line left by an interrupt is truncated away on resume).  An
+interrupted campaign re-launched with the same spec therefore resumes with
+**zero** recomputed cells, and because cells are journalled in the spec's
+canonical grid order, the journal — and any report built from it — is
+byte-identical at every worker count.
 
 Determinism chain: a cell's scenario + system index materialise a
 deterministic system (:func:`repro.scenario.materialize`); the service's

@@ -66,7 +66,6 @@ from repro.obs.trace import (
     PHASE_STORE,
     Trace,
     activate,
-    new_trace_id,
 )
 from repro.service.cache import ScheduleCache
 from repro.service.messages import CACHE_DISABLED, CACHE_HIT, CACHE_MISS
@@ -380,7 +379,7 @@ class ContentAddressedService(Generic[Req, Resp]):
                         )
                 while queued and len(running) < limit:
                     chunk = queued.popleft()
-                    running[self._submit_jobs(chunk)] = chunk
+                    running[self._submit_chunk(chunk)] = chunk
                 if not order:
                     return
                 window, request, key, trace, source, status = order[0]
@@ -476,19 +475,6 @@ class ContentAddressedService(Generic[Req, Resp]):
         self.computed += 1
         self._store([job], unstored)
 
-    def _submit_jobs(self, jobs: List[_Job]) -> Future:
-        """Ship one chunk of jobs to the pool."""
-        submitted = time.monotonic()
-        context, extras = self.pool_context([job.request for job in jobs])
-        return self._submit_chunk(
-            context,
-            [
-                (job.key, job.request, job.trace.trace_id, extra)
-                for job, extra in zip(jobs, extras)
-            ],
-            submitted,
-        )
-
     def _harvest(self, running: Dict[Future, List[_Job]], unstored) -> None:
         """Wait for at least one running chunk; store every finished one.
 
@@ -521,14 +507,16 @@ class ContentAddressedService(Generic[Req, Resp]):
             observe_phases(self.registry, self.METRICS_KIND, job.trace.phases[-1:])
             unstored.pop(job.key, None)
 
-    def _submit_chunk(self, context: Any, jobs, submitted: float) -> Future:
-        """Ship ``(key, request, trace_id, extra)`` jobs to the pool as one
-        chunk; each distinct scenario envelope crosses the process boundary
-        once per chunk, not once per job."""
+    def _submit_chunk(self, jobs: List[_Job]) -> Future:
+        """Ship jobs to the pool as one chunk; each distinct scenario
+        envelope crosses the process boundary once per chunk, not once per
+        job."""
+        submitted = time.monotonic()
+        context, extras = self.pool_context([job.request for job in jobs])
         scenarios: Dict[str, Any] = {}
         entries = [
-            (self.slim(request, scenarios), key, trace_id, extra)
-            for key, request, trace_id, extra in jobs
+            (self.slim(job.request, scenarios), job.key, job.trace.trace_id, extra)
+            for job, extra in zip(jobs, extras)
         ]
         return self._get_executor().submit(
             execute_chunk, (type(self), context, scenarios, entries, submitted)
@@ -546,11 +534,7 @@ class ContentAddressedService(Generic[Req, Resp]):
         dedup on top (through :meth:`lookup` and :meth:`store`).
         Synchronous callers should prefer :meth:`submit`.
         """
-        submitted = time.monotonic()
-        context, extras = self.pool_context([request])
-        chunk = self._submit_chunk(
-            context, [(request.content_key(), request, new_trace_id(), extras[0])], submitted
-        )
+        chunk = self._submit_chunk([_Job(request.content_key(), request, Trace())])
         single: Future = Future()
 
         def unpack(done: Future) -> None:
