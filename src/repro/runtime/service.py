@@ -338,12 +338,14 @@ class SimulationService(ContentAddressedService[SimulationRequest, SimulationRes
         Shipping held schedules (e.g. the ones a campaign's schedule cells
         just computed) means workers never recompute them, even when the
         schedule cache is memory-only; one batched peek covers all jobs.
+        The peek leaves no in-process copy of what the backend holds.
         """
         schedule_cache = self.scheduling.cache
         if schedule_cache is None:
             return None, [None] * len(requests)
         keys = [request.schedule_request().content_key() for request in requests]
         peeked = schedule_cache.peek_many(keys)
+        schedule_cache.clear_memory(keys)
         return schedule_cache.backend_spec(), [peeked.get(key) for key in keys]
 
     @staticmethod
