@@ -159,17 +159,6 @@ class _Job:
         self.response: Any = None
 
 
-class _Window:
-    """The keys one lookup answered, and how many of its positions a stream
-    has still to yield."""
-
-    __slots__ = ("keys", "remaining")
-
-    def __init__(self, keys: List[str]):
-        self.keys = keys
-        self.remaining = len(keys)
-
-
 class ContentAddressedService(Generic[Req, Resp]):
     """Batching, caching and pooling over one pure request → response path.
 
@@ -354,7 +343,7 @@ class ContentAddressedService(Generic[Req, Resp]):
         limit = 2 * self.n_workers
         chunksize = self.chunksize or max(1, STREAM_WINDOW // limit)
         # Admitted positions not yet yielded, in request order.
-        order: Deque[Tuple[_Window, Req, str, Trace, Any, Optional[str]]] = deque()
+        order: Deque[Tuple[Req, str, Trace, Any, Optional[str], Optional[List[str]]]] = deque()
         # Keys this stream computes whose results are not stored yet.
         unstored: Dict[str, _Job] = {}
         running: Dict[Future, List[_Job]] = {}
@@ -382,7 +371,7 @@ class ContentAddressedService(Generic[Req, Resp]):
                     running[self._submit_chunk(chunk)] = chunk
                 if not order:
                     return
-                window, request, key, trace, source, status = order[0]
+                request, key, trace, source, status, answered = order[0]
                 if isinstance(source, _Job) and source.response is None:
                     # Queued chunks were just submitted, so a pending job with
                     # nothing running is one this process runs itself.
@@ -413,10 +402,9 @@ class ContentAddressedService(Generic[Req, Resp]):
                     cache=response.cache,
                 )
                 self.last_traces.append(trace.to_dict())
-                window.remaining -= 1
-                if not window.remaining:
+                if answered is not None:
                     if self.cache is not None:
-                        self.cache.clear_memory(window.keys)
+                        self.cache.clear_memory(answered)
                     # Serial executions ran memo caches in this process; fold
                     # their deltas in (pooled chunks shipped theirs already).
                     drain_memo_metrics(self.registry)
@@ -443,9 +431,8 @@ class ContentAddressedService(Generic[Req, Resp]):
             else {}
         )
         share = (time.monotonic() - started) / len(requests)
-        window = _Window(keys)
         jobs: Dict[str, _Job] = {}
-        for request, key in zip(requests, keys):
+        for position, (request, key) in enumerate(zip(requests, keys)):
             trace = Trace()
             trace.add_phase(PHASE_CACHE_LOOKUP, share)
             observe_phases(self.registry, self.METRICS_KIND, trace.phases[-1:])
@@ -461,7 +448,10 @@ class ContentAddressedService(Generic[Req, Resp]):
                 else:
                     source = jobs[key] = _Job(key, request, trace)
                     status = CACHE_DISABLED if self.cache is None else CACHE_MISS
-            order.append((window, request, key, trace, source, status))
+            # The window's last position carries its keys: answering it
+            # answers the window.
+            answered = keys if position == len(keys) - 1 else None
+            order.append((request, key, trace, source, status, answered))
         if self.cache is not None:
             unstored.update(jobs)
         return list(jobs.values())
