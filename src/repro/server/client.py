@@ -12,9 +12,9 @@ background reader task.
 :class:`RemoteSchedulingService` / :class:`RemoteSimulationService` dress a
 client connection up as the corresponding in-process service (``n_workers``,
 ``submit_stream``/``submit``/``submit_batch``, ``close``), so anything built
-against the services — most notably :class:`~repro.campaign.CampaignRunner` — can ride a
-warm daemon instead of spinning up its own pool, without knowing the wire
-protocol exists.
+against the services — most notably :class:`~repro.campaign.CampaignRunner`
+— can ride a warm daemon instead of spinning up its own pool, without
+knowing the wire protocol exists.
 
 Server-reported failures raise :class:`ServerError`, which carries the
 structured error envelope's machine-readable ``code``.
