@@ -31,10 +31,11 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: List[Event] = []
         self._counter = itertools.count()
-        self._cancelled: set = set()
+        #: Sequences of the events that have neither fired nor been cancelled.
+        self._pending: set = set()
 
     def __len__(self) -> int:
-        return len(self._heap) - len(self._cancelled)
+        return len(self._pending)
 
     def __bool__(self) -> bool:
         return len(self) > 0
@@ -58,25 +59,28 @@ class EventQueue:
             label=label,
         )
         heapq.heappush(self._heap, event)
+        self._pending.add(event.sequence)
         return event
 
     def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event (it will be skipped when popped)."""
-        self._cancelled.add(event.sequence)
+        """Cancel a pending event (it will be skipped when popped).
+
+        Cancelling an event that already fired or was already cancelled does
+        nothing.
+        """
+        self._pending.discard(event.sequence)
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next (non-cancelled) event, or ``None`` if empty."""
         while self._heap:
             event = heapq.heappop(self._heap)
-            if event.sequence in self._cancelled:
-                self._cancelled.discard(event.sequence)
-                continue
-            return event
+            if event.sequence in self._pending:
+                self._pending.discard(event.sequence)
+                return event
         return None
 
     def peek_time(self) -> Optional[int]:
         """Time of the next pending event without removing it."""
-        while self._heap and self._heap[0].sequence in self._cancelled:
-            event = heapq.heappop(self._heap)
-            self._cancelled.discard(event.sequence)
+        while self._heap and self._heap[0].sequence not in self._pending:
+            heapq.heappop(self._heap)
         return self._heap[0].time if self._heap else None

@@ -49,3 +49,21 @@ class TestEventQueue:
 
     def test_pop_empty_returns_none(self):
         assert EventQueue().pop() is None
+
+    def test_cancelling_a_fired_or_cancelled_event_does_nothing(self):
+        queue = EventQueue()
+        first = queue.push(1, lambda: None)
+        second = queue.push(2, lambda: None)
+        assert queue.pop() is first
+        queue.cancel(first)
+        assert len(queue) == 1
+        assert queue
+        assert queue.peek_time() == 2
+        queue.cancel(second)
+        queue.cancel(second)
+        assert len(queue) == 0
+        assert not queue
+        assert queue.peek_time() is None
+        third = queue.push(3, lambda: None)
+        assert len(queue) == 1
+        assert queue.pop() is third
