@@ -34,6 +34,10 @@ class SchedulingTable:
         self.capacity = capacity
         self._entries: Dict[Tuple[str, int], TableEntry] = {}
         self._enabled: Dict[str, bool] = {}
+        #: Start time -> the entries due then, in ``(start_time, key)`` order.
+        #: Built on the first ``due_entries`` call after a ``load``, so a run
+        #: sorts the table once instead of once per trigger.
+        self._due: Optional[Dict[int, List[TableEntry]]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -48,6 +52,7 @@ class SchedulingTable:
             )
         self._entries[entry.key] = entry
         self._enabled.setdefault(entry.task_name, False)
+        self._due = None
 
     def load_many(self, entries) -> None:
         for entry in entries:
@@ -74,7 +79,12 @@ class SchedulingTable:
 
     def due_entries(self, time: int) -> List[TableEntry]:
         """Entries whose start time equals ``time`` (to be triggered now)."""
-        return [entry for entry in self.entries() if entry.start_time == time]
+        if self._due is None:
+            due: Dict[int, List[TableEntry]] = {}
+            for entry in self.entries():
+                due.setdefault(entry.start_time, []).append(entry)
+            self._due = due
+        return list(self._due.get(time, ()))
 
     def next_start_after(self, time: int) -> Optional[int]:
         """The earliest start time strictly greater than ``time``, if any."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.noc.packet import Packet
 from repro.noc.router import Router
@@ -43,6 +43,9 @@ class NoCNetwork:
         self.ejection_delay = ejection_delay
         self.trace = trace
         self.delivered: List[Packet] = []
+        #: (source, destination) -> the XY route's hops as (router, next node)
+        #: pairs, computed on a pair's first packet.
+        self._hops: Dict[Tuple[NodeId, NodeId], List[Tuple[Router, NodeId]]] = {}
 
     def router(self, node: NodeId) -> Router:
         return self.routers[node]
@@ -55,12 +58,15 @@ class NoCNetwork:
         the destination's home port.
         """
         packet.injected_at = int(time)
-        route = xy_route(packet.source, packet.destination, self.topology)
+        pair = (packet.source, packet.destination)
+        hops = self._hops.get(pair)
+        if hops is None:
+            route = xy_route(packet.source, packet.destination, self.topology)
+            hops = [(self.routers[node], next_node) for node, next_node in zip(route, route[1:])]
+            self._hops[pair] = hops
         current_time = packet.injected_at + self.injection_delay
 
-        for hop_index in range(len(route) - 1):
-            router = self.routers[route[hop_index]]
-            next_node = route[hop_index + 1]
+        for router, next_node in hops:
             _, current_time = router.forward(packet, next_node, current_time)
 
         current_time += self.ejection_delay
@@ -74,7 +80,7 @@ class NoCNetwork:
                 packet_id=packet.packet_id,
                 kind_of_packet=packet.kind,
                 latency=packet.latency,
-                hops=len(route) - 1,
+                hops=len(hops),
             )
         return current_time
 

@@ -343,13 +343,8 @@ class _RemoteCPUBase(ExecutionModel):
     ) -> ExecutionOutcome:
         network = platform.network
         background_per_job = platform.spec.background_packets_per_job
-        rng = np.random.default_rng(seed)
         io_tile = platform.io_tile
         cpu_tiles = platform.cpu_tiles()
-
-        cpu_of_task = {
-            task.name: cpu_tiles[int(rng.integers(0, len(cpu_tiles)))] for task in task_set
-        }
 
         # Requests sorted by injection (offline start) time, so link state
         # evolves chronologically.
@@ -358,28 +353,37 @@ class _RemoteCPUBase(ExecutionModel):
         ]
         all_entries.sort(key=lambda e: e.start)
 
-        runtime: Dict[str, Schedule] = {
-            device: Schedule(device=device) for device in schedules
-        }
-        device_free_at: Dict[str, int] = {device: 0 for device in schedules}
-
         # Every packet injection (request or background) is one simulation
         # event, so the ``max_events`` budget bounds the NoC work exactly as
         # it bounds the controller's event loop; jobs the budget cuts off
         # never execute and count as skipped.
         events_per_job = 1 + background_per_job
-        executed = 0
-        exhausted = False
-        for entry in all_entries:
-            if (
-                max_events is not None
-                and len(network.delivered) + events_per_job > max_events
-            ):
-                exhausted = True
-                break
+        jobs = all_entries
+        if max_events is not None:
+            budget = (max_events - len(network.delivered)) // events_per_job
+            jobs = all_entries[: max(0, budget)]
+
+        # The run's randomness in one draw, in the order the jobs consume it:
+        # a CPU tile per task, then a (tile, jitter) pair per background
+        # packet.  An array of bounds draws exactly the values, and leaves
+        # the generator in the state, of drawing each bound on its own.
+        tasks = list(task_set)
+        bounds = [len(cpu_tiles)] * len(tasks)
+        bounds += [len(cpu_tiles), self.jitter_window] * (background_per_job * len(jobs))
+        draws = np.random.default_rng(seed).integers(0, bounds).tolist()
+        cpu_of_task = {task.name: cpu_tiles[tile] for task, tile in zip(tasks, draws)}
+        burst_draws = 2 * background_per_job
+
+        runtime: Dict[str, Schedule] = {
+            device: Schedule(device=device) for device in schedules
+        }
+        device_free_at: Dict[str, int] = {device: 0 for device in schedules}
+        for position, entry in enumerate(jobs):
+            offset = len(tasks) + burst_draws * position
+            burst = draws[offset : offset + burst_draws]
             source = cpu_of_task[entry.job.task.name]
             if self.background_first:
-                self._inject_background(network, rng, cpu_tiles, io_tile, entry.start, background_per_job)
+                self._inject_background(network, burst, cpu_tiles, io_tile, entry.start)
             request = Packet(
                 source=source,
                 destination=io_tile,
@@ -388,44 +392,41 @@ class _RemoteCPUBase(ExecutionModel):
             )
             delivered = network.send(request, entry.start)
             if not self.background_first:
-                self._inject_background(network, rng, cpu_tiles, io_tile, entry.start, background_per_job, behind=True)
+                self._inject_background(network, burst, cpu_tiles, io_tile, entry.start, behind=True)
             device = entry.job.device
             start = max(delivered, device_free_at[device])
             runtime[device].add(ScheduleEntry(job=entry.job, start=start))
             device_free_at[device] = start + entry.job.wcet
-            executed += 1
 
         return ExecutionOutcome(
             runtime_schedules=runtime,
             offline_schedules={device: schedule.copy() for device, schedule in schedules.items()},
-            executed_jobs=executed,
-            skipped_jobs=len(all_entries) - executed,
+            executed_jobs=len(jobs),
+            skipped_jobs=len(all_entries) - len(jobs),
             faults_detected=0,
             mean_noc_latency=network.mean_latency(kind="io-request"),
             max_noc_latency=network.max_latency(kind="io-request"),
             events_processed=len(network.delivered),
-            exhausted=exhausted,
+            exhausted=len(jobs) < len(all_entries),
             trace_counts={"packet-delivered": len(network.delivered)},
         )
 
     def _inject_background(
         self,
         network,
-        rng,
+        burst: List[int],
         cpu_tiles,
         io_tile,
         start: int,
-        count: int,
         *,
         behind: bool = False,
     ) -> None:
-        for _ in range(count):
-            bg_source = cpu_tiles[int(rng.integers(0, len(cpu_tiles)))]
-            jitter = int(rng.integers(0, self.jitter_window))
+        """Send one background packet per ``(tile, jitter)`` pair of ``burst``."""
+        for tile, jitter in zip(burst[::2], burst[1::2]):
             at = start + jitter if behind else max(0, start - jitter)
             network.send(
                 Packet(
-                    source=bg_source,
+                    source=cpu_tiles[tile],
                     destination=io_tile,
                     size_flits=self.background_size_flits,
                     kind="background",

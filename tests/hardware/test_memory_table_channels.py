@@ -1,6 +1,7 @@
 """Unit tests for the controller memory, scheduling table and channels."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hardware import (
     ControllerMemory,
@@ -94,6 +95,41 @@ class TestSchedulingTable:
         table = SchedulingTable()
         table.load_many([TableEntry("a", 0, 100), TableEntry("b", 0, 150), TableEntry("a", 1, 300)])
         assert len(table.entries_for("a")) == 2
+
+    def test_reload_moves_a_key_to_its_new_start_time(self):
+        table = SchedulingTable()
+        table.load_many([TableEntry("b", 0, 100), TableEntry("a", 0, 100)])
+        assert table.due_entries(100) == [TableEntry("a", 0, 100), TableEntry("b", 0, 100)]
+        table.due_entries(100).clear()  # callers get a copy, not the index
+        table.load(TableEntry("a", 0, 300))
+        assert table.due_entries(100) == [TableEntry("b", 0, 100)]
+        assert table.due_entries(300) == [TableEntry("a", 0, 300)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rounds=st.lists(
+            st.lists(
+                st.builds(
+                    TableEntry,
+                    task_name=st.sampled_from(["a", "b", "c"]),
+                    job_index=st.integers(min_value=0, max_value=3),
+                    start_time=st.integers(min_value=0, max_value=12),
+                ),
+                max_size=8,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_due_entries_equal_a_filter_over_entries(self, rounds):
+        """Loads between the queries (twelve keys, so reloads move keys)
+        never leave the start-time index stale."""
+        table = SchedulingTable()
+        for loads in rounds:
+            table.load_many(loads)
+            for time in range(-1, 14):
+                expected = [entry for entry in table.entries() if entry.start_time == time]
+                assert table.due_entries(time) == expected
 
 
 class TestChannels:

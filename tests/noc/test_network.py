@@ -1,5 +1,8 @@
 """Unit tests for routers, the NoC network and the latency model."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.noc import (
@@ -10,6 +13,29 @@ from repro.noc import (
     Router,
     worst_case_latency,
 )
+from repro.noc.routing import xy_route
+
+
+def hop_by_hop_oracle(mesh, sends, *, routing_delay, flit_delay, injection_delay, ejection_delay):
+    """Deliver ``(source, destination, size_flits, time)`` sends one after the
+    other, routing each with ``xy_route`` and serialising each output link in
+    arrival order.  Returns the delivery times and each router's forwarded
+    packets and accumulated blocking."""
+    link_free_at = {}
+    forwarded = Counter()
+    blocking = Counter()
+    deliveries = []
+    for source, destination, size_flits, time in sends:
+        route = xy_route(source, destination, mesh)
+        now = time + injection_delay
+        for node, next_node in zip(route, route[1:]):
+            start = max(now, link_free_at.get((node, next_node), 0))
+            forwarded[node] += 1
+            blocking[node] += start - now
+            now = start + routing_delay + size_flits * flit_delay
+            link_free_at[(node, next_node)] = now
+        deliveries.append(now + ejection_delay)
+    return deliveries, forwarded, blocking
 
 
 class TestRouter:
@@ -78,6 +104,38 @@ class TestNoCNetwork:
         assert len(network.latencies(kind="io-request")) == 1
         assert network.mean_latency() > 0
         assert network.max_latency() >= network.mean_latency()
+
+
+    def test_send_matches_a_hop_by_hop_oracle(self):
+        """200 mixed packets, most of them to one I/O tile so that pairs and
+        links repeat, some between random nodes (zero-hop ones included)."""
+        mesh = MeshTopology(4, 3)
+        delays = dict(routing_delay=3, flit_delay=2, injection_delay=1, ejection_delay=2)
+        nodes = list(mesh.nodes())
+        rng = random.Random(7)
+        sends = []
+        for _ in range(200):
+            source = rng.choice(nodes)
+            destination = (3, 2) if rng.random() < 0.7 else rng.choice(nodes)
+            sends.append((source, destination, rng.randint(1, 8), rng.randint(0, 400)))
+        network = NoCNetwork(mesh, **delays)
+        delivered = [
+            network.send(Packet(source, destination, size_flits=size), time)
+            for source, destination, size, time in sends
+        ]
+        deliveries, forwarded, blocking = hop_by_hop_oracle(mesh, sends, **delays)
+        assert delivered == deliveries
+        assert [packet.delivered_at for packet in network.delivered] == deliveries
+        for node in nodes:
+            assert network.router(node).forwarded == forwarded[node]
+            assert network.router(node).total_blocking == blocking[node]
+        assert sum(blocking.values()) > 0
+
+    def test_a_node_outside_the_mesh_is_rejected_on_every_send(self):
+        network = NoCNetwork(MeshTopology(2, 2))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside the mesh"):
+                network.send(Packet((0, 0), (2, 0)), 0)
 
 
 class TestWorstCaseLatency:

@@ -1,8 +1,12 @@
 """Unit tests for the execution-model registry and the built-in models."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.core.schedule import Schedule
+from repro.hardware import SchedulingTable
 from repro.runtime import (
     BUILTIN_EXECUTION_MODELS,
     ExecutionModelSpec,
@@ -124,6 +128,33 @@ class TestDedicatedController:
         assert outcome.exhausted
         assert outcome.events_processed == 3
 
+    def test_each_scheduling_table_is_sorted_at_most_twice(self, monkeypatch):
+        """Triggers look their entries up in the table's start-time index:
+        the 476-job partition sorts its table once to register the trigger
+        events and once to build the index, not once per trigger."""
+        calls = Counter()
+        entries = SchedulingTable.entries
+
+        def counting_entries(table):
+            calls[id(table)] += 1
+            return entries(table)
+
+        monkeypatch.setattr(SchedulingTable, "entries", counting_entries)
+        scenario = (
+            create_scenario("paper-default").with_utilisation(0.7).with_workload(n_tasks=40)
+        )
+        system = materialize(scenario, 0)
+        response = execute_request(
+            ScheduleRequest(scenario=scenario, system_index=0, spec=SchedulerSpec.parse("static"))
+        )
+        outcome = create_execution_model("dedicated-controller").execute(
+            system.task_set, response.device_schedules(system.task_set), system.platform
+        )
+        assert outcome.executed_jobs == outcome.events_processed == 476
+        tables = [processor.table for processor in system.platform.controller.processors.values()]
+        assert sorted(calls) == sorted(id(table) for table in tables)
+        assert all(calls[id(table)] <= 2 for table in tables)
+
 
 class TestCPUInstigated:
     def test_loses_exactness_to_noc_latency(self, materialized, schedules):
@@ -174,6 +205,34 @@ class TestCPUInstigated:
         assert outcome.skipped_jobs == total_jobs - 2
         assert outcome.events_processed <= budget
         assert outcome.accuracy < 1.0  # cut-off jobs count against accuracy
+
+    def test_a_budget_below_one_job_executes_none(self, materialized, schedules):
+        events_per_job = 1 + materialized.platform.spec.background_packets_per_job
+        outcome = create_execution_model("cpu-instigated").execute(
+            materialized.task_set,
+            schedules,
+            fresh_platform(),
+            seed=7,
+            max_events=events_per_job - 1,
+        )
+        assert outcome.exhausted
+        assert (outcome.executed_jobs, outcome.events_processed) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [[], [1] * 6, [2] * 6, [2**32 + 1] * 4, [15, 1, 2, 2**32 + 1, 5] * 4],
+        ids=["empty", "one", "two", "above-2**32", "interleaved"],
+    )
+    def test_an_array_of_bounds_draws_like_one_bound_at_a_time(self, bounds):
+        """The CPU-instigated models draw a run's randomness in one call;
+        NumPy must return exactly the scalar sequence and leave the
+        generator where the scalar draws leave it."""
+        batched = np.random.default_rng(2020)
+        scalar = np.random.default_rng(2020)
+        assert batched.integers(0, bounds).tolist() == [
+            int(scalar.integers(0, bound)) for bound in bounds
+        ]
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 class TestOutcomeMetrics:
