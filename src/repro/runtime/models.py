@@ -365,22 +365,21 @@ class _RemoteCPUBase(ExecutionModel):
 
         # The run's randomness in one draw, in the order the jobs consume it:
         # a CPU tile per task, then a (tile, jitter) pair per background
-        # packet.  An array of bounds draws exactly the values, and leaves
-        # the generator in the state, of drawing each bound on its own.
+        # packet.  NumPy draws an array of bounds exactly as it draws each
+        # bound on its own: the same values, the same final generator state.
         tasks = list(task_set)
         bounds = [len(cpu_tiles)] * len(tasks)
         bounds += [len(cpu_tiles), self.jitter_window] * (background_per_job * len(jobs))
         draws = np.random.default_rng(seed).integers(0, bounds).tolist()
         cpu_of_task = {task.name: cpu_tiles[tile] for task, tile in zip(tasks, draws)}
-        burst_draws = 2 * background_per_job
+        background = list(zip(draws[len(tasks) :: 2], draws[len(tasks) + 1 :: 2]))
 
         runtime: Dict[str, Schedule] = {
             device: Schedule(device=device) for device in schedules
         }
         device_free_at: Dict[str, int] = {device: 0 for device in schedules}
         for position, entry in enumerate(jobs):
-            offset = len(tasks) + burst_draws * position
-            burst = draws[offset : offset + burst_draws]
+            burst = background[background_per_job * position : background_per_job * (position + 1)]
             source = cpu_of_task[entry.job.task.name]
             if self.background_first:
                 self._inject_background(network, burst, cpu_tiles, io_tile, entry.start)
@@ -392,7 +391,9 @@ class _RemoteCPUBase(ExecutionModel):
             )
             delivered = network.send(request, entry.start)
             if not self.background_first:
-                self._inject_background(network, burst, cpu_tiles, io_tile, entry.start, behind=True)
+                self._inject_background(
+                    network, burst, cpu_tiles, io_tile, entry.start, behind=True
+                )
             device = entry.job.device
             start = max(delivered, device_free_at[device])
             runtime[device].add(ScheduleEntry(job=entry.job, start=start))
@@ -414,15 +415,15 @@ class _RemoteCPUBase(ExecutionModel):
     def _inject_background(
         self,
         network,
-        burst: List[int],
+        burst: List[Tuple[int, int]],
         cpu_tiles,
         io_tile,
         start: int,
         *,
         behind: bool = False,
     ) -> None:
-        """Send one background packet per ``(tile, jitter)`` pair of ``burst``."""
-        for tile, jitter in zip(burst[::2], burst[1::2]):
+        """Send one background packet per ``(tile, jitter)`` draw of ``burst``."""
+        for tile, jitter in burst:
             at = start + jitter if behind else max(0, start - jitter)
             network.send(
                 Packet(
