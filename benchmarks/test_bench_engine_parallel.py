@@ -2,10 +2,10 @@
 
 Two properties are demonstrated on ``ExperimentConfig.quick()``:
 
-* **parallel speedup** — the schedulability sweep on 4 workers is at least
-  2x faster than the serial run (asserted only when the machine actually has
-  >= 4 CPUs; the determinism assertion — bit-identical series at any worker
-  count — holds everywhere);
+* **pooled dispatch** — the schedulability sweep on 4 workers returns
+  bit-identical series to the serial run and computes every cell in the
+  pool: each computed cell records one ``queue-wait`` phase, and the serial
+  sweep records none (counted, not timed; the speedup is printed);
 * **near-free cache hits** — re-running a sweep against a populated artifact
   directory recomputes nothing: the sweep JSON answers it whole, and without
   that JSON the cell cache answers every cell (counted, not timed; the
@@ -22,6 +22,13 @@ from repro.experiments import ExperimentConfig, ExperimentEngine
 PARALLEL_WORKERS = 4
 
 
+def queue_waits(engine: ExperimentEngine) -> int:
+    """Schedule requests whose trace recorded a pool queue-wait phase."""
+    return engine.service.registry.histogram_count(
+        "repro_request_latency_ms", kind="schedule", phase="queue-wait"
+    )
+
+
 @pytest.mark.benchmark(group="engine")
 def test_engine_parallel_speedup(benchmark, quick_config, tmp_path_factory):
     config = quick_config.with_overrides(n_workers=1, artifact_dir=None)
@@ -29,19 +36,25 @@ def test_engine_parallel_speedup(benchmark, quick_config, tmp_path_factory):
     start = time.perf_counter()
     with ExperimentEngine(config, n_workers=1) as engine:
         serial = engine.schedulability_sweep()
+        serial_waits = queue_waits(engine)
     serial_seconds = time.perf_counter() - start
 
     def parallel_run():
         with ExperimentEngine(config, n_workers=PARALLEL_WORKERS) as engine:
-            return engine.schedulability_sweep()
+            return engine.schedulability_sweep(), engine.cells_computed, queue_waits(engine)
 
     start = time.perf_counter()
-    parallel = benchmark.pedantic(parallel_run, rounds=1, iterations=1)
+    parallel, computed, pooled_waits = benchmark.pedantic(parallel_run, rounds=1, iterations=1)
     parallel_seconds = time.perf_counter() - start
 
     # Bit-identical results at any worker count, on any machine.
     assert parallel.series == serial.series
     assert parallel.utilisations == serial.utilisations
+    # Every computed cell of the pooled sweep waited in the pool's queue
+    # once; the serial sweep never queued.
+    assert computed > 0
+    assert pooled_waits == computed
+    assert serial_waits == 0
 
     speedup = serial_seconds / max(parallel_seconds, 1e-9)
     print()
@@ -50,13 +63,6 @@ def test_engine_parallel_speedup(benchmark, quick_config, tmp_path_factory):
         f"{PARALLEL_WORKERS} workers {parallel_seconds:.2f}s "
         f"-> {speedup:.2f}x on {os.cpu_count()} CPUs"
     )
-    # Wall-clock assertions need dedicated cores: skip on machines with too
-    # few CPUs and on shared CI runners (neighbour load makes timing flaky).
-    if (os.cpu_count() or 1) >= PARALLEL_WORKERS and not os.environ.get("CI"):
-        assert speedup >= 2.0, (
-            f"expected >= 2x speedup with {PARALLEL_WORKERS} workers on "
-            f"{os.cpu_count()} CPUs, measured {speedup:.2f}x"
-        )
 
 
 @pytest.mark.benchmark(group="engine")
