@@ -99,8 +99,8 @@ class TestSchedulingTable:
     def test_reload_moves_a_key_to_its_new_start_time(self):
         table = SchedulingTable()
         table.load_many([TableEntry("b", 0, 100), TableEntry("a", 0, 100)])
-        assert table.due_entries(100) == [TableEntry("a", 0, 100), TableEntry("b", 0, 100)]
         table.due_entries(100).clear()  # callers get a copy, not the index
+        assert table.due_entries(100) == [TableEntry("a", 0, 100), TableEntry("b", 0, 100)]
         table.load(TableEntry("a", 0, 300))
         assert table.due_entries(100) == [TableEntry("b", 0, 100)]
         assert table.due_entries(300) == [TableEntry("a", 0, 300)]
