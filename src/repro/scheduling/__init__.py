@@ -40,7 +40,6 @@ from repro.scheduling.gpiocp import GPIOCPScheduler
 from repro.scheduling.heuristic import HeuristicScheduler
 from repro.scheduling.online import FPSOnlineSchedulabilityMethod
 from repro.scheduling.lccd import LCCDAllocator
-from repro.scheduling.slots import FreeSlot, free_slots, slots_within_window
 from repro.scheduling.ga import GAScheduler, GAConfig
 
 __all__ = [
@@ -63,9 +62,6 @@ __all__ = [
     "scheduler_registered",
     "available_schedulers",
     "LCCDAllocator",
-    "FreeSlot",
-    "free_slots",
-    "slots_within_window",
     "DependencyGraphs",
     "build_dependency_graphs",
     "decompose_graphs",

@@ -14,29 +14,37 @@ exactly at their ideal start times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
-
-import networkx as nx
+import heapq
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import List, Sequence, Set, Tuple
 
 from repro.core.task import IOJob
 
 
 @dataclass
 class DependencyGraphs:
-    """The conflict graph of a job set together with its connected components."""
+    """The conflict graph of a job set, as adjacency lists over ``jobs``.
 
-    graph: nx.Graph
+    ``jobs`` is sorted by ``(ideal_start, key)`` and ``adjacency[i]`` lists
+    the positions of the jobs that conflict with ``jobs[i]``.  The conflict
+    graph is an interval graph, so each connected component is a contiguous
+    run of that order; ``component_starts`` holds the first position of each.
+    """
+
     jobs: List[IOJob]
+    adjacency: List[List[int]]
+    component_starts: List[int]
 
     @property
     def components(self) -> List[Set[Tuple[str, int]]]:
         """Connected components, each a set of job keys."""
-        return [set(component) for component in nx.connected_components(self.graph)]
+        bounds = self.component_starts + [len(self.jobs)]
+        return [{job.key for job in self.jobs[lo:hi]} for lo, hi in zip(bounds, bounds[1:])]
 
     def penalty_weight(self, job: IOJob) -> int:
         """Penalty weight ``psi`` of a job: its degree in the conflict graph."""
-        return int(self.graph.degree(job.key))
+        return len(self.adjacency[self.jobs.index(job)])
 
 
 def build_dependency_graphs(jobs: Sequence[IOJob]) -> DependencyGraphs:
@@ -46,20 +54,24 @@ def build_dependency_graphs(jobs: Sequence[IOJob]) -> DependencyGraphs:
     Connected components correspond to the dependency graphs ``G_1 … G_n`` of
     the paper.
     """
-    graph = nx.Graph()
     ordered = sorted(jobs, key=lambda j: (j.ideal_start, j.key))
-    for job in ordered:
-        graph.add_node(job.key, job=job)
-    # Sweep over jobs ordered by ideal start: only nearby jobs can overlap, so
-    # the inner loop stops as soon as the next job starts after the current
-    # job's ideal finish.
+    starts = [job.ideal_start for job in ordered]
+    adjacency: List[List[int]] = [[] for _ in ordered]
+    component_starts: List[int] = []
+    reach = 0  # running maximum of the ideal finishes so far
+    # Sweep over jobs ordered by ideal start: job i conflicts with exactly
+    # the later jobs that start before its ideal finish, and it opens a new
+    # component iff it starts at or after every earlier job's ideal finish.
     for i, job in enumerate(ordered):
-        ideal_finish = job.ideal_start + job.wcet
-        for other in ordered[i + 1:]:
-            if other.ideal_start >= ideal_finish:
-                break
-            graph.add_edge(job.key, other.key)
-    return DependencyGraphs(graph=graph, jobs=list(ordered))
+        finish = starts[i] + job.wcet
+        if i == 0 or starts[i] >= reach:
+            component_starts.append(i)
+        reach = max(reach, finish)
+        later = range(i + 1, bisect_left(starts, finish, i + 1))
+        adjacency[i].extend(later)
+        for other in later:
+            adjacency[other].append(i)
+    return DependencyGraphs(jobs=ordered, adjacency=adjacency, component_starts=component_starts)
 
 
 def decompose_graphs(graphs: DependencyGraphs) -> Tuple[List[IOJob], List[IOJob]]:
@@ -75,43 +87,34 @@ def decompose_graphs(graphs: DependencyGraphs) -> Tuple[List[IOJob], List[IOJob]
     Within each component the job with the highest penalty weight (degree) is
     removed first; ties are broken towards the lowest priority (the paper notes
     a lower-priority job has a wider release window, hence more free slots for
-    re-allocation), then towards the later ideal start for determinism.
+    re-allocation), then towards the later ideal start, then the larger job
+    key for determinism.
 
-    The selection loop runs on a plain adjacency dict rather than a mutable
-    networkx copy — the victim choice is identical (the final ``key``
-    tie-break makes it unique regardless of iteration order) and the
-    per-round cost drops to dict/set operations.
+    Victims come from a lazy min-heap keyed ``(-degree, priority, -position)``:
+    positions follow ``(ideal_start, key)``, so ``-position`` is the last two
+    tie-breaks in one.  Degrees only fall, so a heap entry is current exactly
+    when its degree equals the node's degree; stale entries are skipped.
     """
-    adjacency: Dict[Tuple[str, int], Set[Tuple[str, int]]] = {
-        key: set(graphs.graph[key]) for key in graphs.graph.nodes
-    }
-    job_of: Dict[Tuple[str, int], IOJob] = {
-        key: graphs.graph.nodes[key]["job"] for key in graphs.graph.nodes
-    }
-    sacrificed: List[IOJob] = []
-    edges_remaining = sum(len(neighbours) for neighbours in adjacency.values()) // 2
+    jobs = graphs.jobs
+    degree = [len(neighbours) for neighbours in graphs.adjacency]
+    heap = [(-d, jobs[i].priority, -i) for i, d in enumerate(degree) if d]
+    heapq.heapify(heap)
+    removed = [False] * len(jobs)
+    sacrificed: List[int] = []
+    while heap:
+        negative_degree, _, negative_position = heapq.heappop(heap)
+        victim = -negative_position
+        if degree[victim] != -negative_degree:
+            continue
+        removed[victim] = True
+        degree[victim] = 0
+        sacrificed.append(victim)
+        for other in graphs.adjacency[victim]:
+            if degree[other]:
+                degree[other] -= 1
+                if degree[other]:
+                    heapq.heappush(heap, (-degree[other], jobs[other].priority, -other))
 
-    while edges_remaining:
-        # Pick the node with the highest degree; tie-break by lowest priority,
-        # then latest ideal start, then job key (full determinism).
-        victim_key = max(
-            (key for key, neighbours in adjacency.items() if neighbours),
-            key=lambda key: (
-                len(adjacency[key]),
-                -job_of[key].priority,
-                job_of[key].ideal_start,
-                key,
-            ),
-        )
-        neighbours = adjacency.pop(victim_key)
-        for other in neighbours:
-            adjacency[other].discard(victim_key)
-        edges_remaining -= len(neighbours)
-        sacrificed.append(job_of[victim_key])
-
-    kept = sorted(
-        (job_of[key] for key in adjacency),
-        key=lambda j: (j.ideal_start, j.key),
-    )
-    sacrificed.sort(key=lambda j: (-j.priority, j.ideal_start, j.key))
-    return kept, sacrificed
+    kept = [job for job, gone in zip(jobs, removed) if not gone]
+    sacrificed.sort(key=lambda i: (-jobs[i].priority, i))
+    return kept, [jobs[i] for i in sacrificed]

@@ -70,7 +70,7 @@ class HeuristicScheduler(Scheduler):
             "n_input_jobs": len(jobs),
             "n_kept": len(kept),
             "n_sacrificed": len(sacrificed),
-            "n_dependency_graphs": len(graphs.components),
+            "n_dependency_graphs": len(graphs.component_starts),
             "allocated_direct": report.allocated_direct,
             "allocated_by_shift": report.allocated_by_shift,
             "failed_job": report.failed_job,

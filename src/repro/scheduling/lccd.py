@@ -18,18 +18,24 @@ LCC-D rule handles each sacrificed job, highest priority first, in two cases:
 If neither case applies the allocation — and hence the heuristic schedule —
 is declared infeasible (the paper explicitly stops here rather than searching
 for re-allocations of already-placed jobs).
+
+The allocator works on arrays.  The placed jobs are start-sorted ``starts`` /
+``finishes`` / ``placed`` (job position) vectors; they never overlap, so the
+finishes are sorted too.  The free slots are the gaps above the running
+maximum of the finishes, and the jobs inside a run of slots are a contiguous
+range of the vectors.  The :class:`~repro.core.schedule.Schedule` is built
+once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.schedule import Schedule, ScheduleEntry
 from repro.core.task import IOJob
-from repro.scheduling.slots import FreeSlot, free_slots, slots_within_window, total_capacity
 
 
 @dataclass
@@ -43,6 +49,15 @@ class AllocationReport:
     @property
     def feasible(self) -> bool:
         return self.failed_job is None
+
+
+class _Windows(NamedTuple):
+    """Per-job timing vectors, indexed by position in ``kept + pending``."""
+
+    release: np.ndarray
+    deadline: np.ndarray
+    wcet: np.ndarray
+    ideal: np.ndarray
 
 
 class LCCDAllocator:
@@ -62,189 +77,181 @@ class LCCDAllocator:
         sacrificed: Sequence[IOJob],
         horizon: int,
     ) -> Tuple[Optional[Schedule], AllocationReport]:
-        """Build a complete schedule, or return ``(None, report)`` if infeasible."""
-        schedule = Schedule()
-        for job in kept:
-            schedule.set_start(job, job.ideal_start)
+        """Build a complete schedule, or return ``(None, report)`` if infeasible.
 
+        ``kept`` must not overlap at their ideal starts (``decompose_graphs``
+        guarantees it).
+        """
         report = AllocationReport()
         # Highest priority first (the paper's "largest P_i first").
         pending = sorted(sacrificed, key=lambda j: (-j.priority, j.ideal_start, j.key))
-        # Per-job window arrays: the direct-fit contention check compares every
-        # candidate slot against every still-pending job in one broadcast.
-        releases = np.array([j.release for j in pending], dtype=np.int64)
-        deadlines = np.array([j.deadline for j in pending], dtype=np.int64)
-        wcets = np.array([j.wcet for j in pending], dtype=np.int64)
-        for index, job in enumerate(pending):
-            if self._allocate_direct(
-                schedule,
-                job,
-                releases[index + 1:],
-                deadlines[index + 1:],
-                wcets[index + 1:],
-                horizon,
-            ):
+        jobs = list(kept) + pending
+        w = _Windows(
+            release=np.array([j.release for j in jobs], dtype=np.int64),
+            deadline=np.array([j.deadline for j in jobs], dtype=np.int64),
+            wcet=np.array([j.wcet for j in jobs], dtype=np.int64),
+            ideal=np.array([j.ideal_start for j in jobs], dtype=np.int64),
+        )
+
+        # Buffers for every job; the first ``position`` entries hold the jobs
+        # placed so far (the kept ones, then pending ones in order).
+        starts, finishes, placed = (np.empty(len(jobs), dtype=np.int64) for _ in range(3))
+        placed[:len(kept)] = np.argsort(w.ideal[:len(kept)], kind="stable")
+        starts[:len(kept)] = w.ideal[placed[:len(kept)]]
+        finishes[:len(kept)] = starts[:len(kept)] + w.wcet[placed[:len(kept)]]
+        for position in range(len(kept), len(jobs)):
+            slot_lo, slot_hi = _free_slots(starts[:position], finishes[:position], horizon)
+            start = self._direct_fit(w, position, slot_lo, slot_hi)
+            if start is not None:
                 report.allocated_direct += 1
-                continue
-            if self._allocate_by_shifting(schedule, job, horizon):
+            else:
+                start = self._shift_fit(
+                    w, position, slot_lo, slot_hi,
+                    starts[:position], finishes[:position], placed[:position],
+                )
+                if start is None:
+                    report.failed_job = jobs[position].name
+                    return None, report
                 report.allocated_by_shift += 1
-                continue
-            report.failed_job = job.name
-            return None, report
+            at = int(np.searchsorted(starts[:position], start))
+            for vector, value in (
+                (starts, start),
+                (finishes, start + w.wcet[position]),
+                (placed, position),
+            ):
+                vector[at + 1:position + 1] = vector[at:position]
+                vector[at] = value
+
+        final = np.empty(len(jobs), dtype=np.int64)
+        final[placed] = starts
+        schedule = Schedule(
+            ScheduleEntry(job=job, start=start) for job, start in zip(jobs, final.tolist())
+        )
         return schedule, report
+
+    def _placement(self, w: _Windows, position: int, lo: int, hi: int) -> int:
+        """Start of job ``position`` in the window-clipped gap ``[lo, hi)``."""
+        if not self.prefer_ideal_placement:
+            return lo
+        return min(max(int(w.ideal[position]), lo), hi - int(w.wcet[position]))
 
     # -- case 1: direct fit ---------------------------------------------------
 
-    def _allocate_direct(
-        self,
-        schedule: Schedule,
-        job: IOJob,
-        remaining_releases: np.ndarray,
-        remaining_deadlines: np.ndarray,
-        remaining_wcets: np.ndarray,
-        horizon: int,
-    ) -> bool:
-        intervals = schedule.idle_intervals(horizon)
-        if not intervals:
-            return False
-        starts = np.fromiter((lo for lo, _ in intervals), dtype=np.int64, count=len(intervals))
-        ends = np.fromiter((hi for _, hi in intervals), dtype=np.int64, count=len(intervals))
-        usable_lo = np.maximum(starts, job.release)
-        usable_hi = np.minimum(ends, job.deadline)
-        fits = (usable_hi > usable_lo) & (usable_hi - usable_lo >= job.wcet)
-        if not fits.any():
-            return False
-        fit_starts = starts[fits]
-        fit_ends = ends[fits]
-        # Least contention first: how many still-pending jobs could also use
-        # each candidate slot (one broadcast instead of a slot x job loop).
-        if remaining_releases.size:
-            lo = np.maximum(fit_starts[:, None], remaining_releases[None, :])
-            hi = np.minimum(fit_ends[:, None], remaining_deadlines[None, :])
-            contention = ((hi > lo) & (hi - lo >= remaining_wcets)).sum(axis=1)
-        else:
-            contention = np.zeros(fit_starts.size, dtype=np.int64)
-        capacities = fit_ends - fit_starts
-        chosen = min(
-            range(fit_starts.size),
-            key=lambda i: (contention[i], capacities[i], fit_starts[i]),
-        )
-        slot = FreeSlot(int(fit_starts[chosen]), int(fit_ends[chosen]))
-        start = slot.fit_start(job, prefer_ideal=self.prefer_ideal_placement)
-        assert start is not None  # guaranteed by the fit mask
-        schedule.set_start(job, start)
-        return True
+    def _direct_fit(
+        self, w: _Windows, position: int, slot_lo: np.ndarray, slot_hi: np.ndarray
+    ) -> Optional[int]:
+        usable_lo = np.maximum(slot_lo, w.release[position])
+        usable_hi = np.minimum(slot_hi, w.deadline[position])
+        fits = np.nonzero(usable_hi - usable_lo >= w.wcet[position])[0]
+        if fits.size == 0:
+            return None
+        chosen = fits[0]
+        if fits.size > 1:
+            # Least contention first: how many still-pending jobs could also
+            # use each candidate slot (one broadcast instead of a slot x job
+            # loop), then least capacity, then the earliest slot.
+            later = slice(position + 1, None)
+            lo = np.maximum(slot_lo[fits, None], w.release[later])
+            hi = np.minimum(slot_hi[fits, None], w.deadline[later])
+            contention = (hi - lo >= w.wcet[later]).sum(axis=1)
+            capacity = slot_hi[fits] - slot_lo[fits]
+            chosen = fits[np.lexsort((slot_lo[fits], capacity, contention))[0]]
+        return self._placement(w, position, int(usable_lo[chosen]), int(usable_hi[chosen]))
 
     # -- case 2: fit by shifting ----------------------------------------------
 
-    def _allocate_by_shifting(self, schedule: Schedule, job: IOJob, horizon: int) -> bool:
-        slots = free_slots(schedule, horizon)
-        window_slots = slots_within_window(slots, job.release, job.deadline)
-        if total_capacity(window_slots) < job.wcet:
-            return False
-
-        runs = self._candidate_runs(schedule, slots, job)
-        for _, _, run_slots, between in runs:
-            if self._try_pack(schedule, job, run_slots, between, pack_left=True):
-                return True
-            if self._try_pack(schedule, job, run_slots, between, pack_left=False):
-                return True
-        return False
-
-    def _candidate_runs(
+    def _shift_fit(
         self,
-        schedule: Schedule,
-        slots: Sequence[FreeSlot],
-        job: IOJob,
-    ) -> List[Tuple[int, int, List[FreeSlot], List[ScheduleEntry]]]:
-        """Consecutive slot groups whose merged capacity could hold the job.
+        w: _Windows,
+        position: int,
+        slot_lo: np.ndarray,
+        slot_hi: np.ndarray,
+        starts: np.ndarray,
+        finishes: np.ndarray,
+        placed: np.ndarray,
+    ) -> Optional[int]:
+        """Place job ``position`` by shifting the jobs of one slot run.
 
-        Each run is annotated with (#exactly-accurate in-between jobs,
-        #in-between jobs) and the runs are returned best-first.
+        Shifted jobs are written into ``starts``/``finishes`` in place; they
+        stay inside their run, so the vectors stay sorted.
         """
-        runs: List[Tuple[int, int, List[FreeSlot], List[ScheduleEntry]]] = []
-        n = len(slots)
-        if n == 0:
-            return runs
+        release, deadline, wcet = w.release[position], w.deadline[position], w.wcet[position]
+        capacity = np.maximum(np.minimum(slot_hi, deadline) - np.maximum(slot_lo, release), 0)
+        if capacity.sum() < wcet:
+            return None
         # Each run starts at slot i and extends to the first slot j whose
         # cumulative window-clipped capacity reaches the job's WCET (extending
-        # further only adds more disturbance).  Finding every (i, j) pair is a
-        # prefix-sum + binary search instead of the O(n^2) slot scan.
-        slot_starts = np.fromiter((s.start for s in slots), dtype=np.int64, count=n)
-        slot_ends = np.fromiter((s.end for s in slots), dtype=np.int64, count=n)
-        clipped = np.minimum(slot_ends, job.deadline) - np.maximum(slot_starts, job.release)
-        cum = np.cumsum(np.maximum(clipped, 0))
-        targets = job.wcet + np.concatenate((np.zeros(1, dtype=np.int64), cum[:-1]))
-        run_ends = np.maximum(np.searchsorted(cum, targets, side="left"), np.arange(n))
+        # further only adds more disturbance): a prefix sum + binary search.
+        cum = np.cumsum(capacity)
+        n = cum.size
+        run_ends = np.maximum(np.searchsorted(cum, wcet + cum - capacity), np.arange(n))
+        firsts = np.nonzero(run_ends < n)[0]
+        region_lo, region_hi = slot_lo[firsts], slot_hi[run_ends[firsts]]
+        # The placed jobs inside [lo, hi] are the range [first, stop) of the
+        # start-sorted vectors; rank the runs by their exactly-accurate jobs,
+        # then by all their jobs, then by start.
+        first = np.searchsorted(starts, region_lo)
+        stop = np.searchsorted(finishes, region_hi, side="right")
+        exact = np.concatenate(([0], np.cumsum(starts == w.ideal[placed])))
+        for k in np.lexsort((region_lo, stop - first, exact[stop] - exact[first])):
+            between = placed[first[k]:stop[k]].tolist()
+            for pack_left in (True, False):
+                packed = _pack(w, between, int(region_lo[k]), int(region_hi[k]), pack_left)
+                if packed is None:
+                    continue
+                shifted, gap_lo, gap_hi = packed
+                lo, hi = max(gap_lo, int(release)), min(gap_hi, int(deadline))
+                if hi - lo < wcet:
+                    continue
+                starts[first[k]:stop[k]] = shifted
+                finishes[first[k]:stop[k]] = shifted + w.wcet[between]
+                return self._placement(w, position, lo, hi)
+        return None
 
-        entries = schedule.sorted_entries()
-        entry_starts = np.fromiter((e.start for e in entries), dtype=np.int64, count=len(entries))
-        entry_finishes = np.fromiter(
-            (e.finish for e in entries), dtype=np.int64, count=len(entries)
-        )
-        entry_exact = np.fromiter(
-            (e.start == e.job.ideal_start for e in entries), dtype=bool, count=len(entries)
-        )
-        for i in np.nonzero(run_ends < n)[0]:
-            j = int(run_ends[i])
-            run_slots = list(slots[i:j + 1])
-            lo, hi = run_slots[0].start, run_slots[-1].end
-            inside = np.nonzero((entry_starts >= lo) & (entry_finishes <= hi))[0]
-            between = [entries[k] for k in inside]
-            exact_between = int(np.count_nonzero(entry_exact[inside]))
-            runs.append((exact_between, len(between), run_slots, between))
-        runs.sort(key=lambda r: (r[0], r[1], r[2][0].start))
-        return runs
 
-    def _try_pack(
-        self,
-        schedule: Schedule,
-        job: IOJob,
-        run_slots: Sequence[FreeSlot],
-        between: Sequence[ScheduleEntry],
-        *,
-        pack_left: bool,
-    ) -> bool:
-        """Shift the in-between jobs towards one end of the run and insert ``job``.
+def _free_slots(
+    starts: np.ndarray, finishes: np.ndarray, horizon: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Maximal idle intervals ``[lo, hi)`` over ``[0, horizon)``, in time order.
 
-        Packing left pushes the in-between jobs as early as their releases
-        allow, opening a gap at the end of the run; packing right pushes them
-        as late as their deadlines allow, opening a gap at the start.  The
-        shifts are applied only if the resulting gap can hold the new job
-        inside its own release window.
-        """
-        region_start = run_slots[0].start
-        region_end = run_slots[-1].end
-        ordered = sorted(between, key=lambda e: e.start)
+    A gap opens before each placed job that starts past the running maximum
+    of the earlier finishes, and before the horizon.
+    """
+    lo = np.maximum.accumulate(np.concatenate(([0], finishes)))
+    hi = np.concatenate((starts, [horizon]))
+    opens = hi > lo
+    return lo[opens], hi[opens]
 
-        new_starts: List[Tuple[IOJob, int]] = []
-        if pack_left:
-            cursor = region_start
-            for entry in ordered:
-                start = max(entry.job.release, cursor)
-                if start + entry.job.wcet > entry.job.deadline:
-                    return False
-                new_starts.append((entry.job, start))
-                cursor = start + entry.job.wcet
-            gap_start, gap_end = cursor, region_end
-        else:
-            cursor = region_end
-            for entry in reversed(ordered):
-                finish = min(entry.job.deadline, cursor)
-                start = finish - entry.job.wcet
-                if start < entry.job.release:
-                    return False
-                new_starts.append((entry.job, start))
-                cursor = start
-            gap_start, gap_end = region_start, cursor
 
-        usable = FreeSlot(gap_start, gap_end).overlap(job.release, job.deadline)
-        if usable is None or usable.capacity < job.wcet:
-            return False
+def _pack(
+    w: _Windows, between: List[int], region_lo: int, region_hi: int, pack_left: bool
+) -> Optional[Tuple[np.ndarray, int, int]]:
+    """Shift the in-between jobs towards one end of the run.
 
-        for shifted_job, start in new_starts:
-            schedule.set_start(shifted_job, start)
-        placement = usable.fit_start(job, prefer_ideal=self.prefer_ideal_placement)
-        assert placement is not None
-        schedule.set_start(job, placement)
-        return True
+    Packing left pushes the in-between jobs as early as their releases
+    allow, opening a gap at the end of the run; packing right pushes them
+    as late as their deadlines allow, opening a gap at the start.  Returns
+    ``(new starts, gap_lo, gap_hi)``, or ``None`` if a job would leave its
+    release window.
+    """
+    release = w.release[between].tolist()
+    deadline = w.deadline[between].tolist()
+    wcet = w.wcet[between].tolist()
+    shifted = [0] * len(between)
+    if pack_left:
+        cursor = region_lo
+        for i in range(len(between)):
+            start = max(release[i], cursor)
+            if start + wcet[i] > deadline[i]:
+                return None
+            shifted[i] = start
+            cursor = start + wcet[i]
+        return np.array(shifted, dtype=np.int64), cursor, region_hi
+    cursor = region_hi
+    for i in reversed(range(len(between))):
+        start = min(deadline[i], cursor) - wcet[i]
+        if start < release[i]:
+            return None
+        shifted[i] = start
+        cursor = start
+    return np.array(shifted, dtype=np.int64), region_lo, cursor

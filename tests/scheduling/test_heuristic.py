@@ -1,5 +1,10 @@
 """Unit tests for the heuristic ("static") scheduler — Algorithm 1."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import MS, IOTask, TaskSet, validate_schedule
@@ -91,3 +96,24 @@ class TestHeuristicScheduler:
         )
         result = HeuristicScheduler().schedule_taskset(ts)
         assert not result.schedulable
+
+
+def test_static_runs_without_networkx():
+    """``repro`` imports and schedules a system with networkx unavailable."""
+    code = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "import repro\n"
+        "from repro.scheduling import create_scheduler\n"
+        "from repro.taskgen import SystemGenerator\n"
+        "result = create_scheduler('static').schedule_taskset(SystemGenerator(rng=0).generate(0.5))\n"
+        "print(sorted(result.per_device))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "dev0" in completed.stdout

@@ -1,9 +1,9 @@
-"""Unit tests for free-slot computation."""
+"""Unit tests for the reference allocator's free-slot helpers (``lccd_oracle``)."""
 
 import pytest
 
+from lccd_oracle import FreeSlot, free_slots, slots_within_window, total_capacity
 from repro.core import MS, IOTask, Schedule
-from repro.scheduling.slots import FreeSlot, free_slots, slots_within_window, total_capacity
 
 
 def make_task(name="t", delta=5 * MS):
