@@ -33,8 +33,12 @@ def upsilon(schedule: Schedule) -> float:
     entries = schedule.entries
     if not entries:
         return 1.0
-    obtained = sum(entry.quality for entry in entries)
-    ideal = sum(entry.job.max_quality() for entry in entries)
+    # A left-to-right loop, not sum(): since Python 3.12 sum() adds floats
+    # with compensation, which would move Upsilon's last bits.
+    obtained = ideal = 0
+    for entry in entries:
+        obtained += entry.quality
+        ideal += entry.job.max_quality()
     if ideal == 0:
         return 1.0
     return obtained / ideal

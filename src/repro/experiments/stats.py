@@ -7,11 +7,19 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum on every Python (3.12's sum() compensates floats)."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def mean(values: Sequence[float]) -> float:
     values = list(values)
     if not values:
         return float("nan")
-    return sum(values) / len(values)
+    return _left_sum(values) / len(values)
 
 
 def median(values: Sequence[float]) -> float:
@@ -53,7 +61,7 @@ def std(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     mu = mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / (len(values) - 1))
+    return math.sqrt(_left_sum((v - mu) ** 2 for v in values) / (len(values) - 1))
 
 
 @dataclass(frozen=True)
