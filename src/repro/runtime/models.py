@@ -106,11 +106,14 @@ class ExecutionOutcome:
         Jobs skipped at run time (fault recovery, horizon cut-offs) count
         against accuracy, so a model cannot look accurate by dropping work.
         """
+        return self.accuracy_of(self.start_time_deviations())
+
+    def accuracy_of(self, deviations: Sequence[int]) -> float:
+        """:attr:`accuracy` from an already computed :meth:`start_time_deviations`."""
         total = self.offline_jobs
         if total == 0:
             return 1.0
-        exact = sum(1 for deviation in self.start_time_deviations() if deviation == 0)
-        return exact / total
+        return sum(1 for deviation in deviations if deviation == 0) / total
 
     @property
     def matches_offline(self) -> bool:

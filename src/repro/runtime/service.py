@@ -121,8 +121,7 @@ def _unschedulable_response(
     )
 
 
-def _trace_summary(outcome: ExecutionOutcome) -> Dict[str, object]:
-    deviations = outcome.start_time_deviations()
+def _trace_summary(outcome: ExecutionOutcome, deviations: List[int]) -> Dict[str, object]:
     return {
         "event_counts": dict(outcome.trace_counts),
         "max_deviation": max(deviations) if deviations else 0,
@@ -193,6 +192,7 @@ def execute_simulation(
         outcome = model.execute(
             task_set, schedules, platform, seed=seed, max_events=request.max_events
         )
+    deviations = outcome.start_time_deviations()
 
     return SimulationResponse(
         request_id=request.request_id,
@@ -202,7 +202,7 @@ def execute_simulation(
         system_index=request.system_index,
         horizon=schedule_response.horizon,
         schedulable=True,
-        accuracy=outcome.accuracy,
+        accuracy=outcome.accuracy_of(deviations),
         psi=outcome.psi,
         upsilon=outcome.upsilon,
         offline_psi=schedule_response.psi,
@@ -215,7 +215,7 @@ def execute_simulation(
         max_noc_latency=outcome.max_noc_latency,
         events_processed=outcome.events_processed,
         exhausted=outcome.exhausted,
-        trace=_trace_summary(outcome),
+        trace=_trace_summary(outcome, deviations),
         elapsed_s=time.perf_counter() - start,
     )
 

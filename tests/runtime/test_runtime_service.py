@@ -12,6 +12,7 @@ from repro.runtime import (
     derive_execution_seed,
     execute_simulation,
 )
+from repro.runtime.models import ExecutionOutcome
 from repro.scenario import Scenario, WorkloadSpec, create_scenario
 from repro.service import SchedulingService
 from repro.taskgen import GeneratorConfig
@@ -58,6 +59,19 @@ class TestExecuteSimulation:
         a = execute_simulation(request)
         b = execute_simulation(request)
         assert a.result_dict() == b.result_dict()
+
+    def test_start_time_deviations_computed_once_per_response(self, tiny_scenario, monkeypatch):
+        calls = []
+        original = ExecutionOutcome.start_time_deviations
+
+        def counted(outcome):
+            calls.append(outcome)
+            return original(outcome)
+
+        monkeypatch.setattr(ExecutionOutcome, "start_time_deviations", counted)
+        responses = [execute_simulation(request) for request in request_batch(tiny_scenario)]
+        assert all(response.schedulable for response in responses)
+        assert len(calls) == len(responses) == 5
 
     def test_scheduling_service_path_is_bit_identical(self, tiny_scenario):
         request = SimulationRequest(scenario=tiny_scenario, execution_model="cpu-instigated")
