@@ -64,7 +64,6 @@ class Schedule:
     def __init__(self, entries: Iterable[ScheduleEntry] = (), device: Optional[str] = None):
         self._entries: Dict[Tuple[str, int], ScheduleEntry] = {}
         self._sorted_cache: Optional[List[ScheduleEntry]] = None
-        self._idle_cache: Optional[Tuple[int, List[Tuple[int, int]]]] = None
         self.device = device
         for entry in entries:
             self.add(entry)
@@ -87,7 +86,6 @@ class Schedule:
             else:
                 insort(self._sorted_cache, entry, key=lambda e: (e.start, e.job.key))
         self._entries[entry.job.key] = entry
-        self._idle_cache = None
 
     def set_start(self, job: IOJob, start: int) -> None:
         """Assign ``start`` as the start time of ``job``."""
@@ -148,8 +146,6 @@ class Schedule:
 
     def idle_intervals(self, horizon: int) -> List[Tuple[int, int]]:
         """Sorted idle (free-slot) intervals in ``[0, horizon)`` around the busy ones."""
-        if self._idle_cache is not None and self._idle_cache[0] == horizon:
-            return list(self._idle_cache[1])
         idle: List[Tuple[int, int]] = []
         cursor = 0
         for start, finish in self.busy_intervals():
@@ -158,8 +154,7 @@ class Schedule:
             cursor = max(cursor, finish)
         if cursor < horizon:
             idle.append((cursor, horizon))
-        self._idle_cache = (horizon, idle)
-        return list(idle)
+        return idle
 
     def copy(self) -> "Schedule":
         return Schedule(self._entries.values(), device=self.device)
