@@ -16,6 +16,11 @@ equality:
   placement; same entries in the same insertion order, same report);
 * :class:`FreeSlot` and the slot helpers, which the reference allocator
   uses and ``test_slots.py`` covers.
+
+The reference allocator raises ``ValueError`` when a kept job's ideal
+execution ends after its deadline and packing it right opens an inverted
+gap; the array allocator reports such a partition unschedulable, so the
+comparisons draw ideal executions inside their release windows.
 """
 
 from __future__ import annotations

@@ -97,6 +97,19 @@ class TestHeuristicScheduler:
         result = HeuristicScheduler().schedule_taskset(ts)
         assert not result.schedulable
 
+    def test_kept_job_past_its_deadline_is_reported_not_raised(self):
+        # t0's ideal execution [3, 6) ends after its deadline 4.  Packing it
+        # right to make room for the sacrificed t2 would open an inverted
+        # gap, which the object-based allocator turned into a ValueError.
+        tasks = [
+            IOTask(name="t0", wcet=3, period=20, deadline=4, ideal_offset=3),
+            IOTask(name="t1", wcet=2, period=20, deadline=17),
+            IOTask(name="t2", wcet=4, period=20, deadline=9),
+        ]
+        result = HeuristicScheduler().schedule_jobs([t.job(0) for t in tasks], horizon=20)
+        assert not result.schedulable
+        assert result.info["failed_job"] == "t2[0]"
+
 
 def test_static_runs_without_networkx():
     """``repro`` imports and schedules a system with networkx unavailable."""
