@@ -72,6 +72,14 @@ from repro.campaign.spec import (
 from repro.runtime import format_execution_model_listing
 from repro.scenario import format_scenario_listing
 from repro.scheduling import format_scheduler_listing
+from repro.service.batch_cli import (
+    add_listing_arguments,
+    add_metrics_out_argument,
+    add_output_argument,
+    add_service_arguments,
+    write_output,
+    write_runner_metrics,
+)
 
 REPORT_FORMATS = ("table", "md", "json")
 
@@ -100,21 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the building blocks of a campaign (registered scenario "
         "presets with content keys, registered scheduling methods) and exit",
     )
-    parser.add_argument(
-        "--list-scenarios",
-        action="store_true",
-        help="list the registered scenario presets and exit",
-    )
-    parser.add_argument(
-        "--list-methods",
-        action="store_true",
-        help="list the registered scheduling methods and exit",
-    )
-    parser.add_argument(
-        "--list-execution-models",
-        action="store_true",
-        help="list the registered run-time execution models and exit",
-    )
+    add_listing_arguments(parser, ("scenarios", "methods", "execution-models"))
     commands = parser.add_subparsers(dest="command")
 
     run = commands.add_parser(
@@ -193,26 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="root directory for campaign artifacts (spec + cell journal); "
         "required for --resume",
     )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes of the scheduling service (default: 1); "
+    add_service_arguments(
+        run,
+        workers="worker processes of the scheduling service (default: 1); "
         "results are bit-identical at any worker count",
-    )
-    run.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persistent content-addressed schedule cache shared with other "
+        cache_dir="persistent content-addressed schedule cache shared with other "
         "service consumers (omit to cache in memory for this run only)",
-    )
-    run.add_argument(
-        "--cache-backend",
-        default=None,
-        metavar="SPEC",
-        help="storage backend for the persistent caches, as a 'name:key=value' "
+        cache_backend="storage backend for the persistent caches, as a 'name:key=value' "
         "spec string — e.g. 'sqlite:path=cache.db' holds the schedule and "
         "simulation caches in one file, safe to share between concurrent "
         "shard workers (see `python -m repro.store --list-backends`).  "
@@ -257,13 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="report format printed after the run (default: table)",
     )
-    run.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="write the report to FILE instead of stdout",
-    )
+    add_output_argument(run, "write the report to FILE instead of stdout")
     run.add_argument(
         "--timings",
         action="store_true",
@@ -272,13 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bytes are unchanged); view with `report --timings`.  Requires "
         "--artifact-dir",
     )
-    run.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="write the run's service metrics (Prometheus text exposition) "
-        "to FILE when the campaign finishes",
-    )
+    add_metrics_out_argument(run)
     relog.add_log_level_argument(run)
 
     merge = commands.add_parser(
@@ -336,13 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="output format (default: table)",
     )
-    report.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="write the report to FILE instead of stdout",
-    )
+    add_output_argument(report, "write the report to FILE instead of stdout")
     report.add_argument(
         "--timings",
         action="store_true",
@@ -382,25 +345,32 @@ def resolve_run_spec(
 
 
 def discover_campaign_spec(
-    parser: argparse.ArgumentParser, artifact_dir: str, key: Optional[str]
+    parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> CampaignSpec:
-    """Load a campaign spec from its artifact directory (``report`` command)."""
-    root = Path(artifact_dir)
-    if key is not None:
-        candidates = [root / key / CAMPAIGN_SPEC_FILENAME]
-        if not candidates[0].exists():
-            parser.error(f"no campaign with key {key!r} under {artifact_dir!r}")
-    else:
-        candidates = sorted(root.glob(f"*/{CAMPAIGN_SPEC_FILENAME}"))
-        if not candidates:
-            parser.error(f"no campaigns found under {artifact_dir!r}")
-        if len(candidates) > 1:
-            keys = ", ".join(path.parent.name for path in candidates)
-            parser.error(
-                f"multiple campaigns under {artifact_dir!r} ({keys}); "
-                "select one with --key or pass the spec explicitly"
-            )
-    return load_campaign(str(candidates[0]))
+    """The spec of a ``merge`` or ``report`` invocation: the positional
+    reference, or the campaign found under ``--artifact-dir`` (``--key``
+    selects one)."""
+    root = Path(args.artifact_dir)
+    try:
+        if args.spec is not None:
+            return load_campaign(args.spec)
+        if args.key is not None:
+            candidates = [root / args.key / CAMPAIGN_SPEC_FILENAME]
+            if not candidates[0].exists():
+                parser.error(f"no campaign with key {args.key!r} under {args.artifact_dir!r}")
+        else:
+            candidates = sorted(root.glob(f"*/{CAMPAIGN_SPEC_FILENAME}"))
+            if not candidates:
+                parser.error(f"no campaigns found under {args.artifact_dir!r}")
+            if len(candidates) > 1:
+                keys = ", ".join(path.parent.name for path in candidates)
+                parser.error(
+                    f"multiple campaigns under {args.artifact_dir!r} ({keys}); "
+                    "select one with --key or pass the spec explicitly"
+                )
+        return load_campaign(str(candidates[0]))
+    except (ValueError, KeyError) as error:
+        parser.error(f"invalid campaign spec: {error}")
 
 
 def render_report(report: CampaignReport, fmt: str) -> str:
@@ -409,35 +379,6 @@ def render_report(report: CampaignReport, fmt: str) -> str:
     if fmt == "md":
         return report.to_markdown()
     return report.to_text()
-
-
-def emit(text: str, output: Optional[str]) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
-def _write_runner_metrics(path: str, runner: CampaignRunner) -> None:
-    """Write the runner's service metrics as Prometheus text exposition.
-
-    Remote services (``--server``) proxy to the daemon and carry no local
-    registries — scrape the daemon's ``metrics`` op for those instead.
-    """
-    from repro.obs import merge_snapshots, write_metrics_file
-
-    registries = []
-    for service in (runner.simulation, runner.service):
-        collect = getattr(service, "metrics_registries", None)
-        if collect is None:
-            continue
-        for registry in collect():
-            if not any(registry is seen for seen in registries):
-                registries.append(registry)
-    snapshot = merge_snapshots([registry.snapshot() for registry in registries])
-    write_metrics_file(path, snapshot)
-    relog.info("metrics-written", path=path)
 
 
 def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -511,7 +452,7 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                 )
             result = runner.run(max_cells=args.max_cells)
             if args.metrics_out is not None:
-                _write_runner_metrics(args.metrics_out, runner)
+                write_runner_metrics(args.metrics_out, runner)
     finally:
         if simulation is not None:
             simulation.close()
@@ -540,7 +481,7 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.report_format == "none":
         return 0
     if shard is None:
-        emit(render_report(result.report(), args.report_format), args.output)
+        write_output(render_report(result.report(), args.report_format), args.output)
     elif result.merged_journal is not None:
         # All shards done: report the full merged campaign, not our slice.
         print(f"merged shard journals into {result.merged_journal}", file=sys.stderr)
@@ -548,7 +489,7 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         report = CampaignReport.from_records(
             spec, records, runtime_records=runtime_records
         )
-        emit(render_report(report, args.report_format), args.output)
+        write_output(render_report(report, args.report_format), args.output)
     else:
         print(
             "other shards still pending; once they finish, the journals merge "
@@ -559,13 +500,7 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_merge(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    try:
-        if args.spec is not None:
-            spec = load_campaign(args.spec)
-        else:
-            spec = discover_campaign_spec(parser, args.artifact_dir, args.key)
-    except (ValueError, KeyError) as error:
-        parser.error(f"invalid campaign spec: {error}")
+    spec = discover_campaign_spec(parser, args)
 
     directory = Path(args.artifact_dir) / spec.content_key()
     try:
@@ -582,13 +517,7 @@ def cmd_merge(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    try:
-        if args.spec is not None:
-            spec = load_campaign(args.spec)
-        else:
-            spec = discover_campaign_spec(parser, args.artifact_dir, args.key)
-    except (ValueError, KeyError) as error:
-        parser.error(f"invalid campaign spec: {error}")
+    spec = discover_campaign_spec(parser, args)
 
     records, runtime_records = load_campaign_records(args.artifact_dir, spec)
     report = CampaignReport.from_records(spec, records, runtime_records=runtime_records)
@@ -604,7 +533,7 @@ def cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         directory = Path(args.artifact_dir) / spec.content_key()
         table = format_timings_table(read_timing_entries(directory))
         text += f"\nper-cell wall-clock timings (computed cells):\n{table}\n"
-    emit(text, args.output)
+    write_output(text, args.output)
     return 0
 
 

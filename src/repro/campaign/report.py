@@ -21,7 +21,6 @@ Emitters: :meth:`~CampaignReport.to_json` (machine-readable),
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -31,6 +30,7 @@ from repro.campaign.spec import (
     CampaignSpec,
 )
 from repro.core.serialization import (
+    JsonEnvelope,
     parse_versioned_payload,
     versioned_payload,
 )
@@ -72,7 +72,7 @@ def runtime_label(method: str, execution_model: str) -> str:
 
 
 @dataclass(frozen=True)
-class CampaignReport:
+class CampaignReport(JsonEnvelope):
     """Aggregated per-(scenario, method) statistics of one campaign.
 
     ``entries`` maps ``metric -> scenario -> method -> stats`` where
@@ -321,11 +321,7 @@ class CampaignReport:
         )
 
     def to_json(self, *, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignReport":
-        return cls.from_dict(json.loads(text))
+        return super().to_json(indent=indent)
 
     # -- human-readable emitters -------------------------------------------------
 

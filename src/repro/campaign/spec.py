@@ -27,7 +27,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.serialization import (
-    content_hash,
+    ContentKeyed,
+    JsonEnvelope,
     parse_versioned_payload,
     versioned_payload,
 )
@@ -223,7 +224,7 @@ class RuntimeCell:
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(JsonEnvelope, ContentKeyed):
     """A frozen, versioned description of one evaluation campaign.
 
     ``scenarios`` entries may be given as anything
@@ -409,6 +410,8 @@ class CampaignSpec:
             data["runtime"] = self.runtime.to_dict()
         return data
 
+    _key_dict = data_dict
+
     def to_dict(self) -> Dict[str, Any]:
         # Campaigns without a runtime section serialise exactly as version 1
         # did, so payloads only claim the newer version when they need it.
@@ -446,24 +449,6 @@ class CampaignSpec:
             metrics=tuple(data.get("metrics") or CAMPAIGN_METRICS),
             runtime=RuntimeSpec.from_dict(runtime) if runtime is not None else None,
         )
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignSpec":
-        return cls.from_dict(json.loads(text))
-
-    def content_key(self) -> str:
-        """Content-address of the full campaign (any field change changes it).
-
-        The spec is frozen, so the key is hashed once and memoised.
-        """
-        cached = self.__dict__.get("_content_key")
-        if cached is None:
-            cached = content_hash(self.data_dict())
-            object.__setattr__(self, "_content_key", cached)
-        return cached
 
 
 #: Anything :func:`create_campaign` can resolve into a spec.

@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.schedule import Schedule, ScheduleEntry
 from repro.core.task import IOTask, TaskSet
@@ -191,3 +191,39 @@ def content_hash(obj: Any, *, length: int = 16) -> str:
     """Hex digest of the canonical JSON form of ``obj`` (content cache key)."""
     digest = hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
     return digest[:length]
+
+
+class JsonEnvelope:
+    """A value that travels as a versioned ``{kind, version, data}`` payload.
+
+    Subclasses define ``to_dict`` and the classmethod ``from_dict``; this
+    adds their JSON text forms.
+    """
+
+    def to_json(self, *, indent: Optional[int] = None) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
+
+class ContentKeyed:
+    """A frozen value addressed by the :func:`content_hash` of :meth:`_key_dict`."""
+
+    def _key_dict(self) -> Any:
+        """Exactly the content that determines what the value means."""
+        raise NotImplementedError
+
+    def content_key(self) -> str:
+        """The content address: any change to the keyed content changes it.
+
+        The value is frozen, so the key is hashed once and memoised; the
+        cached string also rides along in pickles, saving pool workers the
+        re-hash.
+        """
+        cached = self.__dict__.get("_content_key")
+        if cached is None:
+            cached = content_hash(self._key_dict())
+            object.__setattr__(self, "_content_key", cached)
+        return cached

@@ -18,15 +18,23 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core import logging as relog
-from repro.core.profiling import DEFAULT_PROFILE_PATH, maybe_profile
+from repro.core.profiling import maybe_profile
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.fig6_psi import run_fig6
 from repro.experiments.fig7_upsilon import run_fig7
 from repro.experiments.table1_resources import run_table1
-from repro.scenario import create_scenario, format_scenario_listing
-from repro.scheduling import available_schedulers, format_scheduler_listing, scheduler_registered
+from repro.scenario import create_scenario
+from repro.scheduling import available_schedulers, scheduler_registered
 from repro.service import SchedulerSpec
+from repro.service.batch_cli import (
+    add_listing_arguments,
+    add_metrics_out_argument,
+    add_profile_argument,
+    print_listings,
+    write_metrics,
+    write_runner_metrics,
+)
 
 FIGURES = ("fig5", "fig6", "fig7", "table1", "all")
 
@@ -100,39 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
         "and print its Markdown report; see `python -m repro.campaign` for "
         "the full campaign CLI (resume, report formats)",
     )
-    parser.add_argument(
-        "--profile",
-        nargs="?",
-        const=DEFAULT_PROFILE_PATH,
-        default=None,
-        metavar="PSTATS",
-        help="run under cProfile: dump raw stats to PSTATS (default: "
-        f"{DEFAULT_PROFILE_PATH}) and print the top-20 cumulative summary "
-        "to stderr",
-    )
-    parser.add_argument(
-        "--list-methods",
-        action="store_true",
-        help="list the registered scheduling methods and exit",
-    )
-    parser.add_argument(
-        "--list-scenarios",
-        action="store_true",
-        help="list the registered scenario presets and exit",
-    )
-    parser.add_argument(
-        "--list-execution-models",
-        action="store_true",
-        help="list the registered run-time execution models and exit "
-        "(simulated via `python -m repro.runtime`)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="write the run's metrics (Prometheus text exposition: cell "
-        "counters and evaluate-latency histograms) to FILE",
-    )
+    add_profile_argument(parser)
+    add_listing_arguments(parser)
+    add_metrics_out_argument(parser)
     relog.add_log_level_argument(parser)
     return parser
 
@@ -174,7 +152,6 @@ def run_campaign_cli(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     convenience) and reuses ``--workers`` for the scheduling service.
     """
     from repro.campaign import CampaignRunner, load_campaign
-    from repro.campaign.__main__ import _write_runner_metrics
 
     try:
         spec = load_campaign(args.campaign)
@@ -185,7 +162,7 @@ def run_campaign_cli(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     ) as runner:
         result = runner.run()
         if args.metrics_out is not None:
-            _write_runner_metrics(args.metrics_out, runner)
+            write_runner_metrics(args.metrics_out, runner)
     print(
         f"campaign {spec.name!r} ({spec.content_key()}): "
         f"{result.evaluated} evaluated, {result.resumed} resumed",
@@ -199,15 +176,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     relog.configure_from_args(args)
-    if args.list_methods or args.list_scenarios or args.list_execution_models:
-        if args.list_methods:
-            print(format_scheduler_listing())
-        if args.list_scenarios:
-            print(format_scenario_listing())
-        if args.list_execution_models:
-            from repro.runtime import format_execution_model_listing
-
-            print(format_execution_model_listing())
+    if print_listings(args):
         return 0
     if args.campaign is not None:
         if args.figure is not None:
@@ -273,10 +242,7 @@ def _run_figures(args, config, methods, wants) -> int:
             metrics_snapshot = engine.metrics()
 
     if args.metrics_out is not None:
-        from repro.obs import write_metrics_file
-
-        write_metrics_file(args.metrics_out, metrics_snapshot)
-        relog.info("metrics-written", path=args.metrics_out)
+        write_metrics(args.metrics_out, metrics_snapshot)
 
     if args.artifact_dir:
         print(f"artifacts written under {args.artifact_dir}")

@@ -24,20 +24,21 @@ elapsed wall-clock time), exactly like
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from repro.core.serialization import (
-    content_hash,
-    parse_versioned_payload,
     taskset_from_dict,
     taskset_to_dict,
     versioned_payload,
 )
 from repro.core.task import TaskSet
-from repro.scenario import Scenario, create_scenario, materialize
-from repro.service.messages import CACHE_DISABLED, ScheduleRequest
+from repro.scenario import Scenario, create_scenario
+from repro.service.messages import (
+    RequestEnvelope,
+    ResponseEnvelope,
+    ScheduleRequest,
+)
 from repro.service.spec import SchedulerSpec
 from repro.runtime.models import ExecutionModelSpec
 
@@ -48,7 +49,7 @@ SIM_RESPONSE_VERSION = 1
 
 
 @dataclass(frozen=True)
-class SimulationRequest:
+class SimulationRequest(RequestEnvelope):
     """One question to the simulation service: *run this scenario, that way*.
 
     The scenario supplies the platform (controller + NoC) and the fault plan,
@@ -68,6 +69,10 @@ class SimulationRequest:
     ``max_events`` bounds the discrete-event simulation; a budget that runs
     out mid-horizon is reported via ``SimulationResponse.exhausted``.
     """
+
+    KIND = SIM_REQUEST_KIND
+    VERSION = SIM_REQUEST_VERSION
+    INT_FIELDS = ("system_index", "horizon", "max_events", "seed")
 
     scenario: Optional[Scenario] = None
     method: Optional[SchedulerSpec] = "static"
@@ -106,16 +111,6 @@ class SimulationRequest:
 
     # -- derived views -----------------------------------------------------------
 
-    def effective_task_set(self) -> TaskSet:
-        """The concrete workload: the explicit one, or the scenario's system."""
-        if self.task_set is not None:
-            return self.task_set
-        cached = getattr(self, "_materialized_task_set", None)
-        if cached is None:
-            cached = materialize(self.scenario, self.system_index).task_set
-            object.__setattr__(self, "_materialized_task_set", cached)
-        return cached
-
     def schedule_request(self) -> ScheduleRequest:
         """The scheduling-service request obtaining this simulation's schedule.
 
@@ -139,54 +134,23 @@ class SimulationRequest:
             request_id=self.request_id,
         )
 
-    def content_key(self) -> str:
-        """Content-address of the simulation question (excludes ``request_id``).
-
-        Hashes the scenario's content key (covering workload, platform and
-        fault plan), the workload override (when explicit), the system index,
-        the schedule-method spec, the execution model, the horizon, the event
-        budget and the seed.
-
-        The request is frozen, so the key is hashed once and memoised — repeat
-        calls (cache lookup, seed derivation, batch dedup) return the cached
-        string.
-        """
-        cached = self.__dict__.get("_content_key")
-        if cached is not None:
-            return cached
-        key = content_hash(
-            {
-                "scenario": self.scenario.content_key(),
-                "workload": (
-                    taskset_to_dict(self.task_set) if self.task_set is not None else None
-                ),
-                "system_index": self.system_index,
-                "method": self.method.to_dict(),
-                "execution_model": self.execution_model.to_dict(),
-                "horizon": self.horizon,
-                "max_events": self.max_events,
-                "seed": self.seed,
-            }
-        )
-        object.__setattr__(self, "_content_key", key)
-        return key
-
-    # -- pickling ----------------------------------------------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Slim pickles: drop the memoised task set, keep the content key.
-
-        The materialised task set can dwarf the request itself; any receiver
-        re-materialises it deterministically on demand.  The content key is a
-        small string and saves the receiver a full canonical-JSON hash, so it
-        rides along.
-        """
-        state = dict(self.__dict__)
-        state.pop("_materialized_task_set", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
+    def _key_dict(self) -> Dict[str, Any]:
+        """The scenario's content key (covering workload, platform and fault
+        plan), the workload override (when explicit), the system index, the
+        schedule-method spec, the execution model, the horizon, the event
+        budget and the seed."""
+        return {
+            "scenario": self.scenario.content_key(),
+            "workload": (
+                taskset_to_dict(self.task_set) if self.task_set is not None else None
+            ),
+            "system_index": self.system_index,
+            "method": self.method.to_dict(),
+            "execution_model": self.execution_model.to_dict(),
+            "horizon": self.horizon,
+            "max_events": self.max_events,
+            "seed": self.seed,
+        }
 
     # -- serialisation -----------------------------------------------------------
 
@@ -207,15 +171,13 @@ class SimulationRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SimulationRequest":
-        _, data = parse_versioned_payload(
-            dict(payload), SIM_REQUEST_KIND, max_version=SIM_REQUEST_VERSION
-        )
+        data = cls._payload_data(payload)
         task_set = data.get("taskset")
         return cls(
             scenario=Scenario.from_dict(data["scenario"]),
             method=SchedulerSpec.from_dict(data["method"]),
             execution_model=ExecutionModelSpec.from_dict(data["execution_model"]),
-            system_index=int(data.get("system_index", 0)),
+            system_index=data.get("system_index", 0),
             task_set=taskset_from_dict(task_set) if task_set is not None else None,
             horizon=data.get("horizon"),
             max_events=data.get("max_events"),
@@ -223,16 +185,9 @@ class SimulationRequest:
             request_id=data.get("id"),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimulationRequest":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
-class SimulationResponse:
+class SimulationResponse(ResponseEnvelope):
     """The simulation service's answer: deterministic result + provenance.
 
     ``method`` is the canonical string of the schedule-method spec actually
@@ -243,7 +198,9 @@ class SimulationResponse:
     — never the full event list.
     """
 
-    request_id: Optional[str]
+    KIND = SIM_RESPONSE_KIND
+    VERSION = SIM_RESPONSE_VERSION
+
     scenario: str
     method: str
     execution_model: str
@@ -264,106 +221,8 @@ class SimulationResponse:
     events_processed: int
     exhausted: bool
     trace: Dict[str, Any] = field(default_factory=dict)
-    # -- provenance (excluded from result_dict and from caching) -----------------
-    cache: str = CACHE_DISABLED
-    cache_key: Optional[str] = None
-    elapsed_s: float = 0.0
 
-    def result_dict(self) -> Dict[str, Any]:
-        """The deterministic portion of the response (what the cache stores)."""
-        return {
-            "scenario": self.scenario,
-            "method": self.method,
-            "execution_model": self.execution_model,
-            "system_index": self.system_index,
-            "horizon": self.horizon,
-            "schedulable": self.schedulable,
-            "accuracy": self.accuracy,
-            "psi": self.psi,
-            "upsilon": self.upsilon,
-            "offline_psi": self.offline_psi,
-            "offline_upsilon": self.offline_upsilon,
-            "matches_offline": self.matches_offline,
-            "executed_jobs": self.executed_jobs,
-            "skipped_jobs": self.skipped_jobs,
-            "faults_detected": self.faults_detected,
-            "mean_noc_latency": self.mean_noc_latency,
-            "max_noc_latency": self.max_noc_latency,
-            "events_processed": self.events_processed,
-            "exhausted": self.exhausted,
-            "trace": self.trace,
-        }
-
-    @classmethod
-    def from_result_dict(
-        cls,
-        data: Mapping[str, Any],
-        *,
-        request_id: Optional[str] = None,
-        cache: str = CACHE_DISABLED,
-        cache_key: Optional[str] = None,
-        elapsed_s: float = 0.0,
-    ) -> "SimulationResponse":
-        """Rebuild a response around a stored deterministic result."""
-        return cls(
-            request_id=request_id,
-            scenario=str(data["scenario"]),
-            method=str(data["method"]),
-            execution_model=str(data["execution_model"]),
-            system_index=int(data["system_index"]),
-            horizon=int(data["horizon"]),
-            schedulable=bool(data["schedulable"]),
-            accuracy=float(data["accuracy"]),
-            psi=float(data["psi"]),
-            upsilon=float(data["upsilon"]),
-            offline_psi=float(data["offline_psi"]),
-            offline_upsilon=float(data["offline_upsilon"]),
-            matches_offline=bool(data["matches_offline"]),
-            executed_jobs=int(data["executed_jobs"]),
-            skipped_jobs=int(data["skipped_jobs"]),
-            faults_detected=int(data["faults_detected"]),
-            mean_noc_latency=float(data["mean_noc_latency"]),
-            max_noc_latency=int(data["max_noc_latency"]),
-            events_processed=int(data["events_processed"]),
-            exhausted=bool(data["exhausted"]),
-            trace=dict(data.get("trace") or {}),
-            cache=cache,
-            cache_key=cache_key,
-            elapsed_s=elapsed_s,
-        )
-
-    # -- serialisation -----------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return versioned_payload(
-            SIM_RESPONSE_KIND,
-            SIM_RESPONSE_VERSION,
-            {
-                "id": self.request_id,
-                "result": self.result_dict(),
-                "cache": {"status": self.cache, "key": self.cache_key},
-                "timing": {"elapsed_s": self.elapsed_s},
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SimulationResponse":
-        _, data = parse_versioned_payload(
-            dict(payload), SIM_RESPONSE_KIND, max_version=SIM_RESPONSE_VERSION
-        )
-        cache = data.get("cache") or {}
-        timing = data.get("timing") or {}
-        return cls.from_result_dict(
-            data["result"],
-            request_id=data.get("id"),
-            cache=str(cache.get("status", CACHE_DISABLED)),
-            cache_key=cache.get("key"),
-            elapsed_s=float(timing.get("elapsed_s", 0.0)),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimulationResponse":
-        return cls.from_dict(json.loads(text))
+    # perfbench's tracer times ``service.envelope`` by wrapping these two
+    # methods where it finds them: in this class's own body.
+    from_result_dict = classmethod(ResponseEnvelope.from_result_dict.__func__)
+    to_dict = ResponseEnvelope.to_dict

@@ -23,12 +23,12 @@ reused stale schedule.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.core.serialization import (
-    content_hash,
+    ContentKeyed,
+    JsonEnvelope,
     parse_versioned_payload,
     versioned_payload,
 )
@@ -225,7 +225,7 @@ class FaultPlanSpec:
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(JsonEnvelope, ContentKeyed):
     """One complete, serialisable description of an evaluation scenario.
 
     Frozen and hashable, so scenarios can ride inside other frozen values
@@ -289,6 +289,8 @@ class Scenario:
             "faults": self.faults.to_dict(),
         }
 
+    _key_dict = data_dict
+
     def to_dict(self) -> Dict[str, Any]:
         return versioned_payload(SCENARIO_KIND, SCENARIO_VERSION, self.data_dict())
 
@@ -305,26 +307,6 @@ class Scenario:
             platform=PlatformSpec.from_dict(kwargs.get("platform") or {}),
             faults=FaultPlanSpec.from_dict(kwargs.get("faults") or {}),
         )
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return cls.from_dict(json.loads(text))
-
-    def content_key(self) -> str:
-        """Content-address of the full scenario (any field change changes it).
-
-        The scenario is frozen, so the key is hashed once and memoised; the
-        cached string also rides along in pickles, saving pool workers the
-        re-hash.
-        """
-        cached = self.__dict__.get("_content_key")
-        if cached is None:
-            cached = content_hash(self.data_dict())
-            object.__setattr__(self, "_content_key", cached)
-        return cached
 
 
 #: Anything :func:`repro.scenario.registry.create_scenario` can resolve.

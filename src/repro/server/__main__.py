@@ -8,7 +8,11 @@ wire-level ``shutdown`` op, SIGINT or SIGTERM — all drain gracefully)::
 ``request`` is the batch CLIs' exact JSONL contract, routed through a running
 daemon instead of a private pool: request envelopes in (schedule and sim
 requests may be mixed), response envelopes out, in input order — plus the
-same declarative ``--scenario`` mode as ``python -m repro.service``::
+same declarative ``--scenario`` mode as ``python -m repro.service``.  It runs
+the batch CLIs' loop (:class:`repro.service.batch_cli.BatchCli`), so a line
+whose kind the client cannot route stops it before anything is sent, with
+``source:line: invalid request: …``; an error answer from the daemon, or no
+daemon at the address, ends it with one stderr line and exit status 1::
 
     python -m repro.server request --server 127.0.0.1:7341 requests.jsonl -o out.jsonl
     python -m repro.server request --server 127.0.0.1:7341 \
@@ -29,13 +33,21 @@ import contextlib
 import json
 import signal
 import sys
-from typing import Any, Dict, List, Optional, Sequence, TextIO
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core import logging as relog
-from repro.server.client import ServerClient, parse_address
+from repro.server.client import ServerClient, ServerError, op_for_envelope, parse_address
 from repro.server.daemon import DEFAULT_HOST, ReproServer
 from repro.server.dispatcher import DEFAULT_MAX_QUEUE
 from repro.server.protocol import DEFAULT_MAX_LINE_BYTES
+from repro.service.batch_cli import (
+    BatchCli,
+    BatchResult,
+    add_service_arguments,
+    open_service,
+    scenario_requests,
+    write_metrics,
+)
 
 DEFAULT_PORT = 7341
 
@@ -57,25 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_PORT,
         help=f"listen port; 0 binds an ephemeral port (default: {DEFAULT_PORT})",
     )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes shared by scheduling and simulation (default: 1)",
-    )
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persistent cache root, in the batch CLIs' layout (schedules/ "
+    add_service_arguments(
+        serve,
+        workers="worker processes shared by scheduling and simulation (default: 1)",
+        cache_dir="persistent cache root, in the batch CLIs' layout (schedules/ "
         "and sim-responses/ beneath it); omit to cache in memory only",
-    )
-    serve.add_argument(
-        "--cache-backend",
-        default=None,
-        metavar="SPEC",
-        help="storage backend for the persistent caches, as a 'name:key=value' "
+        cache_backend="storage backend for the persistent caches, as a 'name:key=value' "
         "spec string — e.g. 'sqlite:path=cache.db' holds both caches in one "
         "file (see `python -m repro.store --list-backends`).  Conflicts with "
         "--cache-dir",
@@ -121,51 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(the batch CLIs' envelope format, schedule and sim requests mixed)",
     )
     _add_server_argument(request)
-    request.add_argument(
-        "input",
-        nargs="?",
-        default=None,
-        help="request JSONL file ('-' reads stdin); one versioned "
-        "repro/schedule-request or repro/sim-request payload per line.  "
-        "Omit when using --scenario",
-    )
-    request.add_argument(
-        "--scenario",
-        default=None,
-        metavar="NAME_OR_JSON",
-        help="generate schedule requests from a scenario (preset name or "
-        "inline repro/scenario JSON) instead of reading a request file",
-    )
-    request.add_argument(
-        "--systems",
-        type=int,
-        default=1,
-        metavar="N",
-        help="with --scenario: schedule system indices 0..N-1 (default: 1)",
-    )
-    request.add_argument(
-        "--methods",
-        nargs="+",
-        default=["static"],
-        metavar="SPEC",
-        help="with --scenario: scheduler spec strings per system (default: static)",
-    )
-    request.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="response JSONL file (default: stdout)",
-    )
-    request.add_argument(
-        "--window",
-        type=int,
-        default=32,
-        metavar="N",
-        help="requests kept in flight on the connection (default: 32)",
-    )
-
-    relog.add_log_level_argument(request)
+    REQUEST_CLI.add_arguments(request)
 
     for name, help_text in (
         ("stats", "print a running daemon's live statistics as JSON"),
@@ -193,20 +148,19 @@ def serve_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.cache_dir is not None and args.cache_backend is not None:
         parser.error("pass either --cache-dir or --cache-backend, not both")
-    try:
-        server = ReproServer(
-            host=args.host,
-            port=args.port,
-            n_workers=args.workers,
-            cache_dir=args.cache_dir,
-            cache_backend=args.cache_backend,
-            max_queue=args.max_queue,
-            max_line_bytes=args.max_line_bytes,
-            allow_remote_shutdown=not args.no_remote_shutdown,
-            port_file=args.port_file,
-        )
-    except ValueError as error:
-        parser.error(f"--cache-backend: {error}")
+    server = open_service(
+        parser,
+        ReproServer,
+        host=args.host,
+        port=args.port,
+        n_workers=args.workers,
+        cache_dir=args.cache_dir,
+        cache_backend=args.cache_backend,
+        max_queue=args.max_queue,
+        max_line_bytes=args.max_line_bytes,
+        allow_remote_shutdown=not args.no_remote_shutdown,
+        port_file=args.port_file,
+    )
 
     async def run() -> None:
         loop = asyncio.get_running_loop()
@@ -225,69 +179,47 @@ def serve_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     asyncio.run(run())
     if args.metrics_out is not None:
-        from repro.obs.expo import write_metrics_file
-
-        write_metrics_file(args.metrics_out, server.metrics_snapshot())
-        relog.info("metrics-written", path=args.metrics_out)
+        write_metrics(args.metrics_out, server.metrics_snapshot())
     relog.info("server-stopped")
     return 0
 
 
-def read_envelopes(handle: TextIO, *, source: str) -> List[Dict[str, Any]]:
-    """Read raw request envelopes (one JSON object per line)."""
-    envelopes: List[Dict[str, Any]] = []
-    for line_number, line in enumerate(handle, start=1):
-        line = line.strip()
-        if not line:
-            continue
+class RequestBatchCli(BatchCli):
+    """``request``: the batch CLIs' loop, answered by a running daemon."""
+
+    request_kinds = "repro/schedule-request or repro/sim-request"
+    local = False
+
+    def add_own_arguments(self, parser: argparse.ArgumentParser) -> None:
+        parser.add_argument(
+            "--window",
+            type=int,
+            default=32,
+            metavar="N",
+            help="requests kept in flight on the connection (default: 32)",
+        )
+
+    def parse(self, payload: Any) -> Dict[str, Any]:
+        """Lines travel as read; only their kind must name an op."""
+        op_for_envelope(payload)
+        return payload
+
+    def derive(self, source: str, args: argparse.Namespace) -> List[Dict[str, Any]]:
+        requests = scenario_requests(args.scenario, args.methods, args.systems)
+        return [request.to_dict() for request in requests]
+
+    def execute(self, parser, args, envelopes) -> BatchResult:
+        host, port = parse_address(args.server)
         try:
-            envelope = json.loads(line)
-        except ValueError as error:
-            raise SystemExit(f"{source}:{line_number}: invalid JSON: {error}")
-        if not isinstance(envelope, dict):
-            raise SystemExit(f"{source}:{line_number}: expected a JSON object")
-        envelopes.append(envelope)
-    return envelopes
+            with ServerClient(host, port, window=args.window) as client:
+                answers = client.submit_envelopes(envelopes)
+        except (ServerError, OSError) as error:
+            raise SystemExit(f"{args.server}: {error}")
+        statuses = [answer["data"]["cache"]["status"] for answer in answers]
+        return BatchResult(answers, sum(1 for status in statuses if status != "hit"))
 
 
-def request_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if (args.input is None) == (args.scenario is None):
-        parser.error("provide exactly one of an input file and --scenario")
-    if args.systems < 1:
-        parser.error(f"--systems must be >= 1, got {args.systems}")
-    if args.scenario is not None:
-        from repro.service.__main__ import scenario_requests
-
-        try:
-            requests = scenario_requests(args.scenario, args.methods, args.systems)
-        except (ValueError, KeyError) as error:
-            parser.error(f"--scenario: {error}")
-        envelopes = [request.to_dict() for request in requests]
-    elif args.input == "-":
-        envelopes = read_envelopes(sys.stdin, source="<stdin>")
-    else:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            envelopes = read_envelopes(handle, source=args.input)
-
-    host, port = parse_address(args.server)
-    with ServerClient(host, port, window=args.window) as client:
-        answers = client.submit_envelopes(envelopes)
-
-    lines = "".join(json.dumps(answer, sort_keys=True) + "\n" for answer in answers)
-    if args.output is None:
-        sys.stdout.write(lines)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(lines)
-
-    statuses = [answer["data"]["cache"]["status"] for answer in answers]
-    computed = sum(1 for status in statuses if status != "hit")
-    hits = sum(1 for status in statuses if status == "hit")
-    print(
-        f"{len(answers)} response(s): {computed} computed, {hits} served from cache",
-        file=sys.stderr,
-    )
-    return 0
+REQUEST_CLI = RequestBatchCli()
 
 
 def one_shot_main(args: argparse.Namespace) -> int:
@@ -309,16 +241,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     relog.configure_from_args(args)
     if args.command == "serve":
         return serve_main(args, parser)
-    if args.command == "request":
-        try:
-            parse_address(args.server)
-        except ValueError as error:
-            parser.error(f"--server: {error}")
-        return request_main(args, parser)
     try:
         parse_address(args.server)
     except ValueError as error:
         parser.error(f"--server: {error}")
+    if args.command == "request":
+        return REQUEST_CLI.run(parser, args)
     return one_shot_main(args)
 
 

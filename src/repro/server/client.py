@@ -30,12 +30,12 @@ from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.runtime.messages import (
-    SIM_REQUEST_KIND,
     SimulationRequest,
     SimulationResponse,
 )
 from repro.server.protocol import (
     ERR_OVERLOADED,
+    OP_BY_KIND,
     OP_HEALTH,
     OP_METRICS,
     OP_SCHEDULE,
@@ -47,9 +47,6 @@ from repro.server.protocol import (
     encode_request,
 )
 from repro.service.messages import (
-    REQUEST_KIND as SCHEDULE_REQUEST_KIND,
-)
-from repro.service.messages import (
     ScheduleRequest,
     ScheduleResponse,
 )
@@ -59,12 +56,6 @@ DEFAULT_WINDOW = 32
 
 #: Upper bound on honouring a single ``retry_after_s`` hint.
 MAX_RETRY_SLEEP_S = 30.0
-
-#: Request-envelope kind -> the op that executes it.
-_OP_BY_KIND = {
-    SCHEDULE_REQUEST_KIND: OP_SCHEDULE,
-    SIM_REQUEST_KIND: OP_SIMULATE,
-}
 
 
 class ServerError(RuntimeError):
@@ -98,13 +89,14 @@ class ServerError(RuntimeError):
         )
 
 
-def _op_for_envelope(envelope: Dict[str, Any]) -> str:
+def op_for_envelope(envelope: Dict[str, Any]) -> str:
+    """The op that executes a request envelope; ``ValueError`` for other kinds."""
     kind = envelope.get("kind") if isinstance(envelope, dict) else None
-    op = _OP_BY_KIND.get(kind)
+    op = OP_BY_KIND.get(kind) if isinstance(kind, str) else None
     if op is None:
         raise ValueError(
             f"cannot send envelope of kind {kind!r} to the server "
-            f"(expected one of {', '.join(sorted(_OP_BY_KIND))})"
+            f"(expected one of {', '.join(sorted(OP_BY_KIND))})"
         )
     return op
 
@@ -185,7 +177,7 @@ class ServerClient:
         Returns the raw answer payloads — ``repro/schedule-response`` /
         ``repro/sim-response`` envelope dicts.
         """
-        ops = [_op_for_envelope(envelope) for envelope in envelopes]
+        ops = [op_for_envelope(envelope) for envelope in envelopes]
         results: List[Optional[Dict[str, Any]]] = [None] * len(envelopes)
         queue = deque(range(len(envelopes)))
         outstanding: Dict[str, int] = {}

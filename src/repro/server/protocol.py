@@ -65,6 +65,8 @@ OPS = (OP_SCHEDULE, OP_SIMULATE, OP_STATS, OP_HEALTH, OP_METRICS, OP_SHUTDOWN)
 
 #: Ops that must carry a request payload.
 PAYLOAD_OPS = (OP_SCHEDULE, OP_SIMULATE)
+#: Request-envelope kind -> the op that executes it.
+OP_BY_KIND = {SCHEDULE_REQUEST_KIND: OP_SCHEDULE, SIM_REQUEST_KIND: OP_SIMULATE}
 
 #: Stable machine-readable error codes of ``repro/server-error`` envelopes.
 ERR_INVALID_JSON = "invalid-json"
@@ -274,15 +276,12 @@ def decode_request_line(line: bytes) -> ServerRequest:
         else:
             request_payload = None
         return ServerRequest(op=op, tag=tag, payload=request_payload)
-    if kind == SCHEDULE_REQUEST_KIND:
-        data = payload.get("data")
-        tag = _tag_of(data.get("id")) if isinstance(data, dict) else None
-        return ServerRequest(op=OP_SCHEDULE, tag=tag, payload=payload)
-    if kind == SIM_REQUEST_KIND:
-        data = payload.get("data")
-        tag = _tag_of(data.get("id")) if isinstance(data, dict) else None
-        return ServerRequest(op=OP_SIMULATE, tag=tag, payload=payload)
-    raise ProtocolError(ERR_UNKNOWN_KIND, f"unknown envelope kind {kind!r}")
+    op = OP_BY_KIND.get(kind) if isinstance(kind, str) else None
+    if op is None:
+        raise ProtocolError(ERR_UNKNOWN_KIND, f"unknown envelope kind {kind!r}")
+    data = payload.get("data")
+    tag = _tag_of(data.get("id")) if isinstance(data, dict) else None
+    return ServerRequest(op=op, tag=tag, payload=payload)
 
 
 def decode_answer_line(line: bytes) -> Dict[str, Any]:

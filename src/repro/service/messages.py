@@ -17,17 +17,22 @@ per-device schedules — returned bit-identically by :func:`execute_request
 state) from per-execution *provenance* (cache hit/miss, the content key,
 elapsed wall-clock time).  :meth:`ScheduleResponse.result_dict` exposes the
 deterministic part on its own; it is what the schedule cache stores.
+
+:class:`RequestEnvelope` and :class:`ResponseEnvelope` hold what these
+envelopes share with the run-time simulation envelopes of
+:mod:`repro.runtime.messages`: the memoised content key, serialisation,
+slim pickles and the result/provenance split.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
 
 from repro.core.schedule import Schedule
 from repro.core.serialization import (
-    content_hash,
+    ContentKeyed,
+    JsonEnvelope,
     parse_versioned_payload,
     schedule_from_dict,
     taskset_from_dict,
@@ -51,8 +56,163 @@ CACHE_MISS = "miss"
 CACHE_DISABLED = "disabled"
 
 
+class RequestEnvelope(JsonEnvelope, ContentKeyed):
+    """What every service request shares.
+
+    A subclass is a frozen dataclass with ``task_set``, ``scenario`` and
+    ``system_index`` fields.  It names its envelope (:attr:`KIND`,
+    :attr:`VERSION`), the integer fields of its payload (:attr:`INT_FIELDS`)
+    and the dict its content key hashes (:meth:`_key_dict`: exactly the
+    fields that determine the outcome, never ``request_id``).
+    """
+
+    KIND: ClassVar[str]
+    VERSION: ClassVar[int]
+    INT_FIELDS: ClassVar[Tuple[str, ...]]
+
+    def effective_task_set(self) -> TaskSet:
+        """The concrete task set: the explicit one, or the scenario's system.
+
+        Materialisation is deterministic (pure in the scenario content and the
+        system index), so the result is memoised on the request.
+        """
+        if self.task_set is not None:
+            return self.task_set
+        cached = self.__dict__.get("_materialized_task_set")
+        if cached is None:
+            cached = materialize(self.scenario, self.system_index).task_set
+            object.__setattr__(self, "_materialized_task_set", cached)
+        return cached
+
+    # -- pickling ----------------------------------------------------------------
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Slim pickles: drop the memoised task set, keep the content key.
+
+        The materialised task set can dwarf the request itself; any receiver
+        re-materialises it deterministically on demand.  The content key is a
+        small string and saves the receiver a full canonical-JSON hash, so it
+        rides along.
+        """
+        state = dict(self.__dict__)
+        state.pop("_materialized_task_set", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+
+    # -- serialisation -----------------------------------------------------------
+
+    @classmethod
+    def _payload_data(cls, payload: Mapping[str, Any]) -> Dict[str, Any]:
+        """The ``data`` object of a payload of this kind, integer fields checked.
+
+        JSON has no integer type of its own, so a bool, float or string can
+        arrive where an integer belongs.  ``int()`` would quietly turn ``2.7``
+        into 2 and ``true`` into 1; those values raise ``ValueError`` instead.
+        """
+        _, data = parse_versioned_payload(dict(payload), cls.KIND, max_version=cls.VERSION)
+        if not isinstance(data, dict):
+            raise ValueError(f"{cls.KIND} data must be an object, got {data!r}")
+        for name in cls.INT_FIELDS:
+            value = data.get(name)
+            if isinstance(value, (bool, float, str)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        return data
+
+
+_SCALAR_TYPES = {name: kind for kind in (str, int, float, bool) for name in (kind, kind.__name__)}
+
+
 @dataclass(frozen=True)
-class ScheduleRequest:
+class ResponseEnvelope(JsonEnvelope):
+    """What every service response shares: a deterministic result + provenance.
+
+    The fields declared here are provenance, set per execution and never
+    cached; they are keyword-only.  A subclass is a frozen dataclass that
+    names its envelope (:attr:`KIND`, :attr:`VERSION`) and declares its
+    result fields.  A result field is either a ``str``/``int``/``float``/
+    ``bool`` scalar, coerced to that type when a stored result is read back
+    (a stored ``psi: 1`` comes back as ``1.0``), or a mapping declared with
+    ``default_factory=dict``, which may be missing from a stored result.
+    """
+
+    KIND: ClassVar[str]
+    VERSION: ClassVar[int]
+
+    request_id: Optional[str] = field(kw_only=True)
+    cache: str = field(default=CACHE_DISABLED, kw_only=True)
+    cache_key: Optional[str] = field(default=None, kw_only=True)
+    elapsed_s: float = field(default=0.0, kw_only=True)
+
+    @classmethod
+    def _result_fields(cls) -> Tuple[Tuple[str, Callable[[Any], Any]], ...]:
+        """``(name, coercion)`` of each result field in declaration order,
+        built on first use and then kept on the class."""
+        table = cls.__dict__.get("_result_table")
+        if table is None:
+            provenance = {f.name for f in fields(ResponseEnvelope)}
+            table = tuple(
+                (f.name, dict if f.default_factory is dict else _SCALAR_TYPES[f.type])
+                for f in fields(cls)
+                if f.name not in provenance
+            )
+            cls._result_table = table
+        return table
+
+    def result_dict(self) -> Dict[str, Any]:
+        """The deterministic portion of the response (what the cache stores)."""
+        return {name: getattr(self, name) for name, _ in self._result_fields()}
+
+    @classmethod
+    def from_result_dict(
+        cls,
+        data: Mapping[str, Any],
+        *,
+        request_id: Optional[str] = None,
+        cache: str = CACHE_DISABLED,
+        cache_key: Optional[str] = None,
+        elapsed_s: float = 0.0,
+    ):
+        """Rebuild a response around a stored deterministic result."""
+        result = {
+            name: dict(data.get(name) or {}) if coerce is dict else coerce(data[name])
+            for name, coerce in cls._result_fields()
+        }
+        return cls(
+            request_id=request_id, cache=cache, cache_key=cache_key, elapsed_s=elapsed_s, **result
+        )
+
+    # -- serialisation -----------------------------------------------------------
+
+    def to_dict(self) -> Dict[str, Any]:
+        return versioned_payload(
+            self.KIND,
+            self.VERSION,
+            {
+                "id": self.request_id,
+                "result": self.result_dict(),
+                "cache": {"status": self.cache, "key": self.cache_key},
+                "timing": {"elapsed_s": self.elapsed_s},
+            },
+        )
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]):
+        _, data = parse_versioned_payload(dict(payload), cls.KIND, max_version=cls.VERSION)
+        cache = data.get("cache") or {}
+        timing = data.get("timing") or {}
+        return cls.from_result_dict(
+            data["result"],
+            request_id=data.get("id"),
+            cache=str(cache.get("status", CACHE_DISABLED)),
+            cache_key=cache.get("key"),
+            elapsed_s=float(timing.get("elapsed_s", 0.0)),
+        )
+
+
+@dataclass(frozen=True)
+class ScheduleRequest(RequestEnvelope):
     """One question to the scheduling service: *schedule this, with that*.
 
     The workload is given either explicitly (``task_set``) or declaratively
@@ -67,6 +227,10 @@ class ScheduleRequest:
     ``request_id`` is free-form caller provenance echoed on the response; it
     does not influence scheduling or caching.
     """
+
+    KIND = REQUEST_KIND
+    VERSION = REQUEST_VERSION
+    INT_FIELDS = ("system_index", "horizon")
 
     task_set: Optional[TaskSet] = None
     spec: Optional[SchedulerSpec] = None
@@ -92,73 +256,17 @@ class ScheduleRequest:
         if self.horizon is not None and self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
 
-    def effective_task_set(self) -> TaskSet:
-        """The concrete task set: the explicit one, or the scenario's system.
-
-        Materialisation is deterministic (pure in the scenario content and the
-        system index), so the result is memoised on the request.
-        """
-        if self.task_set is not None:
-            return self.task_set
-        cached = getattr(self, "_materialized_task_set", None)
-        if cached is None:
-            cached = materialize(self.scenario, self.system_index).task_set
-            object.__setattr__(self, "_materialized_task_set", cached)
-        return cached
-
-    def content_key(self) -> str:
-        """Content-address of the scheduling question (excludes ``request_id``).
-
-        Scenario-backed requests hash the scenario's own content key (which
+    def _key_dict(self) -> Dict[str, Any]:
+        """Scenario-backed requests hash the scenario's own content key (which
         covers every scenario field) plus the system index, so changing *any*
         scenario field — workload, platform, faults, even the name — yields a
-        different key and therefore a cache miss.
-
-        The request is frozen, so the key is hashed once and memoised — repeat
-        calls (cache lookup, seed derivation, batch dedup) return the cached
-        string.
-        """
-        cached = self.__dict__.get("_content_key")
-        if cached is not None:
-            return cached
+        different key and therefore a cache miss."""
+        key: Dict[str, Any] = {"spec": self.spec.to_dict(), "horizon": self.horizon}
         if self.scenario is not None:
-            key = content_hash(
-                {
-                    "scenario": self.scenario.content_key(),
-                    "system_index": self.system_index,
-                    "spec": self.spec.to_dict(),
-                    "horizon": self.horizon,
-                }
-            )
+            key.update(scenario=self.scenario.content_key(), system_index=self.system_index)
         else:
-            key = content_hash(
-                {
-                    "taskset": taskset_to_dict(self.task_set),
-                    "spec": self.spec.to_dict(),
-                    "horizon": self.horizon,
-                }
-            )
-        object.__setattr__(self, "_content_key", key)
+            key["taskset"] = taskset_to_dict(self.task_set)
         return key
-
-    # -- pickling ----------------------------------------------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Slim pickles: drop the memoised task set, keep the content key.
-
-        The materialised task set can dwarf the request itself; any receiver
-        re-materialises it deterministically on demand.  The content key is a
-        small string and saves the receiver a full canonical-JSON hash, so it
-        rides along.
-        """
-        state = dict(self.__dict__)
-        state.pop("_materialized_task_set", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-
-    # -- serialisation -----------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
@@ -177,9 +285,7 @@ class ScheduleRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ScheduleRequest":
-        _, data = parse_versioned_payload(
-            dict(payload), REQUEST_KIND, max_version=REQUEST_VERSION
-        )
+        data = cls._payload_data(payload)
         scenario = data.get("scenario")
         return cls(
             task_set=(
@@ -189,19 +295,12 @@ class ScheduleRequest:
             horizon=data.get("horizon"),
             request_id=data.get("id"),
             scenario=Scenario.from_dict(scenario) if scenario is not None else None,
-            system_index=int(data.get("system_index", 0)),
+            system_index=data.get("system_index", 0),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScheduleRequest":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
-class ScheduleResponse:
+class ScheduleResponse(ResponseEnvelope):
     """The service's answer: deterministic result + execution provenance.
 
     ``per_device`` maps device name to a plain dict
@@ -212,7 +311,9 @@ class ScheduleResponse:
     any seed the service derived — so the response alone reproduces the run.
     """
 
-    request_id: Optional[str]
+    KIND = RESPONSE_KIND
+    VERSION = RESPONSE_VERSION
+
     spec: str
     horizon: int
     schedulable: bool
@@ -221,49 +322,6 @@ class ScheduleResponse:
     best_psi: float
     best_upsilon: float
     per_device: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    # -- provenance (excluded from result_dict and from caching) -----------------
-    cache: str = CACHE_DISABLED
-    cache_key: Optional[str] = None
-    elapsed_s: float = 0.0
-
-    def result_dict(self) -> Dict[str, Any]:
-        """The deterministic portion of the response (what the cache stores)."""
-        return {
-            "spec": self.spec,
-            "horizon": self.horizon,
-            "schedulable": self.schedulable,
-            "psi": self.psi,
-            "upsilon": self.upsilon,
-            "best_psi": self.best_psi,
-            "best_upsilon": self.best_upsilon,
-            "per_device": self.per_device,
-        }
-
-    @classmethod
-    def from_result_dict(
-        cls,
-        data: Mapping[str, Any],
-        *,
-        request_id: Optional[str] = None,
-        cache: str = CACHE_DISABLED,
-        cache_key: Optional[str] = None,
-        elapsed_s: float = 0.0,
-    ) -> "ScheduleResponse":
-        """Rebuild a response around a stored deterministic result."""
-        return cls(
-            request_id=request_id,
-            spec=str(data["spec"]),
-            horizon=int(data["horizon"]),
-            schedulable=bool(data["schedulable"]),
-            psi=float(data["psi"]),
-            upsilon=float(data["upsilon"]),
-            best_psi=float(data["best_psi"]),
-            best_upsilon=float(data["best_upsilon"]),
-            per_device=dict(data.get("per_device") or {}),
-            cache=cache,
-            cache_key=cache_key,
-            elapsed_s=elapsed_s,
-        )
 
     def device_schedules(self, task_set: TaskSet) -> Dict[str, Schedule]:
         """Rebuild the concrete per-device :class:`Schedule` objects.
@@ -277,38 +335,7 @@ class ScheduleResponse:
                 schedules[device] = schedule_from_dict(entry["schedule"], task_set)
         return schedules
 
-    # -- serialisation -----------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return versioned_payload(
-            RESPONSE_KIND,
-            RESPONSE_VERSION,
-            {
-                "id": self.request_id,
-                "result": self.result_dict(),
-                "cache": {"status": self.cache, "key": self.cache_key},
-                "timing": {"elapsed_s": self.elapsed_s},
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ScheduleResponse":
-        _, data = parse_versioned_payload(
-            dict(payload), RESPONSE_KIND, max_version=RESPONSE_VERSION
-        )
-        cache = data.get("cache") or {}
-        timing = data.get("timing") or {}
-        return cls.from_result_dict(
-            data["result"],
-            request_id=data.get("id"),
-            cache=str(cache.get("status", CACHE_DISABLED)),
-            cache_key=cache.get("key"),
-            elapsed_s=float(timing.get("elapsed_s", 0.0)),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScheduleResponse":
-        return cls.from_dict(json.loads(text))
+    # perfbench's tracer times ``service.envelope`` by wrapping these two
+    # methods where it finds them: in this class's own body.
+    from_result_dict = classmethod(ResponseEnvelope.from_result_dict.__func__)
+    to_dict = ResponseEnvelope.to_dict

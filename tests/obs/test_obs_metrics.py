@@ -16,7 +16,7 @@ from repro.obs import (
 )
 from repro.service import ScheduleRequest, SchedulerSpec, SchedulingService
 from repro.service.core import execute_chunk
-from repro.service.__main__ import scenario_requests
+from repro.service.batch_cli import scenario_requests
 
 
 class TestCounters:

@@ -20,7 +20,7 @@ from repro.obs import (
 from repro.runtime import SimulationService, execute_simulation
 from repro.runtime.__main__ import scenario_requests as sim_scenario_requests
 from repro.service import SchedulingService, execute_request
-from repro.service.__main__ import scenario_requests
+from repro.service.batch_cli import scenario_requests
 
 SCENARIO = "short-hyperperiod"
 

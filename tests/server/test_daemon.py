@@ -32,7 +32,7 @@ from repro.server.protocol import (
     encode_request,
 )
 from repro.service import SchedulingService
-from repro.service.__main__ import scenario_requests
+from repro.service.batch_cli import scenario_requests
 
 SCENARIO = "short-hyperperiod"
 

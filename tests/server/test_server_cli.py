@@ -90,7 +90,7 @@ class TestRequestCli:
 
     def test_request_file_mode_mixed_kinds(self, threaded_server, capsys, tmp_path):
         from repro.runtime.__main__ import scenario_requests as sim_requests
-        from repro.service.__main__ import scenario_requests as schedule_requests
+        from repro.service.batch_cli import scenario_requests as schedule_requests
 
         mixed = [
             schedule_requests(SCENARIO, ["static"], 1)[0],

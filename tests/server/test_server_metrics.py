@@ -5,7 +5,7 @@ import re
 import pytest
 
 from repro.server import ServerClient, ThreadedServer
-from repro.service.__main__ import scenario_requests
+from repro.service.batch_cli import scenario_requests
 
 SCENARIO = "short-hyperperiod"
 

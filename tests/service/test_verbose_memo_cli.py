@@ -5,7 +5,8 @@ import pytest
 from repro.core.memo import reset_memos
 from repro.obs.metrics import MEMO_OPS_TOTAL, MetricsRegistry
 from repro.runtime.__main__ import main as runtime_main
-from repro.service.__main__ import format_memo_stats, main as service_main
+from repro.service.__main__ import main as service_main
+from repro.service.batch_cli import format_memo_stats
 
 
 @pytest.fixture(autouse=True)
