@@ -288,6 +288,7 @@ class BatchCli:
     def execute(
         self, parser: argparse.ArgumentParser, args: argparse.Namespace, requests: List[Any]
     ) -> BatchResult:
+        """Answer the batch with the service :meth:`open` builds."""
         with self.open(parser, args) as service:
             responses = service.submit_batch(requests)
             caches = self.caches(service)
