@@ -121,7 +121,8 @@ class RequestEnvelope(JsonEnvelope, ContentKeyed):
         return data
 
 
-_SCALAR_TYPES = {name: kind for kind in (str, int, float, bool) for name in (kind, kind.__name__)}
+#: Scalar result-field annotations and the types they coerce to.
+_SCALAR_TYPES = {kind.__name__: kind for kind in (str, int, float, bool)}
 
 
 @dataclass(frozen=True)
