@@ -30,12 +30,14 @@ embed a server in a notebook or driver script.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from repro.core.memo import LRUMemo
 from repro.core.serialization import PayloadVersionError
 from repro.obs.expo import render
 from repro.obs.metrics import (
@@ -83,6 +85,9 @@ from repro.store import SCHEDULE_CACHE_SUBDIR, SIM_CACHE_SUBDIR
 
 DEFAULT_HOST = "127.0.0.1"
 _READ_CHUNK = 1 << 16
+#: Distinct request payloads a daemon keeps parsed (see
+#: :meth:`ReproServer._parse_payload`).
+PARSED_PAYLOADS = 1024
 
 
 class ReproServer:
@@ -177,6 +182,8 @@ class ReproServer:
             max_queue=max_queue,
             metrics=self.registry,
         )
+        #: Parsed request envelopes, by request class and payload text.
+        self._parsed = LRUMemo("parsed-payloads", PARSED_PAYLOADS)
         self.protocol_errors = 0
         self.connections_total = 0
         self._connections_open = 0
@@ -332,15 +339,19 @@ class ReproServer:
         op, tag = request.op, request.tag
         try:
             if op == OP_SCHEDULE:
-                schedule_request = _parse_payload(
+                schedule_request = self._parse_payload(
                     ScheduleRequest, request.payload, tag=tag
                 )
                 response = await self.dispatcher.schedule(schedule_request)
-                return encode_response(op, tag, response.to_dict())
+                return encode_response(
+                    op, tag, response.to_dict(), result_text=response.result_text
+                )
             if op == OP_SIMULATE:
-                sim_request = _parse_payload(SimulationRequest, request.payload, tag=tag)
+                sim_request = self._parse_payload(SimulationRequest, request.payload, tag=tag)
                 response = await self.dispatcher.simulate(sim_request)
-                return encode_response(op, tag, response.to_dict())
+                return encode_response(
+                    op, tag, response.to_dict(), result_text=response.result_text
+                )
             if op == OP_STATS:
                 return encode_response(op, tag, self.stats())
             if op == OP_HEALTH:
@@ -369,6 +380,28 @@ class ReproServer:
             return encode_error(tag, ERR_SHUTTING_DOWN, "server is shutting down")
         except Exception as error:  # execution failed; report, keep serving
             return encode_error(tag, ERR_INTERNAL, f"{type(error).__name__}: {error}")
+
+    def _parse_payload(self, request_cls, payload, *, tag: Optional[str]):
+        """The request of an inner request envelope; failures become protocol
+        errors.
+
+        Each distinct payload is parsed once.  The request is kept, content
+        key hashed, under the payload's JSON text without ``data.id``, in wire
+        order, so two payloads that ``from_dict`` could tell apart never share
+        one; each copy of the payload gets the request under its own ``id``.
+        """
+        data = payload.get("data")
+        if not isinstance(data, dict):
+            return _parse_payload(request_cls, payload, tag=tag)
+        text = json.dumps(
+            {**payload, "data": {name: value for name, value in data.items() if name != "id"}}
+        )
+        parsed = self._parsed.get((request_cls, text))
+        if parsed is None:
+            parsed = _parse_payload(request_cls, payload, tag=tag)
+            parsed.content_key()
+            self._parsed.put((request_cls, text), parsed)
+        return parsed.with_request_id(data.get("id"))
 
     # -- introspection -----------------------------------------------------------
 

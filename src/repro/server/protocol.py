@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.runtime.messages import SIM_REQUEST_KIND
 from repro.service.messages import REQUEST_KIND as SCHEDULE_REQUEST_KIND
@@ -189,13 +189,54 @@ def encode_request(
     return _encode(SERVER_REQUEST_KIND, SERVER_REQUEST_VERSION, data)
 
 
-def encode_response(op: str, tag: Optional[str], payload: Dict[str, Any]) -> bytes:
-    """One ``repro/server-response`` line."""
-    return _encode(
-        SERVER_RESPONSE_KIND,
-        SERVER_RESPONSE_VERSION,
-        {"op": op, "tag": tag, "payload": payload},
-    )
+def encode_response(
+    op: str,
+    tag: Optional[str],
+    payload: Dict[str, Any],
+    *,
+    result_text: Optional[str] = None,
+) -> bytes:
+    """One ``repro/server-response`` line.
+
+    ``result_text``, when given, must be ``json.dumps(payload["data"]["result"],
+    sort_keys=True)`` — a response envelope's result as this encoder writes
+    it, kept by the cache that answered it.  It goes in, by position, where
+    the result belongs, and every other field is encoded with ``json.dumps``
+    around it.  Nested ``sort_keys`` output is compositional, so the line is
+    byte for byte the one encoded without it.
+    """
+    data = {"op": op, "tag": tag, "payload": payload}
+    if result_text is None:
+        return _encode(SERVER_RESPONSE_KIND, SERVER_RESPONSE_VERSION, data)
+    line = {"kind": SERVER_RESPONSE_KIND, "version": SERVER_RESPONSE_VERSION, "data": data}
+    path = ("data", "payload", "data", "result")
+    pieces = _dumps_around(line, path, result_text, [])
+    pieces.append("\n")
+    return "".join(pieces).encode("utf-8")
+
+
+#: ``json.dumps(value, sort_keys=True)`` without building an encoder per call.
+_dumps_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
+def _dumps_around(
+    value: Dict[str, Any], path: Tuple[str, ...], text: str, pieces: List[str]
+) -> List[str]:
+    """Append the pieces of ``json.dumps(value, sort_keys=True)`` to
+    ``pieces``, with ``text`` standing for the encoding of the value at
+    ``path`` (one key per nested object); returns ``pieces``."""
+    pieces.append("{")
+    for index, (key, item) in enumerate(sorted(value.items())):
+        pieces.append(", " if index else "")
+        pieces.append(_dumps_sorted(key) + ": ")
+        if key != path[0]:
+            pieces.append(_dumps_sorted(item))
+        elif len(path) > 1:
+            _dumps_around(item, path[1:], text, pieces)
+        else:
+            pieces.append(text)
+    pieces.append("}")
+    return pieces
 
 
 def encode_error(

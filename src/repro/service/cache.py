@@ -28,7 +28,7 @@ given key holds an identical (content-addressed) result.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import threading
 
 from repro.core.serialization import (
@@ -81,6 +81,9 @@ class ScheduleCache:
             backend.root if isinstance(backend, DirectoryBackend) else None
         )
         self._entries: Dict[str, Dict[str, Any]] = {}
+        #: Wire text of in-memory entries that have been answered (see
+        #: :meth:`text`); it goes wherever its entry goes.
+        self._texts: Dict[str, str] = {}
         self._lock = threading.Lock()
         #: The one source of lookup/store statistics over this cache's
         #: lifetime: ``repro_cache_ops_total{cache=<label>, op=hit|miss|store}``
@@ -194,6 +197,23 @@ class ScheduleCache:
             self._count_op("miss" if key not in found else "hit")
         return found
 
+    def text(self, key: str, render: Callable[[], str]) -> str:
+        """The answer text of ``key``'s entry: ``render()`` on the key's first
+        call, then the kept string.
+
+        A serving daemon renders an entry once and then answers every hit on
+        it with the same bytes.  The text is kept only while the entry is in
+        memory, and :meth:`clear_memory` drops it with the entry.
+        """
+        with self._lock:
+            text = self._texts.get(key)
+        if text is None:
+            text = render()
+            with self._lock:
+                if key in self._entries:
+                    text = self._texts.setdefault(key, text)
+        return text
+
     def put(self, key: str, result: Dict[str, Any]) -> None:
         """Store ``result`` under ``key`` (idempotent; first write wins)."""
         with self._lock:
@@ -269,8 +289,8 @@ class ScheduleCache:
             self.backend.close()
 
     def clear_memory(self, keys: Optional[Iterable[str]] = None) -> None:
-        """Drop the in-process copies of entries the backend holds: those of
-        ``keys``, or every one.
+        """Drop the in-process copies of entries the backend holds, and their
+        answer texts: those of ``keys``, or every one.
 
         Later lookups read them from the backend again.  A memory-only cache
         keeps its entries, because they are the only copy.
@@ -279,9 +299,11 @@ class ScheduleCache:
             with self._lock:
                 if keys is None:
                     self._entries.clear()
+                    self._texts.clear()
                 else:
                     for key in keys:
                         self._entries.pop(key, None)
+                        self._texts.pop(key, None)
 
     # -- the persisted form ------------------------------------------------------
 

@@ -31,6 +31,7 @@ serving daemon's unit of work — ships a chunk of one.
 
 from __future__ import annotations
 
+import json
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
@@ -540,16 +541,25 @@ class ContentAddressedService(Generic[Req, Resp]):
 
     def lookup(self, request: Req) -> Optional[Resp]:
         """The cached answer to ``request`` stamped ``hit``, or ``None``
-        (one per-key cache lookup; ``None`` without a cache)."""
+        (one per-key cache lookup; ``None`` without a cache).
+
+        The answer carries its :attr:`result_text
+        <repro.service.messages.ResponseEnvelope.result_text>`, which the
+        cache renders on the key's first hit and keeps with the entry, so a
+        daemon encodes each stored result once, not once per hit.
+        """
         if self.cache is None:
             return None
         key = request.content_key()
         cached = self.cache.get(key)
         if cached is None:
             return None
-        return self.RESPONSE_CLS.from_result_dict(
+        response = self.RESPONSE_CLS.from_result_dict(
             cached, request_id=request.request_id, cache=CACHE_HIT, cache_key=key
         )
+        text = self.cache.text(key, lambda: json.dumps(response.result_dict(), sort_keys=True))
+        object.__setattr__(response, "_result_text", text)
+        return response
 
     def store(self, key: str, response: Resp) -> None:
         """Cache a response computed through :meth:`execute_in_pool` (one

@@ -84,6 +84,14 @@ class RequestEnvelope(JsonEnvelope, ContentKeyed):
             object.__setattr__(self, "_materialized_task_set", cached)
         return cached
 
+    def with_request_id(self, request_id: Any):
+        """This request under another ``request_id``: a shallow copy that
+        keeps the memoised content key, which ``request_id`` never enters."""
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__)
+        object.__setattr__(copy, "request_id", request_id)
+        return copy
+
     # -- pickling ----------------------------------------------------------------
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -164,6 +172,14 @@ class ResponseEnvelope(JsonEnvelope):
     def result_dict(self) -> Dict[str, Any]:
         """The deterministic portion of the response (what the cache stores)."""
         return {name: getattr(self, name) for name, _ in self._result_fields()}
+
+    @property
+    def result_text(self) -> Optional[str]:
+        """``json.dumps(self.result_dict(), sort_keys=True)`` as its cache
+        keeps it, on a response a cache lookup answered; ``None`` on any
+        other.  See :meth:`ContentAddressedService.lookup
+        <repro.service.core.ContentAddressedService.lookup>`."""
+        return self.__dict__.get("_result_text")
 
     @classmethod
     def from_result_dict(
