@@ -41,6 +41,7 @@ from repro.core.serialization import (
 )
 from repro.core.task import TaskSet
 from repro.scenario import Scenario, create_scenario, materialize
+from repro.scheduling.registry import scheduler_registered
 from repro.service.spec import SchedulerSpec
 
 REQUEST_KIND = "repro/schedule-request"
@@ -54,6 +55,15 @@ RESPONSE_VERSION = 1
 CACHE_HIT = "hit"
 CACHE_MISS = "miss"
 CACHE_DISABLED = "disabled"
+
+
+def registered_spec(spec: SchedulerSpec, registered: Callable[[str], bool], what: str):
+    """``spec``, if ``registered`` knows its name; ``ValueError`` naming the
+    unknown ``what`` otherwise.  Request payloads name only registered
+    schedulers and models, so a bad line fails where it is read."""
+    if not registered(spec.name):
+        raise ValueError(f"unknown {what} {spec.name!r}")
+    return spec
 
 
 class RequestEnvelope(JsonEnvelope, ContentKeyed):
@@ -308,7 +318,9 @@ class ScheduleRequest(RequestEnvelope):
             task_set=(
                 taskset_from_dict(data["taskset"]) if data.get("taskset") is not None else None
             ),
-            spec=SchedulerSpec.from_dict(data["spec"]),
+            spec=registered_spec(
+                SchedulerSpec.from_dict(data["spec"]), scheduler_registered, "scheduler"
+            ),
             horizon=data.get("horizon"),
             request_id=data.get("id"),
             scenario=Scenario.from_dict(scenario) if scenario is not None else None,

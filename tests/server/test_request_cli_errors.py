@@ -77,7 +77,7 @@ class TestDaemonErrorAnswers:
         address = f"{threaded_server.host}:{threaded_server.port}"
         with pytest.raises(SystemExit) as stop:
             request(threaded_server, path)
-        assert stop.value.code.startswith(f"{address}: internal: ")
+        assert stop.value.code.startswith(f"{address}: invalid-request: ")
         assert "unknown scheduler 'no-such-scheduler'" in stop.value.code
         assert "\n" not in stop.value.code
 
@@ -95,7 +95,7 @@ class TestDaemonErrorAnswers:
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.count("\n") == 1
-        assert done.stderr.startswith(f"{address}: internal: ")
+        assert done.stderr.startswith(f"{address}: invalid-request: ")
         assert "Traceback" not in done.stderr
 
     def test_no_daemon_at_the_address(self, tmp_path):
