@@ -36,6 +36,7 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core import logging as relog
+from repro.core.cli import reader_may_leave
 from repro.server.client import ServerClient, ServerError, op_for_envelope, parse_address
 from repro.server.daemon import DEFAULT_HOST, ReproServer
 from repro.server.dispatcher import DEFAULT_MAX_QUEUE
@@ -199,6 +200,11 @@ class RequestBatchCli(BatchCli):
             help="requests kept in flight on the connection (default: 32)",
         )
 
+    def run(self, parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+        if args.window < 1:
+            parser.error(f"--window must be >= 1, got {args.window}")
+        return super().run(parser, args)
+
     def parse(self, payload: Any) -> Dict[str, Any]:
         """Lines travel as read; only their kind must name an op."""
         op_for_envelope(payload)
@@ -226,12 +232,13 @@ def one_shot_main(args: argparse.Namespace) -> int:
     host, port = parse_address(args.server)
     with ServerClient(host, port) as client:
         payload = client.call(args.command)
-    if args.command == "metrics":
-        # The payload wraps Prometheus text exposition; print it raw so the
-        # output pipes straight into scrape tooling.
-        sys.stdout.write(payload["text"])
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    with reader_may_leave():
+        if args.command == "metrics":
+            # The payload wraps Prometheus text exposition; print it raw so
+            # the output pipes straight into scrape tooling.
+            sys.stdout.write(payload["text"])
+        else:
+            print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 

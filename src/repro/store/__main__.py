@@ -28,6 +28,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from repro.core.cli import reader_may_leave
 from repro.store.backends import CacheBackend
 from repro.store.migrate import migrate_backend
 from repro.store.registry import create_backend, format_backend_listing
@@ -145,9 +146,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     return 1
     with _open(parser, args.spec) as backend:
         if args.command == "stats":
-            return cmd_stats(backend)
+            with reader_may_leave():
+                return cmd_stats(backend)
         if args.command == "ls":
-            return cmd_ls(backend, args.limit)
+            with reader_may_leave():
+                return cmd_ls(backend, args.limit)
         if args.command == "prune":
             return cmd_prune(backend, args.keys)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover

@@ -108,3 +108,19 @@ class TestDaemonErrorAnswers:
             server_main(["request", "--server", f"127.0.0.1:{port}", str(path)])
         assert stop.value.code.startswith(f"127.0.0.1:{port}: ")
         assert "\n" not in stop.value.code
+
+
+class TestWindow:
+    @pytest.mark.parametrize("window", ["0", "-2"])
+    def test_below_one_is_a_usage_error_before_connecting(self, tmp_path, capsys, window):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        path = tmp_path / "requests.jsonl"
+        path.write_text(good_line() + "\n")
+        with pytest.raises(SystemExit) as stop:
+            server_main(["request", "--server", f"127.0.0.1:{port}", "--window", window, str(path)])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.endswith(f"error: --window must be >= 1, got {window}\n")
