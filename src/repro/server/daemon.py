@@ -382,8 +382,7 @@ class ReproServer:
             return encode_error(tag, ERR_INTERNAL, f"{type(error).__name__}: {error}")
 
     def _parse_payload(self, request_cls, payload, *, tag: Optional[str]):
-        """The request of an inner request envelope; failures become protocol
-        errors.
+        """Parse the inner request envelope, mapping failures to protocol errors.
 
         Each distinct payload is parsed once.  The request is kept, content
         key hashed, under the payload's JSON text without ``data.id``, in wire
@@ -391,17 +390,26 @@ class ReproServer:
         one; each copy of the payload gets the request under its own ``id``.
         """
         data = payload.get("data")
-        if not isinstance(data, dict):
-            return _parse_payload(request_cls, payload, tag=tag)
-        text = json.dumps(
-            {**payload, "data": {name: value for name, value in data.items() if name != "id"}}
-        )
-        parsed = self._parsed.get((request_cls, text))
-        if parsed is None:
-            parsed = _parse_payload(request_cls, payload, tag=tag)
-            parsed.content_key()
-            self._parsed.put((request_cls, text), parsed)
-        return parsed.with_request_id(data.get("id"))
+        key = None
+        if isinstance(data, dict):  # otherwise from_dict below names the fault
+            key = (
+                request_cls,
+                json.dumps({**payload, "data": {k: v for k, v in data.items() if k != "id"}}),
+            )
+            parsed = self._parsed.get(key)
+            if parsed is not None:
+                return parsed.with_request_id(data.get("id"))
+        try:
+            parsed = request_cls.from_dict(payload)
+        except PayloadVersionError as error:
+            raise ProtocolError(ERR_VERSION_MISMATCH, str(error), tag=tag)
+        except (ValueError, KeyError, TypeError) as error:
+            raise ProtocolError(
+                ERR_INVALID_REQUEST, f"invalid {request_cls.__name__}: {error}", tag=tag
+            )
+        parsed.content_key()
+        self._parsed.put(key, parsed)
+        return parsed
 
     # -- introspection -----------------------------------------------------------
 
@@ -480,18 +488,6 @@ class ReproServer:
     def metrics_text(self) -> str:
         """The ``metrics`` op's payload: Prometheus text exposition."""
         return render(self.metrics_snapshot())
-
-
-def _parse_payload(request_cls, payload, *, tag: Optional[str]):
-    """Parse the inner request envelope, mapping failures to protocol errors."""
-    try:
-        return request_cls.from_dict(payload)
-    except PayloadVersionError as error:
-        raise ProtocolError(ERR_VERSION_MISMATCH, str(error), tag=tag)
-    except (ValueError, KeyError, TypeError) as error:
-        raise ProtocolError(
-            ERR_INVALID_REQUEST, f"invalid {request_cls.__name__}: {error}", tag=tag
-        )
 
 
 class ThreadedServer:
