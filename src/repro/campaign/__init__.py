@@ -6,12 +6,22 @@ pipeline::
     scenario  (what to evaluate)      repro.scenario.Scenario
        × method (how to schedule)     repro.service.SchedulerSpec
        × system × utilisation × replication
+      [× execution model]             optional RuntimeSpec section
     ------------------------------------------------  CampaignSpec (versioned JSON)
-    CampaignRunner  — grid -> ScheduleRequests streamed through one
+    CampaignRunner  — schedule grid -> ScheduleRequests streamed through one
                       SchedulingService (worker pool, dedup, content-addressed
-                      cache), each answer checkpointed to campaign.jsonl
+                      cache); then the run-time grid -> SimulationRequests
+                      streamed through a SimulationService that schedules
+                      through the same service; each answer checkpointed
+                      to campaign.jsonl
     CampaignReport  — per-(scenario, method) Psi/Upsilon/schedulability/
-                      response-time statistics, JSON + Markdown leaderboards
+                      response-time statistics, plus per-(scenario, method @
+                      model) run-time accuracy/Psi/Upsilon/fault statistics,
+                      JSON + Markdown leaderboards
+
+A run-time cell is a :class:`CampaignCell` with an ``execution_model``: it
+executes its schedule cell's schedule on that model, and its journal line
+carries one more field (``"x"``) than a schedule cell's.
 
 One declarative description in, one queryable aggregated report out — and
 both ends are content-addressed, so results are bit-identical at any worker
@@ -47,7 +57,6 @@ from repro.campaign.runner import (
     maybe_merge_shard_journals,
     merge_shard_journals,
     parse_shard,
-    read_campaign_journal,
     read_campaign_journal_full,
     replication_seed,
     run_campaign,
@@ -67,7 +76,6 @@ from repro.campaign.spec import (
     CampaignCell,
     CampaignLike,
     CampaignSpec,
-    RuntimeCell,
     RuntimeSpec,
     build_campaign,
     create_campaign,
@@ -82,7 +90,6 @@ __all__ = [
     "CampaignResult",
     "CampaignReport",
     "RuntimeSpec",
-    "RuntimeCell",
     "CAMPAIGN_KIND",
     "CAMPAIGN_VERSION",
     "CAMPAIGN_METRICS",
@@ -99,7 +106,6 @@ __all__ = [
     "load_campaign",
     "run_campaign",
     "load_campaign_records",
-    "read_campaign_journal",
     "read_campaign_journal_full",
     "cell_request",
     "cell_scenario",

@@ -459,13 +459,11 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if service is not None:
             service.close()
 
-    n_cells = result.expected_cells if shard is not None else spec.n_cells
-    n_runtime = (
-        result.expected_runtime_cells if shard is not None else spec.n_runtime_cells
-    )
-    done = f"{len(result.records)}/{n_cells} cells done"
+    done = f"{len(result.records)}/{result.expected_cells} cells done"
     if spec.runtime is not None:
-        done += f", {len(result.runtime_records)}/{n_runtime} runtime cells done"
+        done += (
+            f", {len(result.runtime_records)}/{result.expected_runtime_cells} runtime cells done"
+        )
     label = f"campaign {spec.name!r} ({spec.content_key()})"
     if shard is not None:
         label += f" shard {shard[0]}/{shard[1]}"

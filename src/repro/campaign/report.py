@@ -22,11 +22,12 @@ Emitters: :meth:`~CampaignReport.to_json` (machine-readable),
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.campaign.spec import (
     LOWER_IS_BETTER,
     RUNTIME_LOWER_IS_BETTER,
+    CampaignCell,
     CampaignSpec,
 )
 from repro.core.serialization import (
@@ -44,8 +45,14 @@ REPORT_VERSION = 2
 #: Aggregate statistics of one (scenario, method, metric) sample.
 StatsDict = Dict[str, float]
 
+#: ``metric -> scenario -> label -> stats``.
+Entries = Dict[str, Dict[str, Dict[str, StatsDict]]]
+
 #: Pseudo-scenario key under which the all-scenarios aggregate is stored.
 OVERALL = "overall"
+
+#: The statistics of each ``to_text`` leaderboard row, in column order.
+TABLE_COLUMNS = ("mean", "std", "median", "min", "max", "n")
 
 
 def _stats_dict(values: List[float]) -> StatsDict:
@@ -66,9 +73,64 @@ def _format_value(metric: str, value: float) -> str:
     return f"{value:.4f}"
 
 
+def _mean_std(metric: str, stats: Optional[StatsDict]) -> str:
+    """A Markdown table cell: ``mean ± std``, or a dash for a missing entry."""
+    if stats is None:
+        return "—"
+    return f"{_format_value(metric, stats['mean'])} ± {_format_value(metric, stats['std'])}"
+
+
 def runtime_label(method: str, execution_model: str) -> str:
     """The leaderboard label of one (method, execution model) pair."""
     return f"{method} @ {execution_model}"
+
+
+def _aggregate(
+    scenarios: Tuple[str, ...],
+    cells: Iterable[CampaignCell],
+    records: Mapping[Tuple, Mapping[str, Any]],
+    metrics: Tuple[str, ...],
+    labels: Tuple[str, ...],
+    label_of: Callable[[CampaignCell], str],
+) -> Tuple[Entries, int]:
+    """The stats of every (metric, scenario, label) sample of ``cells``, and
+    how many cells ``records`` answered.  Each cell also feeds the
+    :data:`OVERALL` pseudo-scenario; empty samples are left out."""
+    samples: Dict[str, Dict[str, Dict[str, List[float]]]] = {
+        metric: {scenario: {label: [] for label in labels} for scenario in (*scenarios, OVERALL)}
+        for metric in metrics
+    }
+    aggregated = 0
+    for cell in cells:
+        values = records.get(cell.key())
+        if values is None:
+            continue
+        aggregated += 1
+        label = label_of(cell)
+        for metric in metrics:
+            if metric not in values:
+                continue
+            value = float(values[metric])
+            samples[metric][cell.scenario][label].append(value)
+            samples[metric][OVERALL][label].append(value)
+
+    entries: Entries = {}
+    for metric, per_scenario in samples.items():
+        for scenario, per_label in per_scenario.items():
+            for label, values in per_label.items():
+                if values:
+                    entries.setdefault(metric, {}).setdefault(scenario, {})[label] = (
+                        _stats_dict(values)
+                    )
+    return entries, aggregated
+
+
+def _ranked(entries: Entries, metric: str, lower_is_better: bool) -> List[Tuple[str, StatsDict]]:
+    """The labels of ``metric``'s overall entries, best mean first (ties by label)."""
+    return sorted(
+        entries.get(metric, {}).get(OVERALL, {}).items(),
+        key=lambda item: (item[1]["mean"] if lower_is_better else -item[1]["mean"], item[0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -95,14 +157,12 @@ class CampaignReport(JsonEnvelope):
     methods: Tuple[str, ...]
     n_cells_expected: int
     n_cells_aggregated: int
-    entries: Dict[str, Dict[str, Dict[str, StatsDict]]]
+    entries: Entries
     runtime_metrics: Tuple[str, ...] = ()
     runtime_labels: Tuple[str, ...] = ()
     n_runtime_cells_expected: int = 0
     n_runtime_cells_aggregated: int = 0
-    runtime_entries: Dict[str, Dict[str, Dict[str, StatsDict]]] = field(
-        default_factory=dict
-    )
+    runtime_entries: Entries = field(default_factory=dict)
 
     # -- construction ------------------------------------------------------------
 
@@ -123,76 +183,21 @@ class CampaignReport(JsonEnvelope):
         """
         scenario_names = tuple(scenario.name for scenario in spec.scenarios)
         method_names = tuple(str(method) for method in spec.methods)
-
-        samples: Dict[str, Dict[str, Dict[str, List[float]]]] = {
-            metric: {
-                scenario: {method: [] for method in method_names}
-                for scenario in (*scenario_names, OVERALL)
-            }
-            for metric in spec.metrics
-        }
-        aggregated = 0
-        for cell in spec.cells():
-            values = records.get(cell.key())
-            if values is None:
-                continue
-            aggregated += 1
-            for metric in spec.metrics:
-                if metric not in values:
-                    continue
-                value = float(values[metric])
-                samples[metric][cell.scenario][cell.method].append(value)
-                samples[metric][OVERALL][cell.method].append(value)
-
-        entries: Dict[str, Dict[str, Dict[str, StatsDict]]] = {}
-        for metric, per_scenario in samples.items():
-            for scenario, per_method in per_scenario.items():
-                for method, values in per_method.items():
-                    if not values:
-                        continue
-                    entries.setdefault(metric, {}).setdefault(scenario, {})[
-                        method
-                    ] = _stats_dict(values)
-
-        runtime_metrics: Tuple[str, ...] = ()
-        runtime_label_names: Tuple[str, ...] = ()
-        runtime_entries: Dict[str, Dict[str, Dict[str, StatsDict]]] = {}
-        runtime_aggregated = 0
-        if spec.runtime is not None:
-            runtime_metrics = spec.runtime.metrics
-            runtime_label_names = tuple(
-                runtime_label(method, str(model))
-                for method in method_names
-                for model in spec.runtime.execution_models
-            )
-            runtime_samples: Dict[str, Dict[str, Dict[str, List[float]]]] = {
-                metric: {
-                    scenario: {label: [] for label in runtime_label_names}
-                    for scenario in (*scenario_names, OVERALL)
-                }
-                for metric in runtime_metrics
-            }
-            runtime_records = runtime_records or {}
-            for cell in spec.runtime_cells():
-                values = runtime_records.get(cell.key())
-                if values is None:
-                    continue
-                runtime_aggregated += 1
-                label = runtime_label(cell.method, cell.execution_model)
-                for metric in runtime_metrics:
-                    if metric not in values:
-                        continue
-                    value = float(values[metric])
-                    runtime_samples[metric][cell.scenario][label].append(value)
-                    runtime_samples[metric][OVERALL][label].append(value)
-            for metric, per_scenario in runtime_samples.items():
-                for scenario, per_label in per_scenario.items():
-                    for label, values in per_label.items():
-                        if not values:
-                            continue
-                        runtime_entries.setdefault(metric, {}).setdefault(scenario, {})[
-                            label
-                        ] = _stats_dict(values)
+        entries, aggregated = _aggregate(
+            scenario_names, spec.cells(), records, spec.metrics, method_names,
+            lambda cell: cell.method,
+        )
+        runtime = spec.runtime
+        runtime_metrics = runtime.metrics if runtime is not None else ()
+        runtime_label_names = tuple(
+            runtime_label(method, str(model))
+            for method in method_names
+            for model in (runtime.execution_models if runtime is not None else ())
+        )
+        runtime_entries, runtime_aggregated = _aggregate(
+            scenario_names, spec.runtime_cells(), runtime_records or {}, runtime_metrics,
+            runtime_label_names, lambda cell: runtime_label(cell.method, cell.execution_model),
+        )
 
         return cls(
             name=spec.name,
@@ -235,12 +240,7 @@ class CampaignReport(JsonEnvelope):
         :data:`~repro.campaign.spec.LOWER_IS_BETTER`; ties break by method
         name so rankings are stable.
         """
-        overall = self.entries.get(metric, {}).get(OVERALL, {})
-        reverse = metric not in LOWER_IS_BETTER
-        return sorted(
-            overall.items(),
-            key=lambda item: ((-item[1]["mean"]) if reverse else item[1]["mean"], item[0]),
-        )
+        return _ranked(self.entries, metric, metric in LOWER_IS_BETTER)
 
     def runtime_leaderboard(self, metric: str) -> List[Tuple[str, StatsDict]]:
         """(method, execution model) pairs ranked by their overall mean.
@@ -249,12 +249,7 @@ class CampaignReport(JsonEnvelope):
         :data:`~repro.campaign.spec.RUNTIME_LOWER_IS_BETTER`; ties break by
         label so rankings are stable.
         """
-        overall = self.runtime_entries.get(metric, {}).get(OVERALL, {})
-        reverse = metric not in RUNTIME_LOWER_IS_BETTER
-        return sorted(
-            overall.items(),
-            key=lambda item: ((-item[1]["mean"]) if reverse else item[1]["mean"], item[0]),
-        )
+        return _ranked(self.runtime_entries, metric, metric in RUNTIME_LOWER_IS_BETTER)
 
     # -- serialisation -----------------------------------------------------------
 
@@ -295,7 +290,7 @@ class CampaignReport(JsonEnvelope):
         runtime = data.get("runtime") or {}
         runtime_cells = runtime.get("cells") or {}
 
-        def _entries(source: Mapping) -> Dict[str, Dict[str, Dict[str, StatsDict]]]:
+        def _entries(source: Mapping) -> Entries:
             return {
                 metric: {
                     scenario: {method: dict(stats) for method, stats in per_method.items()}
@@ -344,39 +339,30 @@ class CampaignReport(JsonEnvelope):
             lines.append(f"runtime: {', '.join(self.runtime_labels)}")
         return lines
 
-    def _boards(self) -> List[Tuple[str, str, bool, List[Tuple[str, StatsDict]], str]]:
-        """Every leaderboard to emit: (title, metric, lower_is_better, board, kind).
+    def _boards(self) -> List[Tuple[str, str, bool, List[Tuple[str, StatsDict]], str, Entries]]:
+        """Every leaderboard to emit: (title, metric, lower_is_better, board,
+        label kind, the entries its per-scenario stats come from).
 
         Schedule-metric boards first, then run-time boards (titled
         ``runtime:<metric>``), both in canonical metric order.
         """
-        boards = []
-        for metric in self.metrics:
-            boards.append(
-                (metric, metric, metric in LOWER_IS_BETTER, self.leaderboard(metric), "method")
-            )
-        for metric in self.runtime_metrics:
-            boards.append(
-                (
-                    f"runtime:{metric}",
-                    metric,
-                    metric in RUNTIME_LOWER_IS_BETTER,
-                    self.runtime_leaderboard(metric),
-                    "method @ execution model",
-                )
-            )
+        boards = [
+            (metric, metric, metric in LOWER_IS_BETTER, self.leaderboard(metric), "method",
+             self.entries)
+            for metric in self.metrics
+        ]
+        boards += [
+            (f"runtime:{metric}", metric, metric in RUNTIME_LOWER_IS_BETTER,
+             self.runtime_leaderboard(metric), "method @ execution model", self.runtime_entries)
+            for metric in self.runtime_metrics
+        ]
         return boards
-
-    def _scenario_stats(self, title: str, metric: str, scenario: str, label: str):
-        if title.startswith("runtime:"):
-            return self.runtime_entries.get(metric, {}).get(scenario, {}).get(label)
-        return self.stats(metric, scenario, label)
 
     def to_markdown(self) -> str:
         """Markdown report: one ranked leaderboard table per metric."""
         lines = [f"# Campaign report — {self.name}", ""]
         lines += [f"- {entry}" for entry in self._header_lines()]
-        for title, metric, lower, board, label_kind in self._boards():
+        for title, metric, lower, board, label_kind, entries in self._boards():
             if not board:
                 continue
             direction = "lower is better" if lower else "higher is better"
@@ -384,42 +370,28 @@ class CampaignReport(JsonEnvelope):
             header = ["rank", label_kind, OVERALL, *self.scenarios]
             lines.append("| " + " | ".join(header) + " |")
             lines.append("|" + "|".join(" --- " for _ in header) + "|")
-            for rank, (label, overall_stats) in enumerate(board, start=1):
-                row = [str(rank), f"`{label}`"]
-                row.append(
-                    f"{_format_value(metric, overall_stats['mean'])} "
-                    f"± {_format_value(metric, overall_stats['std'])}"
-                )
-                for scenario in self.scenarios:
-                    stats = self._scenario_stats(title, metric, scenario, label)
-                    if stats is None:
-                        row.append("—")
-                    else:
-                        row.append(
-                            f"{_format_value(metric, stats['mean'])} "
-                            f"± {_format_value(metric, stats['std'])}"
-                        )
+            per_scenario = entries.get(metric, {})
+            for rank, (label, _overall) in enumerate(board, start=1):
+                row = [str(rank), f"`{label}`"] + [
+                    _mean_std(metric, per_scenario.get(scenario, {}).get(label))
+                    for scenario in (OVERALL, *self.scenarios)
+                ]
                 lines.append("| " + " | ".join(row) + " |")
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
         """Aligned plain-text tables (the CLI's default ``--format table``)."""
         blocks = list(self._header_lines())
-        for title, _metric, _lower, board, label_kind in self._boards():
+        for title, _metric, _lower, board, label_kind, _entries in self._boards():
             if not board:
                 continue
-            rows = []
-            for rank, (label, overall_stats) in enumerate(board, start=1):
-                row: Dict[str, Any] = {
+            rows = [
+                {
                     "rank": rank,
                     label_kind.split(" ")[0]: label,
-                    "mean": overall_stats["mean"],
-                    "std": overall_stats["std"],
-                    "median": overall_stats["median"],
-                    "min": overall_stats["min"],
-                    "max": overall_stats["max"],
-                    "n": overall_stats["n"],
+                    **{column: stats[column] for column in TABLE_COLUMNS},
                 }
-                rows.append(row)
+                for rank, (label, stats) in enumerate(board, start=1)
+            ]
             blocks += ["", f"== {title} ==", format_table(rows)]
         return "\n".join(blocks) + "\n"

@@ -26,8 +26,8 @@ fall into the ``i``-th of ``n`` contiguous keyspace ranges
 (:func:`shard_of_key` — disjoint and complete by construction, and stable
 under grid growth within a range) and journals them to its own
 ``campaign.shard-i-of-n.jsonl``.  Each run-time cell rides with its schedule
-cell's key, so every shard worker simulates against schedules it computed
-itself.  Once every shard journal is complete,
+cell's key (:func:`cell_shard`), so every shard worker simulates against
+schedules it computed itself.  Once every shard journal is complete,
 :func:`merge_shard_journals` (invoked automatically by the shard that
 finishes last, or explicitly via ``python -m repro.campaign merge``)
 reassembles the canonical ``campaign.jsonl`` — byte-identical to a
@@ -42,19 +42,15 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import tee
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.analysis import max_response_time
 from repro.campaign.report import CampaignReport
-from repro.campaign.spec import CampaignCell, CampaignSpec, RuntimeCell
-from repro.campaign.timings import (
-    TimingsWriter,
-    runtime_timing_entry,
-    schedule_timing_entry,
-)
+from repro.campaign.spec import CampaignCell, CampaignSpec
+from repro.campaign.timings import TimingsWriter, timing_entry
 from repro.core.serialization import atomic_write_json, canonical_json, content_hash
 from repro.runtime import SimulationRequest, SimulationResponse, SimulationService
 from repro.scenario import Scenario, pinned_scenario
@@ -68,11 +64,9 @@ CAMPAIGN_SPEC_FILENAME = "campaign.json"
 #: Per-shard journal filenames: ``campaign.shard-3-of-8.jsonl``.
 SHARD_JOURNAL_RE = re.compile(r"^campaign\.shard-(\d+)-of-(\d+)\.jsonl$")
 
-#: Journal/lookup key of one cell; mirrors :meth:`CampaignCell.key`.
-CellKey = Tuple[str, str, Optional[float], int, int]
-
-#: Journal/lookup key of one run-time cell; mirrors :meth:`RuntimeCell.key`.
-RuntimeCellKey = Tuple[str, str, str, Optional[float], int, int]
+#: Journal/lookup key of one cell; mirrors :meth:`CampaignCell.key` (five
+#: coordinates, six on run-time cells).
+CellKey = Tuple[Any, ...]
 
 #: Per-cell metric values, keyed by metric name (bools stored as bools).
 CellValues = Dict[str, Union[bool, float]]
@@ -146,7 +140,7 @@ def cell_request(spec: CampaignSpec, cell: CampaignCell) -> ScheduleRequest:
     )
 
 
-def runtime_cell_request(spec: CampaignSpec, cell: RuntimeCell) -> SimulationRequest:
+def runtime_cell_request(spec: CampaignSpec, cell: CampaignCell) -> SimulationRequest:
     """Build the :class:`SimulationRequest` one run-time cell submits.
 
     The embedded schedule question (scenario, system index, method — with the
@@ -236,19 +230,18 @@ def shard_of_key(content_key: str, n_shards: int) -> int:
 
 
 def cell_shard(spec: CampaignSpec, cell: CampaignCell, n_shards: int) -> int:
-    """The 0-based shard owning one schedule cell (by its request content key)."""
-    return shard_of_key(cell_request(spec, cell).content_key(), n_shards)
+    """The 0-based shard owning one cell, by its schedule request's content key.
 
-
-def runtime_cell_shard(spec: CampaignSpec, cell: RuntimeCell, n_shards: int) -> int:
-    """The 0-based shard owning one run-time cell.
-
-    Run-time cells are sharded by their *schedule* cell's content key, so a
-    shard worker always simulates against schedules it computed itself (its
-    schedule cache is warm) — and every execution model of one schedule cell
-    stays on one worker.
+    A run-time cell goes by its *schedule* cell, so a shard worker always
+    simulates against schedules it computed itself (its schedule cache is
+    warm) — and every execution model of one schedule cell stays on one
+    worker.
     """
-    return cell_shard(spec, cell.schedule_cell(), n_shards)
+    return shard_of_key(cell_request(spec, cell.schedule_cell()).content_key(), n_shards)
+
+
+#: The shard of a run-time cell: :func:`cell_shard`, under its older name.
+runtime_cell_shard = cell_shard
 
 
 def shard_journal_filename(shard_index: int, n_shards: int) -> str:
@@ -270,29 +263,10 @@ def parse_shard(text: str) -> Tuple[int, int]:
 # -- journal entry construction (shared by the runner and the merge) ------------
 
 
-def _schedule_entry_dict(cell: CampaignCell, values: CellValues) -> Dict:
-    return {
-        "sc": cell.scenario,
-        "m": cell.method,
-        "u": cell.utilisation,
-        "i": cell.system_index,
-        "r": cell.replication,
-        "v": values,
-    }
-
-
-def _runtime_entry_dict(cell: RuntimeCell, values: CellValues) -> Dict:
-    # Run-time cells share the journal; the "x" (execution model) field
+def _entry_dict(cell: CampaignCell, values: CellValues) -> Dict:
+    # Run-time cells share the journal; their "x" (execution model) field
     # tells the two record shapes apart on load.
-    return {
-        "sc": cell.scenario,
-        "m": cell.method,
-        "x": cell.execution_model,
-        "u": cell.utilisation,
-        "i": cell.system_index,
-        "r": cell.replication,
-        "v": values,
-    }
+    return {**cell.coordinates(), "v": values}
 
 
 # -- the runner ----------------------------------------------------------------
@@ -305,34 +279,26 @@ class CampaignResult:
     spec: CampaignSpec
     #: Every completed cell (resumed + freshly evaluated), by cell key.
     records: Dict[CellKey, CellValues]
+    #: Every completed run-time cell, by cell key (empty without a
+    #: ``runtime`` section).  ``evaluated``/``resumed`` count these too.
+    runtime_records: Dict[CellKey, CellValues]
     #: Cells evaluated by *this* call (not served from the journal).
     evaluated: int
     #: Cells served from the journal before this call computed anything.
-    resumed: int = 0
-    #: Every completed run-time cell, by run-time cell key (empty without a
-    #: ``runtime`` section).  ``evaluated``/``resumed`` count these too.
-    runtime_records: Dict[RuntimeCellKey, CellValues] = field(default_factory=dict)
+    resumed: int
     #: Cells this run was responsible for — the full grid, or (sharded) the
-    #: shard's share of it.  ``None`` means the full grid.
-    expected_cells: Optional[int] = None
-    expected_runtime_cells: Optional[int] = None
+    #: shard's share of it.
+    expected_cells: int
+    expected_runtime_cells: int
     #: Path of the canonical merged journal, when a sharded run found every
     #: shard complete and (re)assembled ``campaign.jsonl``.
     merged_journal: Optional[Path] = None
 
     @property
     def complete(self) -> bool:
-        expected = (
-            self.expected_cells if self.expected_cells is not None else self.spec.n_cells
-        )
-        expected_runtime = (
-            self.expected_runtime_cells
-            if self.expected_runtime_cells is not None
-            else self.spec.n_runtime_cells
-        )
-        return (
-            len(self.records) == expected
-            and len(self.runtime_records) == expected_runtime
+        return (len(self.records), len(self.runtime_records)) == (
+            self.expected_cells,
+            self.expected_runtime_cells,
         )
 
     def report(self) -> CampaignReport:
@@ -451,8 +417,9 @@ class CampaignRunner:
             if shard is not None
             else CAMPAIGN_JOURNAL_FILENAME
         )
+        # Both grids' records: run-time keys are one coordinate longer, so
+        # the two never collide.
         self._records: Dict[CellKey, CellValues] = {}
-        self._runtime_records: Dict[RuntimeCellKey, CellValues] = {}
         if artifact_dir is not None:
             self.directory = Path(artifact_dir) / spec.content_key()
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -487,7 +454,7 @@ class CampaignRunner:
     @property
     def completed_cells(self) -> int:
         """Cells already answered by the journal (or earlier runs)."""
-        return len(self._records) + len(self._runtime_records)
+        return len(self._records)
 
     # -- execution ---------------------------------------------------------------
 
@@ -503,84 +470,70 @@ class CampaignRunner:
         run-time cells); a subsequent call picks up exactly where this one
         stopped.
         """
-        cells = list(self.spec.cells())
-        runtime_cells = list(self.spec.runtime_cells())
-        if self.shard is not None:
-            # The shard's cells, still in canonical grid order (a subsequence
-            # of it) — which is what makes the merged journal byte-identical
-            # to a single-process run.
-            index, n_shards = self.shard
-            cells = [
-                cell
-                for cell in cells
-                if cell_shard(self.spec, cell, n_shards) == index - 1
-            ]
-            runtime_cells = [
-                cell
-                for cell in runtime_cells
-                if runtime_cell_shard(self.spec, cell, n_shards) == index - 1
-            ]
-        resumed = sum(1 for cell in cells if cell.key() in self._records) + sum(
-            1 for cell in runtime_cells if cell.key() in self._runtime_records
-        )
-        pending = [cell for cell in cells if cell.key() not in self._records]
-        runtime_pending = [
-            cell for cell in runtime_cells if cell.key() not in self._runtime_records
-        ]
-        if max_cells is not None:
-            runtime_pending = runtime_pending[: max(0, max_cells - len(pending))]
-            pending = pending[:max_cells]
-
-        evaluated = 0
+        spec = self.spec
         # One response-time analysis per distinct system, not per cell.
         analysis_cache: Dict[Tuple[str, int], float] = {}
-        # The service reads requests a window ahead; the tee hands each
-        # request back beside its response without holding the whole grid.
-        requests, echoed = tee(cell_request(self.spec, cell) for cell in pending)
-        for response, cell, request in zip(
-            self.service.submit_stream(requests), pending, echoed
-        ):
-            values = cell_values(self.spec, request, response, analysis_cache=analysis_cache)
-            self._record(cell, values)
-            self._timings.write(
-                schedule_timing_entry(cell, cache=response.cache, elapsed_s=response.elapsed_s)
-            )
-            evaluated += 1
+        # Each grid: its service, its cells, how a cell becomes a request and
+        # how an answer becomes journal values.  The run-time grid follows the
+        # schedule grid, so every simulation's embedded schedule question is
+        # already cached when it runs.
+        grids = (
+            (
+                self.service,
+                spec.cells(),
+                cell_request,
+                lambda request, response: cell_values(
+                    spec, request, response, analysis_cache=analysis_cache
+                ),
+            ),
+            (
+                self.simulation,
+                spec.runtime_cells(),
+                runtime_cell_request,
+                lambda _request, response: runtime_cell_values(spec, response),
+            ),
+        )
+        budget = max_cells
+        evaluated = resumed = 0
+        grid_records, expected = [], []
+        for service, cells, request_of, values_of in grids:
+            cells = list(cells)
+            if self.shard is not None:
+                # The shard's cells, still in canonical grid order (a
+                # subsequence of it) — which is what makes the merged journal
+                # byte-identical to a single-process run.
+                index, n_shards = self.shard
+                cells = [cell for cell in cells if cell_shard(spec, cell, n_shards) == index - 1]
+            pending = [cell for cell in cells if cell.key() not in self._records]
+            resumed += len(cells) - len(pending)
+            if budget is not None:
+                pending = pending[:budget]
+                budget -= len(pending)
+            if pending:
+                # The service reads requests a window ahead; the tee hands
+                # each request back beside its response without holding the
+                # whole grid.
+                requests, echoed = tee(request_of(spec, cell) for cell in pending)
+                for response, cell, request in zip(
+                    service.submit_stream(requests), pending, echoed
+                ):
+                    self._record(cell, values_of(request, response))
+                    self._timings.write(
+                        timing_entry(cell, cache=response.cache, elapsed_s=response.elapsed_s)
+                    )
+                    evaluated += 1
+            keys = [cell.key() for cell in cells]
+            grid_records.append({key: self._records[key] for key in keys if key in self._records})
+            expected.append(len(cells))
 
-        # The run-time grid follows the schedule grid, so every simulation's
-        # embedded schedule question is already cached when it runs.
-        if runtime_pending:
-            assert self.simulation is not None
-            responses = self.simulation.submit_stream(
-                runtime_cell_request(self.spec, cell) for cell in runtime_pending
-            )
-            for response, cell in zip(responses, runtime_pending):
-                self._record_runtime(cell, runtime_cell_values(self.spec, response))
-                self._timings.write(
-                    runtime_timing_entry(cell, cache=response.cache, elapsed_s=response.elapsed_s)
-                )
-                evaluated += 1
-
-        records = {
-            cell.key(): self._records[cell.key()]
-            for cell in cells
-            if cell.key() in self._records
-        }
-        runtime_records = {
-            cell.key(): self._runtime_records[cell.key()]
-            for cell in runtime_cells
-            if cell.key() in self._runtime_records
-        }
         result = CampaignResult(
-            spec=self.spec,
-            records=records,
+            spec=spec,
+            records=grid_records[0],
+            runtime_records=grid_records[1],
             evaluated=evaluated,
             resumed=resumed,
-            runtime_records=runtime_records,
-            expected_cells=len(cells) if self.shard is not None else None,
-            expected_runtime_cells=(
-                len(runtime_cells) if self.shard is not None else None
-            ),
+            expected_cells=expected[0],
+            expected_runtime_cells=expected[1],
         )
         if self.shard is not None and result.complete:
             # Flush our shard journal, then merge if every shard is done.
@@ -598,27 +551,14 @@ class CampaignRunner:
     # -- the journal -------------------------------------------------------------
 
     def _record(self, cell: CampaignCell, values: CellValues) -> None:
-        key = cell.key()
-        if key in self._records:
-            return
-        self._records[key] = values
-        self._journal_line(_schedule_entry_dict(cell, values))
-
-    def _record_runtime(self, cell: RuntimeCell, values: CellValues) -> None:
-        key = cell.key()
-        if key in self._runtime_records:
-            return
-        self._runtime_records[key] = values
-        self._journal_line(_runtime_entry_dict(cell, values))
-
-    def _journal_line(self, entry: Dict) -> None:
+        self._records[cell.key()] = values
         if self.directory is None:
             return
         if self._journal is None:
             self._journal = open(
                 self.directory / self._journal_filename, "a", encoding="utf-8"
             )
-        self._journal.write(canonical_json(entry) + "\n")
+        self._journal.write(canonical_json(_entry_dict(cell, values)) + "\n")
         self._journal.flush()
 
     def _load_journal(self) -> None:
@@ -636,9 +576,8 @@ class CampaignRunner:
                 keep = content.rfind("\n") + 1
                 handle.seek(keep)
                 handle.truncate()
-        schedule_records, runtime_records = read_campaign_journal_full(path)
-        self._records.update(schedule_records)
-        self._runtime_records.update(runtime_records)
+        for records in read_campaign_journal_full(path):
+            self._records.update(records)
 
     def _write_spec(self) -> None:
         """Persist the spec payload next to the journal (humans + ``report``)."""
@@ -677,7 +616,7 @@ def run_campaign(
 
 def read_campaign_journal_full(
     path: Union[str, Path],
-) -> Tuple[Dict[CellKey, CellValues], Dict[RuntimeCellKey, CellValues]]:
+) -> Tuple[Dict[CellKey, CellValues], Dict[CellKey, CellValues]]:
     """Parse a ``campaign.jsonl`` journal; unreadable lines are skipped.
 
     Returns ``(schedule_records, runtime_records)`` — lines carrying an
@@ -686,7 +625,7 @@ def read_campaign_journal_full(
     repair on top before it appends.
     """
     records: Dict[CellKey, CellValues] = {}
-    runtime_records: Dict[RuntimeCellKey, CellValues] = {}
+    runtime_records: Dict[CellKey, CellValues] = {}
     path = Path(path)
     if not path.exists():
         return records, runtime_records
@@ -698,44 +637,26 @@ def read_campaign_journal_full(
             try:
                 entry = json.loads(line)
                 utilisation = entry["u"]
-                utilisation = float(utilisation) if utilisation is not None else None
+                cell = CampaignCell(
+                    scenario=str(entry["sc"]),
+                    method=str(entry["m"]),
+                    utilisation=float(utilisation) if utilisation is not None else None,
+                    system_index=int(entry["i"]),
+                    replication=int(entry["r"]),
+                    execution_model=str(entry["x"]) if "x" in entry else None,
+                )
                 values = dict(entry["v"])
-                if "x" in entry:
-                    runtime_key: RuntimeCellKey = (
-                        str(entry["sc"]),
-                        str(entry["m"]),
-                        str(entry["x"]),
-                        utilisation,
-                        int(entry["i"]),
-                        int(entry["r"]),
-                    )
-                else:
-                    key: CellKey = (
-                        str(entry["sc"]),
-                        str(entry["m"]),
-                        utilisation,
-                        int(entry["i"]),
-                        int(entry["r"]),
-                    )
             except (ValueError, KeyError, TypeError):
                 # A truncated/corrupt line: almost certainly the final write
                 # of an interrupted run.  The cell will be recomputed.
                 continue
-            if "x" in entry:
-                runtime_records[runtime_key] = values
-            else:
-                records[key] = values
+            (records if cell.execution_model is None else runtime_records)[cell.key()] = values
     return records, runtime_records
-
-
-def read_campaign_journal(path: Union[str, Path]) -> Dict[CellKey, CellValues]:
-    """The schedule-cell records of a journal (see :func:`read_campaign_journal_full`)."""
-    return read_campaign_journal_full(path)[0]
 
 
 def load_campaign_records(
     artifact_dir: Union[str, Path], spec: CampaignSpec
-) -> Tuple[Dict[CellKey, CellValues], Dict[RuntimeCellKey, CellValues]]:
+) -> Tuple[Dict[CellKey, CellValues], Dict[CellKey, CellValues]]:
     """Read a campaign's journalled cells without running (or writing) anything.
 
     Returns ``(schedule_records, runtime_records)``.  Deliberately does *not*
@@ -806,14 +727,11 @@ def merge_shard_journals(
     if not journals:
         raise ValueError(f"no shard journals found in {directory}")
     records: Dict[CellKey, CellValues] = {}
-    runtime_records: Dict[RuntimeCellKey, CellValues] = {}
     for path in journals.values():
-        shard_records, shard_runtime_records = read_campaign_journal_full(path)
-        records.update(shard_records)
-        runtime_records.update(shard_runtime_records)
-    missing = sum(1 for cell in spec.cells() if cell.key() not in records) + sum(
-        1 for cell in spec.runtime_cells() if cell.key() not in runtime_records
-    )
+        for shard_records in read_campaign_journal_full(path):
+            records.update(shard_records)
+    cells = [*spec.cells(), *spec.runtime_cells()]
+    missing = sum(1 for cell in cells if cell.key() not in records)
     if missing and require_complete:
         raise ValueError(
             f"cannot merge: {missing} cell(s) missing from the shard journals "
@@ -825,19 +743,10 @@ def merge_shard_journals(
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for cell in spec.cells():
+            for cell in cells:
                 values = records.get(cell.key())
                 if values is not None:
-                    handle.write(
-                        canonical_json(_schedule_entry_dict(cell, values)) + "\n"
-                    )
-            for runtime_cell in spec.runtime_cells():
-                values = runtime_records.get(runtime_cell.key())
-                if values is not None:
-                    handle.write(
-                        canonical_json(_runtime_entry_dict(runtime_cell, values))
-                        + "\n"
-                    )
+                    handle.write(canonical_json(_entry_dict(cell, values)) + "\n")
         os.replace(tmp_name, target)
     except BaseException:
         try:

@@ -167,6 +167,9 @@ class CampaignCell:
     ``utilisation`` is ``None`` when the campaign has no explicit utilisation
     sweep — the scenario's own workload utilisation applies.  ``method`` is
     the canonical spec string, so logically-equal specs name the same cell.
+    A *run-time* cell also names an ``execution_model`` (the canonical model
+    spec string): it executes the schedule of its :meth:`schedule_cell` on
+    that model.
     """
 
     scenario: str
@@ -174,35 +177,32 @@ class CampaignCell:
     utilisation: Optional[float]
     system_index: int
     replication: int
+    execution_model: Optional[str] = None
 
-    def key(self) -> Tuple[str, str, Optional[float], int, int]:
-        """The journal/lookup key of this cell."""
-        return (
-            self.scenario,
-            self.method,
-            self.utilisation,
-            self.system_index,
-            self.replication,
-        )
+    def coordinates(self) -> Dict[str, Any]:
+        """The cell's journal fields; ``"x"`` only on run-time cells."""
+        coordinates = {
+            "sc": self.scenario,
+            "m": self.method,
+            "u": self.utilisation,
+            "i": self.system_index,
+            "r": self.replication,
+        }
+        if self.execution_model is not None:
+            coordinates["x"] = self.execution_model
+        return coordinates
 
-
-@dataclass(frozen=True)
-class RuntimeCell:
-    """One run-time simulation cell: a schedule cell × an execution model.
-
-    ``execution_model`` is the canonical model spec string, so logically
-    equal model specs name the same cell.
-    """
-
-    scenario: str
-    method: str
-    execution_model: str
-    utilisation: Optional[float]
-    system_index: int
-    replication: int
-
-    def key(self) -> Tuple[str, str, str, Optional[float], int, int]:
-        """The journal/lookup key of this cell."""
+    def key(self) -> Tuple:
+        """The journal/lookup key: ``(sc, m, u, i, r)``, with the execution
+        model after the method on run-time cells."""
+        if self.execution_model is None:
+            return (
+                self.scenario,
+                self.method,
+                self.utilisation,
+                self.system_index,
+                self.replication,
+            )
         return (
             self.scenario,
             self.method,
@@ -212,8 +212,8 @@ class RuntimeCell:
             self.replication,
         )
 
-    def schedule_cell(self) -> CampaignCell:
-        """The schedule cell this simulation executes the schedule of."""
+    def schedule_cell(self) -> "CampaignCell":
+        """The schedule cell whose schedule this cell executes."""
         return CampaignCell(
             scenario=self.scenario,
             method=self.method,
@@ -361,7 +361,7 @@ class CampaignSpec(JsonEnvelope, ContentKeyed):
             return 0
         return self.n_cells * len(self.runtime.execution_models)
 
-    def runtime_cells(self) -> Iterator[RuntimeCell]:
+    def runtime_cells(self) -> Iterator[CampaignCell]:
         """Expand the run-time grid: schedule-cell order, models innermost.
 
         Like :meth:`cells`, this order is canonical — the runner simulates,
@@ -372,13 +372,13 @@ class CampaignSpec(JsonEnvelope, ContentKeyed):
             return
         for cell in self.cells():
             for model in self.runtime.execution_models:
-                yield RuntimeCell(
+                yield CampaignCell(
                     scenario=cell.scenario,
                     method=cell.method,
-                    execution_model=str(model),
                     utilisation=cell.utilisation,
                     system_index=cell.system_index,
                     replication=cell.replication,
+                    execution_model=str(model),
                 )
 
     def scenario_by_name(self, name: str) -> Scenario:

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.campaign.spec import CampaignCell, RuntimeCell
+from repro.campaign.spec import CampaignCell
 from repro.experiments.stats import format_table, percentile
 
 #: Sidecar of the canonical journal.
@@ -41,32 +41,11 @@ def timings_filename(journal_filename: str) -> str:
     return f"{stem}.metrics.jsonl"
 
 
-def schedule_timing_entry(
-    cell: CampaignCell, *, cache: str, elapsed_s: float
-) -> Dict[str, object]:
+def timing_entry(cell: CampaignCell, *, cache: str, elapsed_s: float) -> Dict[str, object]:
+    """One sidecar line: the cell's journal coordinates, kind and timing."""
     return {
-        "kind": KIND_SCHEDULE,
-        "sc": cell.scenario,
-        "m": cell.method,
-        "u": cell.utilisation,
-        "i": cell.system_index,
-        "r": cell.replication,
-        "cache": cache,
-        "elapsed_ms": round(max(0.0, elapsed_s) * 1000.0, 3),
-    }
-
-
-def runtime_timing_entry(
-    cell: RuntimeCell, *, cache: str, elapsed_s: float
-) -> Dict[str, object]:
-    return {
-        "kind": KIND_SIMULATION,
-        "sc": cell.scenario,
-        "m": cell.method,
-        "x": cell.execution_model,
-        "u": cell.utilisation,
-        "i": cell.system_index,
-        "r": cell.replication,
+        "kind": KIND_SCHEDULE if cell.execution_model is None else KIND_SIMULATION,
+        **cell.coordinates(),
         "cache": cache,
         "elapsed_ms": round(max(0.0, elapsed_s) * 1000.0, 3),
     }
