@@ -193,6 +193,23 @@ class TestRunnerIntegration:
         assert rest.evaluated == 2
         assert rest.complete
 
+    def test_every_budget_resumes_to_the_uninterrupted_journal(self, runtime_spec, tmp_path):
+        """One budget covers both grids: any split of the run counts every
+        cell once and journals the same bytes as a run without a budget."""
+
+        def journal_of(root):
+            return (root / runtime_spec.content_key() / "campaign.jsonl").read_bytes()
+
+        run_campaign(runtime_spec, artifact_dir=tmp_path / "whole")
+        size = runtime_spec.n_cells + runtime_spec.n_runtime_cells
+        for budget in range(1, size + 1):
+            directory = tmp_path / f"budget-{budget}"
+            first = run_campaign(runtime_spec, artifact_dir=directory, max_cells=budget)
+            second = run_campaign(runtime_spec, artifact_dir=directory)
+            assert (first.evaluated, second.evaluated) == (budget, size - budget)
+            assert second.resumed == budget
+            assert journal_of(directory) == journal_of(tmp_path / "whole")
+
     def test_journal_reads_back_both_record_kinds(self, runtime_spec, tmp_path):
         result = run_campaign(runtime_spec, artifact_dir=tmp_path)
         records, runtime_records = load_campaign_records(tmp_path, runtime_spec)
