@@ -77,6 +77,8 @@ from repro.service.batch_cli import (
     add_metrics_out_argument,
     add_output_argument,
     add_service_arguments,
+    validate_execution_models,
+    validate_methods,
     write_output,
     write_runner_metrics,
 )
@@ -400,6 +402,8 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error(f"--shard: {error}")
         if args.artifact_dir is None:
             parser.error("--shard requires --artifact-dir (the merge point)")
+    validate_methods(parser, args.methods)
+    validate_execution_models(parser, args.execution_models)
     try:
         spec = resolve_run_spec(parser, args)
     except (ValueError, KeyError) as error:

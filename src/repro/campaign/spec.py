@@ -32,9 +32,11 @@ from repro.core.serialization import (
     parse_versioned_payload,
     versioned_payload,
 )
-from repro.runtime.models import ExecutionModelSpec
+from repro.runtime.models import ExecutionModelSpec, execution_model_registered
 from repro.scenario import Scenario, ScenarioLike, create_scenario
+from repro.scheduling.registry import scheduler_registered
 from repro.service import SchedulerSpec
+from repro.service.messages import registered_spec
 
 CAMPAIGN_KIND = "repro/campaign"
 #: Version 2 added the optional ``runtime`` section; campaigns without one
@@ -98,9 +100,13 @@ class RuntimeSpec:
         if isinstance(models, (str, Mapping, SchedulerSpec)):
             models = (models,)
         coerced = tuple(
-            ExecutionModelSpec.coerce(entry)
-            if not isinstance(entry, Mapping)
-            else ExecutionModelSpec.from_dict(dict(entry))
+            registered_spec(
+                ExecutionModelSpec.coerce(entry)
+                if not isinstance(entry, Mapping)
+                else ExecutionModelSpec.from_dict(dict(entry)),
+                execution_model_registered,
+                "execution model",
+            )
             for entry in models
         )
         if not coerced:
@@ -264,7 +270,10 @@ class CampaignSpec(JsonEnvelope, ContentKeyed):
         object.__setattr__(
             self,
             "methods",
-            tuple(SchedulerSpec.coerce(entry) for entry in self._as_tuple("methods")),
+            tuple(
+                registered_spec(SchedulerSpec.coerce(entry), scheduler_registered, "scheduler")
+                for entry in self._as_tuple("methods")
+            ),
         )
         if not self.methods:
             raise ValueError("a campaign needs at least one method")
@@ -443,9 +452,9 @@ class CampaignSpec(JsonEnvelope, ContentKeyed):
             description=data.get("description", ""),
             scenarios=tuple(Scenario.from_dict(entry) for entry in data["scenarios"]),
             methods=tuple(SchedulerSpec.from_dict(entry) for entry in data["methods"]),
-            n_systems=int(data.get("n_systems", 1)),
+            n_systems=data.get("n_systems", 1),
             utilisations=tuple(data.get("utilisations") or ()),
-            replications=int(data.get("replications", 1)),
+            replications=data.get("replications", 1),
             metrics=tuple(data.get("metrics") or CAMPAIGN_METRICS),
             runtime=RuntimeSpec.from_dict(runtime) if runtime is not None else None,
         )

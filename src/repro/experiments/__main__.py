@@ -25,13 +25,12 @@ from repro.experiments.fig6_psi import run_fig6
 from repro.experiments.fig7_upsilon import run_fig7
 from repro.experiments.table1_resources import run_table1
 from repro.scenario import create_scenario
-from repro.scheduling import available_schedulers, scheduler_registered
-from repro.service import SchedulerSpec
 from repro.service.batch_cli import (
     add_listing_arguments,
     add_metrics_out_argument,
     add_profile_argument,
     print_listings,
+    validate_methods,
     write_metrics,
     write_runner_metrics,
 )
@@ -113,25 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_metrics_out_argument(parser)
     relog.add_log_level_argument(parser)
     return parser
-
-
-def validate_methods(
-    parser: argparse.ArgumentParser, methods: Optional[Sequence[str]]
-) -> Optional[Sequence[str]]:
-    """Fail fast (with the parser's usage message) on bad ``--methods`` entries."""
-    if methods is None:
-        return None
-    for method in methods:
-        try:
-            spec = SchedulerSpec.parse(method)
-        except ValueError as error:
-            parser.error(f"--methods: {error}")
-        if not scheduler_registered(spec.name):
-            parser.error(
-                f"--methods: unknown scheduler {spec.name!r}; "
-                f"registered: {', '.join(available_schedulers())}"
-            )
-    return list(methods)
 
 
 def make_config(args: argparse.Namespace) -> ExperimentConfig:

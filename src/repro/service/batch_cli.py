@@ -13,7 +13,8 @@ with ``source:line: invalid request: …`` on stderr and exit status 1.
 
 The module also holds what ``python -m repro.experiments`` and
 ``python -m repro.campaign`` share with the batch CLIs: the ``--list-*``,
-``--profile`` and ``--metrics-out`` flags and the metrics writers.
+``--profile`` and ``--metrics-out`` flags, the checks of ``--methods`` and
+``--execution-models`` against the registries, and the metrics writers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 from repro.core import logging as relog
 from repro.core.profiling import DEFAULT_PROFILE_PATH
 from repro.scenario import create_scenario, format_scenario_listing
-from repro.scheduling import format_scheduler_listing
+from repro.scheduling import available_schedulers, format_scheduler_listing, scheduler_registered
 from repro.service.core import distinct_registries
 from repro.service.messages import CACHE_HIT, ScheduleRequest
 from repro.service.spec import SchedulerSpec
@@ -64,6 +65,49 @@ def print_listings(args: argparse.Namespace, order: Sequence[str] = LISTING_ORDE
     for name in wanted:
         print(LISTINGS[name][1]())
     return bool(wanted)
+
+
+def _validate_specs(parser, flag, entries, parse, registered, what, available):
+    """``entries`` as a list, or a usage error naming ``flag`` and the first
+    entry that does not ``parse`` or names no ``registered`` ``what``."""
+    if entries is None:
+        return None
+    for entry in entries:
+        try:
+            spec = parse(entry)
+        except ValueError as error:
+            parser.error(f"{flag}: {error}")
+        if not registered(spec.name):
+            parser.error(
+                f"{flag}: unknown {what} {spec.name!r}; registered: {', '.join(available())}"
+            )
+    return list(entries)
+
+
+def validate_methods(
+    parser: argparse.ArgumentParser, methods: Optional[Sequence[str]]
+) -> Optional[Sequence[str]]:
+    """Fail fast (with the parser's usage message) on bad ``--methods`` entries."""
+    return _validate_specs(
+        parser, "--methods", methods, SchedulerSpec.parse, scheduler_registered, "scheduler",
+        available_schedulers,
+    )
+
+
+def validate_execution_models(
+    parser: argparse.ArgumentParser, models: Optional[Sequence[str]]
+) -> Optional[Sequence[str]]:
+    """Fail fast (with the parser's usage message) on bad ``--execution-models`` entries."""
+    from repro.runtime.models import (
+        ExecutionModelSpec,
+        available_execution_models,
+        execution_model_registered,
+    )
+
+    return _validate_specs(
+        parser, "--execution-models", models, ExecutionModelSpec.parse,
+        execution_model_registered, "execution model", available_execution_models,
+    )
 
 
 def add_profile_argument(parser: argparse.ArgumentParser) -> None:
@@ -375,6 +419,8 @@ class BatchCli:
             parser.error(f"provide exactly one of {', '.join(names[:-1])} and {names[-1]}")
         if args.systems < 1:
             parser.error(f"--systems must be >= 1, got {args.systems}")
+        validate_methods(parser, args.methods)
+        validate_execution_models(parser, getattr(args, "execution_models", None))
         requests = self._load(parser, args)
         if self.local and args.cache_dir is not None and args.cache_backend is not None:
             parser.error("pass either --cache-dir or --cache-backend, not both")

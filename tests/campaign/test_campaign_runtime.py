@@ -60,6 +60,11 @@ class TestRuntimeSpec:
         with pytest.raises(ValueError):
             RuntimeSpec(**kwargs)
 
+    @pytest.mark.parametrize("model", ["nosuch", {"name": "nosuch", "options": {}}])
+    def test_unknown_models_are_rejected(self, model):
+        with pytest.raises(ValueError, match="^unknown execution model 'nosuch'$"):
+            RuntimeSpec(execution_models=("dedicated-controller", model))
+
     @settings(max_examples=25, deadline=None)
     @given(
         models=st.lists(

@@ -57,6 +57,22 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="surprise"):
             CampaignSpec.from_dict(payload)
 
+    @pytest.mark.parametrize("field_name", ["n_systems", "replications"])
+    @pytest.mark.parametrize("value", [2.9, "3", True, 0], ids=["float", "string", "bool", "zero"])
+    def test_counts_are_not_coerced(self, field_name, value):
+        payload = sample_spec().to_dict()
+        payload["data"][field_name] = value
+        with pytest.raises(ValueError, match=f"^{field_name} must be a positive integer"):
+            CampaignSpec.from_dict(payload)
+
+    def test_unknown_names_are_rejected(self):
+        payload = sample_spec().to_dict()
+        payload["data"]["methods"][0]["name"] = "nosuch"
+        with pytest.raises(ValueError, match="^unknown scheduler 'nosuch'$"):
+            CampaignSpec.from_dict(payload)
+        with pytest.raises(ValueError, match="^unknown scheduler 'nosuch'$"):
+            CampaignSpec(methods=("static", "nosuch:seed=1"))
+
 
 class TestContentKey:
     def test_every_field_enters_the_key(self):

@@ -1,13 +1,22 @@
-"""Request payloads name registered schedulers and execution models.
+"""Request payloads, flags and campaign specs name registered schedulers and
+execution models.
 
 A payload naming anything else is an invalid request where it is read: the
 batch CLIs stop at ``source:line: invalid request: …`` before computing
 anything, and the daemon answers ``invalid-request`` without admitting it.
+A ``--methods`` or ``--execution-models`` flag, or a campaign spec, naming
+anything else is a usage error (exit status 2) before anything runs.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+from repro.campaign import build_campaign
 
 from repro.runtime import SimulationRequest
 from repro.runtime.__main__ import main as runtime_main
@@ -16,6 +25,7 @@ from repro.service import ScheduleRequest
 from repro.service.__main__ import main as service_main
 
 SCENARIO = "short-hyperperiod"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def schedule_payload(spec) -> dict:
@@ -92,3 +102,103 @@ class TestDaemon:
             counts = (dispatcher.admitted, dispatcher.failed)
         assert str(error.value) == f"invalid-request: {message}"
         assert counts == (0, 0)
+
+
+def spec_file(directory: Path, method="static", model="dedicated-controller") -> str:
+    payload = build_campaign(scenarios=(SCENARIO,), execution_models=("cpu-instigated",)).to_dict()
+    payload["data"]["methods"][0]["name"] = method
+    payload["data"]["runtime"]["execution_models"][0]["name"] = model
+    path = directory / "spec.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+class TestUsageErrors:
+    """Each command exits 2 with one error line naming the flag (or the spec)
+    and the name, prints no traceback and leaves no artifact directory."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["repro.service", "--scenario", SCENARIO, "--methods", "static", "nosuch"],
+                "--methods: unknown scheduler 'nosuch'; registered: ",
+            ),
+            (
+                ["repro.runtime", "--scenario", SCENARIO, "--methods", "nosuch"],
+                "--methods: unknown scheduler 'nosuch'; registered: ",
+            ),
+            (
+                ["repro.runtime", "--scenario", SCENARIO, "--execution-models", "nosuch"],
+                "--execution-models: unknown execution model 'nosuch'; registered: ",
+            ),
+            (
+                ["repro.server", "request", "--server", "127.0.0.1:9", "--scenario", SCENARIO,
+                 "--methods", "nosuch"],
+                "--methods: unknown scheduler 'nosuch'; registered: ",
+            ),
+            (
+                ["repro.campaign", "run", "--methods", "nosuch", "--artifact-dir", "{art}"],
+                "--methods: unknown scheduler 'nosuch'; registered: ",
+            ),
+            (
+                ["repro.campaign", "run", "--execution-models", "cpu-instigated", "nosuch",
+                 "--artifact-dir", "{art}"],
+                "--execution-models: unknown execution model 'nosuch'; registered: ",
+            ),
+            (
+                ["repro.experiments", "fig5", "--methods", "nosuch", "--artifact-dir", "{art}"],
+                "--methods: unknown scheduler 'nosuch'; registered: ",
+            ),
+            (
+                ["repro.campaign", "run", "{spec}", "--artifact-dir", "{art}"],
+                "invalid campaign spec: unknown scheduler 'nosuch'",
+            ),
+            (
+                ["repro.campaign", "run", "{model_spec}", "--artifact-dir", "{art}"],
+                "invalid campaign spec: unknown execution model 'nosuch'",
+            ),
+            (
+                ["repro.service", "--campaign", "{spec}"],
+                "--campaign: unknown scheduler 'nosuch'",
+            ),
+            (
+                ["repro.experiments", "--campaign", "{spec}", "--artifact-dir", "{art}"],
+                "--campaign: unknown scheduler 'nosuch'",
+            ),
+        ],
+        ids=[
+            "service-methods",
+            "runtime-methods",
+            "runtime-models",
+            "server-request-methods",
+            "campaign-methods",
+            "campaign-models",
+            "experiments-methods",
+            "campaign-spec-method",
+            "campaign-spec-model",
+            "service-campaign",
+            "experiments-campaign",
+        ],
+    )
+    def test_unknown_name(self, tmp_path, argv, message):
+        (tmp_path / "m").mkdir()
+        names = {
+            "art": str(tmp_path / "art"),
+            "spec": spec_file(tmp_path, method="nosuch"),
+            "model_spec": spec_file(tmp_path / "m", model="nosuch"),
+        }
+        done = subprocess.run(
+            [sys.executable, "-m", *(arg.format(**names) for arg in argv)],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        (line,) = [line for line in done.stderr.splitlines() if "nosuch" in line]
+        assert line.startswith(f"python -m {argv[0]}: error: {message}")
+        assert done.stdout == ""
+        assert not (tmp_path / "art").exists()
