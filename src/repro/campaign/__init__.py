@@ -6,22 +6,18 @@ pipeline::
     scenario  (what to evaluate)      repro.scenario.Scenario
        × method (how to schedule)     repro.service.SchedulerSpec
        × system × utilisation × replication
-      [× execution model]             optional RuntimeSpec section
+       [× execution model]            optional RuntimeSpec section
     ------------------------------------------------  CampaignSpec (versioned JSON)
     CampaignRunner  — schedule grid -> ScheduleRequests streamed through one
                       SchedulingService (worker pool, dedup, content-addressed
-                      cache); then the run-time grid -> SimulationRequests
-                      streamed through a SimulationService that schedules
-                      through the same service; each answer checkpointed
+                      cache), then run-time grid -> SimulationRequests through
+                      a SimulationService over it; each answer checkpointed
                       to campaign.jsonl
     CampaignReport  — per-(scenario, method) Psi/Upsilon/schedulability/
-                      response-time statistics, plus per-(scenario, method @
-                      model) run-time accuracy/Psi/Upsilon/fault statistics,
-                      JSON + Markdown leaderboards
+                      response-time statistics and per-(scenario, method @
+                      model) run-time statistics, JSON + Markdown leaderboards
 
-A run-time cell is a :class:`CampaignCell` with an ``execution_model``: it
-executes its schedule cell's schedule on that model, and its journal line
-carries one more field (``"x"``) than a schedule cell's.
+A run-time cell is a :class:`CampaignCell` with an ``execution_model``.
 
 One declarative description in, one queryable aggregated report out — and
 both ends are content-addressed, so results are bit-identical at any worker

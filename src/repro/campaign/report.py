@@ -51,9 +51,6 @@ Entries = Dict[str, Dict[str, Dict[str, StatsDict]]]
 #: Pseudo-scenario key under which the all-scenarios aggregate is stored.
 OVERALL = "overall"
 
-#: The statistics of each ``to_text`` leaderboard row, in column order.
-TABLE_COLUMNS = ("mean", "std", "median", "min", "max", "n")
-
 
 def _stats_dict(values: List[float]) -> StatsDict:
     stats = SeriesStats.of(values)
@@ -385,13 +382,18 @@ class CampaignReport(JsonEnvelope):
         for title, _metric, _lower, board, label_kind, _entries in self._boards():
             if not board:
                 continue
-            rows = [
-                {
+            rows = []
+            for rank, (label, overall_stats) in enumerate(board, start=1):
+                row: Dict[str, Any] = {
                     "rank": rank,
                     label_kind.split(" ")[0]: label,
-                    **{column: stats[column] for column in TABLE_COLUMNS},
+                    "mean": overall_stats["mean"],
+                    "std": overall_stats["std"],
+                    "median": overall_stats["median"],
+                    "min": overall_stats["min"],
+                    "max": overall_stats["max"],
+                    "n": overall_stats["n"],
                 }
-                for rank, (label, stats) in enumerate(board, start=1)
-            ]
+                rows.append(row)
             blocks += ["", f"== {title} ==", format_table(rows)]
         return "\n".join(blocks) + "\n"
