@@ -710,7 +710,7 @@ def merge_shard_journals(
 
     Reads every ``campaign.shard-*.jsonl`` in ``directory`` and rewrites
     the union of their cells in canonical grid order — schedule cells
-    first, then run-time cells — through the same entry builders and
+    first, then run-time cells — through the same entry builder and
     ``canonical_json`` encoding the runner itself uses.  The merged journal
     is therefore **byte-identical** to the one a single-process run of the
     same spec would have written.  The write is atomic (tempfile +
