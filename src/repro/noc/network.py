@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.noc.packet import Packet
 from repro.noc.router import Router
@@ -22,6 +22,13 @@ class NoCNetwork:
       responses travelling back, where the accumulated per-hop latency and
       arbitration jitter are exactly what destroys timing accuracy when no
       dedicated controller is used.
+
+    :meth:`send` serves configuration traffic: it moves one :class:`Packet`
+    through the stateful routers, and it is the hop-by-hop oracle the tests
+    hold :meth:`transport` to.  :meth:`transport` serves a run's traffic: it
+    computes the delivery times of a whole packet sequence on an idle mesh in
+    one pass over flat link slots, without packets and without touching the
+    network's state.
     """
 
     def __init__(
@@ -39,6 +46,8 @@ class NoCNetwork:
             node: Router(node=node, routing_delay=routing_delay, flit_delay=flit_delay)
             for node in topology.nodes()
         }
+        self.routing_delay = routing_delay
+        self.flit_delay = flit_delay
         self.injection_delay = injection_delay
         self.ejection_delay = ejection_delay
         self.trace = trace
@@ -83,6 +92,46 @@ class NoCNetwork:
                 hops=len(hops),
             )
         return current_time
+
+    def transport(
+        self,
+        sources: Sequence[NodeId],
+        destination: NodeId,
+        times: Sequence[int],
+        sizes: Sequence[int],
+    ) -> List[int]:
+        """Delivery times of packets ``sources[k] -> destination``, injected at
+        ``times[k]`` with ``sizes[k]`` flits, sent in call order on an idle mesh.
+
+        The result equals what a loop of :meth:`send` calls on a fresh network
+        with this topology and these delays returns for the same packets.  Each
+        link serves its packets in call order, so every hop is Lindley's
+        recursion ``departure = max(arrival, link free) + service`` over one
+        flat slot per link; each distinct source's XY route is resolved once.
+        No :class:`Packet` is built and the network's state is left unchanged.
+        """
+        slot_of: Dict[Tuple[NodeId, NodeId], int] = {}
+        routes: Dict[NodeId, Tuple[int, ...]] = {}
+        for source in set(sources) | {destination}:
+            route = xy_route(source, destination, self.topology)
+            routes[source] = tuple(
+                slot_of.setdefault(link, len(slot_of)) for link in zip(route, route[1:])
+            )
+        link_free = [0] * len(slot_of)
+        routing_delay, flit_delay = self.routing_delay, self.flit_delay
+        injection_delay, ejection_delay = self.injection_delay, self.ejection_delay
+        delivered: List[int] = []
+        for source, time, size in zip(sources, times, sizes):
+            now = time + injection_delay
+            service = routing_delay + size * flit_delay
+            for slot in routes[source]:
+                free = link_free[slot]
+                if free > now:
+                    now = free
+                now += service
+                link_free[slot] = now
+            delivered.append(now + ejection_delay)
+        return delivered
 
     # -- statistics ------------------------------------------------------------
 

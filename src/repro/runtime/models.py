@@ -29,6 +29,13 @@ Built-in models:
 Every model's :meth:`~ExecutionModel.execute` is pure in its arguments (the
 only randomness flows through the explicit ``seed``), which is what lets
 :mod:`repro.runtime.service` content-address simulation responses.
+
+A CPU-instigated run is one call-order pass over an idle mesh: the model
+builds the run's packet sequence and hands it to
+:meth:`~repro.noc.network.NoCNetwork.transport`, which serves a run's
+traffic without building packets or touching the platform's network.
+:meth:`~repro.noc.network.NoCNetwork.send` serves configuration traffic and
+is the hop-by-hop oracle the tests hold ``transport`` and these models to.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ import numpy as np
 from repro.core.metrics import aggregate_psi, aggregate_upsilon
 from repro.core.schedule import Schedule, ScheduleEntry
 from repro.core.task import TaskSet
-from repro.noc.packet import Packet
 from repro.scenario import Platform
 from repro.service.spec import SchedulerSpec
 from repro.sim.engine import Simulator
@@ -311,6 +317,7 @@ class _RemoteCPUBase(ExecutionModel):
     is injected *in front of* the request (plain CPU-instigated: the request
     queues behind it, start times jitter) or *behind* it (prioritized: the
     request wins arbitration, only the deterministic path latency remains).
+    Every run starts on an idle mesh, so a platform can be reused.
     """
 
     #: Inject the background burst before the I/O request (plain model).
@@ -344,9 +351,7 @@ class _RemoteCPUBase(ExecutionModel):
         seed: int = 0,
         max_events: Optional[int] = None,
     ) -> ExecutionOutcome:
-        network = platform.network
         background_per_job = platform.spec.background_packets_per_job
-        io_tile = platform.io_tile
         cpu_tiles = platform.cpu_tiles()
 
         # Requests sorted by injection (offline start) time, so link state
@@ -363,8 +368,7 @@ class _RemoteCPUBase(ExecutionModel):
         events_per_job = 1 + background_per_job
         jobs = all_entries
         if max_events is not None:
-            budget = (max_events - len(network.delivered)) // events_per_job
-            jobs = all_entries[: max(0, budget)]
+            jobs = all_entries[: max(0, max_events // events_per_job)]
 
         # The run's randomness in one draw, in the order the jobs consume it:
         # a CPU tile per task, then a (tile, jitter) pair per background
@@ -375,32 +379,46 @@ class _RemoteCPUBase(ExecutionModel):
         bounds += [len(cpu_tiles), self.jitter_window] * (background_per_job * len(jobs))
         draws = np.random.default_rng(seed).integers(0, bounds).tolist()
         cpu_of_task = {task.name: cpu_tiles[tile] for task, tile in zip(tasks, draws)}
-        background = list(zip(draws[len(tasks) :: 2], draws[len(tasks) + 1 :: 2]))
+
+        # The run's packets in call order, ``events_per_job`` per job: the
+        # job's request at offset ``request_slot`` and its burst, in draw
+        # order, at the other offsets: in front of the request, each packet
+        # injected up to a jitter early, or behind it, each up to a jitter late.
+        starts = [entry.start for entry in jobs]
+        n_packets = events_per_job * len(jobs)
+        request_slot = background_per_job if self.background_first else 0
+        burst_slots = [slot for slot in range(events_per_job) if slot != request_slot]
+        sources = [None] * n_packets
+        times = [0] * n_packets
+        sizes = [self.background_size_flits] * n_packets
+        sources[request_slot::events_per_job] = [
+            cpu_of_task[entry.job.task.name] for entry in jobs
+        ]
+        times[request_slot::events_per_job] = starts
+        sizes[request_slot::events_per_job] = [self.request_size_flits] * len(jobs)
+        stride = 2 * background_per_job
+        for i, slot in enumerate(burst_slots):
+            tiles = draws[len(tasks) + 2 * i :: stride]
+            jitters = draws[len(tasks) + 2 * i + 1 :: stride]
+            sources[slot::events_per_job] = [cpu_tiles[tile] for tile in tiles]
+            times[slot::events_per_job] = (
+                [max(0, start - jitter) for start, jitter in zip(starts, jitters)]
+                if self.background_first
+                else [start + jitter for start, jitter in zip(starts, jitters)]
+            )
+        delivered = platform.network.transport(sources, platform.io_tile, times, sizes)
 
         runtime: Dict[str, Schedule] = {
             device: Schedule(device=device) for device in schedules
         }
         device_free_at: Dict[str, int] = {device: 0 for device in schedules}
-        for position, entry in enumerate(jobs):
-            burst = background[background_per_job * position : background_per_job * (position + 1)]
-            source = cpu_of_task[entry.job.task.name]
-            if self.background_first:
-                self._inject_background(network, burst, cpu_tiles, io_tile, entry.start)
-            request = Packet(
-                source=source,
-                destination=io_tile,
-                size_flits=self.request_size_flits,
-                kind="io-request",
-            )
-            delivered = network.send(request, entry.start)
-            if not self.background_first:
-                self._inject_background(
-                    network, burst, cpu_tiles, io_tile, entry.start, behind=True
-                )
+        request_delivered = delivered[request_slot::events_per_job]
+        for entry, arrival in zip(jobs, request_delivered):
             device = entry.job.device
-            start = max(delivered, device_free_at[device])
+            start = max(arrival, device_free_at[device])
             runtime[device].add(ScheduleEntry(job=entry.job, start=start))
             device_free_at[device] = start + entry.job.wcet
+        latencies = [arrival - start for arrival, start in zip(request_delivered, starts)]
 
         return ExecutionOutcome(
             runtime_schedules=runtime,
@@ -408,35 +426,12 @@ class _RemoteCPUBase(ExecutionModel):
             executed_jobs=len(jobs),
             skipped_jobs=len(all_entries) - len(jobs),
             faults_detected=0,
-            mean_noc_latency=network.mean_latency(kind="io-request"),
-            max_noc_latency=network.max_latency(kind="io-request"),
-            events_processed=len(network.delivered),
+            mean_noc_latency=sum(latencies) / len(latencies) if latencies else 0.0,
+            max_noc_latency=max(latencies, default=0),
+            events_processed=n_packets,
             exhausted=len(jobs) < len(all_entries),
-            trace_counts={"packet-delivered": len(network.delivered)},
+            trace_counts={"packet-delivered": n_packets},
         )
-
-    def _inject_background(
-        self,
-        network,
-        burst: List[Tuple[int, int]],
-        cpu_tiles,
-        io_tile,
-        start: int,
-        *,
-        behind: bool = False,
-    ) -> None:
-        """Send one background packet per ``(tile, jitter)`` draw of ``burst``."""
-        for tile, jitter in burst:
-            at = start + jitter if behind else max(0, start - jitter)
-            network.send(
-                Packet(
-                    source=cpu_tiles[tile],
-                    destination=io_tile,
-                    size_flits=self.background_size_flits,
-                    kind="background",
-                ),
-                at,
-            )
 
 
 @register_execution_model("cpu-instigated", aliases=("remote-cpu",))

@@ -83,8 +83,9 @@ class Platform:
     ``controller`` is a fresh :class:`~repro.hardware.controller.IOController`
     (fault injector already attached) ready for the pre-load / schedule-load /
     run phases; ``network`` is a fresh NoC built from the same spec, used to
-    model CPU-instigated I/O traffic.  Both are stateful simulation objects —
-    materialise again for an independent run.
+    model CPU-instigated I/O traffic.  The controller is a stateful simulation
+    object — materialise again for an independent run.  CPU-instigated runs
+    leave the network as they found it.
     """
 
     spec: PlatformSpec

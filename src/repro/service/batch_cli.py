@@ -30,7 +30,7 @@ from repro.core.profiling import DEFAULT_PROFILE_PATH
 from repro.scenario import create_scenario, format_scenario_listing
 from repro.scheduling import available_schedulers, format_scheduler_listing, scheduler_registered
 from repro.service.core import distinct_registries
-from repro.service.messages import CACHE_HIT, ScheduleRequest
+from repro.service.messages import CACHE_HIT, ScheduleRequest, registered_spec
 from repro.service.spec import SchedulerSpec
 
 
@@ -69,18 +69,20 @@ def print_listings(args: argparse.Namespace, order: Sequence[str] = LISTING_ORDE
 
 def _validate_specs(parser, flag, entries, parse, registered, what, available):
     """``entries`` as a list, or a usage error naming ``flag`` and the first
-    entry that does not ``parse`` or names no ``registered`` ``what``."""
+    entry that does not ``parse``, names no ``registered`` ``what`` or does
+    not resolve (see :func:`~repro.service.messages.registered_spec`)."""
     if entries is None:
         return None
     for entry in entries:
         try:
             spec = parse(entry)
+            if not registered(spec.name):
+                parser.error(
+                    f"{flag}: unknown {what} {spec.name!r}; registered: {', '.join(available())}"
+                )
+            registered_spec(spec, registered, what)
         except ValueError as error:
             parser.error(f"{flag}: {error}")
-        if not registered(spec.name):
-            parser.error(
-                f"{flag}: unknown {what} {spec.name!r}; registered: {', '.join(available())}"
-            )
     return list(entries)
 
 

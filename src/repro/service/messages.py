@@ -58,11 +58,18 @@ CACHE_DISABLED = "disabled"
 
 
 def registered_spec(spec: SchedulerSpec, registered: Callable[[str], bool], what: str):
-    """``spec``, if ``registered`` knows its name; ``ValueError`` naming the
-    unknown ``what`` otherwise.  Request payloads name only registered
-    schedulers and models, so a bad line fails where it is read."""
+    """``spec``, if ``registered`` knows its name and the spec resolves.
+
+    Otherwise a ``ValueError`` names the unknown ``what``, or the spec and
+    the option its factory rejects.  Request payloads name only registered
+    schedulers and models with options they accept, so a bad line fails
+    where it is read."""
     if not registered(spec.name):
         raise ValueError(f"unknown {what} {spec.name!r}")
+    try:
+        spec.resolve()
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"{what} spec {str(spec)!r}: {error}") from None
     return spec
 
 

@@ -104,9 +104,11 @@ class TestContentKey:
         assert tweaked.content_key() != base.content_key()
 
     def test_logically_equal_specs_share_a_key(self):
-        by_string = CampaignSpec(methods=("ga:b=1,a=2",), scenarios=("paper-default",))
+        by_string = CampaignSpec(
+            methods=("ga:population_size=12,generations=6",), scenarios=("paper-default",)
+        )
         by_spec = CampaignSpec(
-            methods=(SchedulerSpec("ga", {"a": 2, "b": 1}),),
+            methods=(SchedulerSpec("ga", {"generations": 6, "population_size": 12}),),
             scenarios=(create_scenario("paper-default"),),
         )
         assert by_string.content_key() == by_spec.content_key()

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.noc import (
     CommunicationLatencyModel,
@@ -136,6 +138,46 @@ class TestNoCNetwork:
         for _ in range(2):
             with pytest.raises(ValueError, match="outside the mesh"):
                 network.send(Packet((0, 0), (2, 0)), 0)
+        for sources, destination in (([(0, 0)], (2, 0)), ([(0, 0), (0, 2)], (1, 1)), ([], (-1, 0))):
+            with pytest.raises(ValueError, match="outside the mesh"):
+                network.transport(sources, destination, [0] * len(sources), [4] * len(sources))
+
+
+@st.composite
+def transports(draw):
+    """A mesh from 1x1 to 5x5 with all four delays, a destination anywhere on
+    it, and packets from any node (the destination itself included) with
+    injection times out of order."""
+    mesh = MeshTopology(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    nodes = list(mesh.nodes())
+    destination = draw(st.sampled_from(nodes))
+    delays = {
+        name: draw(st.integers(0, 4))
+        for name in ("routing_delay", "flit_delay", "injection_delay", "ejection_delay")
+    }
+    n = draw(st.integers(0, 60))
+    node = st.just(destination) | st.sampled_from(nodes)
+    sources = draw(st.lists(node, min_size=n, max_size=n))
+    times = draw(st.lists(st.integers(0, 120), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    return mesh, delays, sources, destination, times, sizes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=transports())
+def test_transport_equals_a_loop_of_send_on_a_fresh_network(case):
+    mesh, delays, sources, destination, times, sizes = case
+    sent = NoCNetwork(mesh, **delays)
+    expected = [
+        sent.send(Packet(source, destination, size_flits=size), time)
+        for source, time, size in zip(sources, times, sizes)
+    ]
+    network = NoCNetwork(mesh, **delays)
+    assert network.transport(sources, destination, times, sizes) == expected
+    assert network.delivered == []
+    assert all(router.forwarded == 0 for router in network.routers.values())
+    # The links ``send`` left busy are not read: a run starts on an idle mesh.
+    assert sent.transport(sources, destination, times, sizes) == expected
 
 
 class TestWorstCaseLatency:

@@ -186,6 +186,35 @@ class TestCPUInstigated:
         assert prioritized.mean_noc_latency < plain.mean_noc_latency
         assert prioritized.mean_noc_latency > 0
 
+    @pytest.mark.parametrize("model_name", ["cpu-instigated", "cpu-instigated-prioritized"])
+    @pytest.mark.parametrize("max_events", [None, 300])
+    def test_a_reused_platform_gives_the_same_run(self, model_name, max_events):
+        """A run leaves no packets or busy links on the platform's network, so
+        a second run on the same platform neither queues behind the first nor
+        gets a smaller event budget."""
+        scenario = create_scenario("paper-default")
+        response = execute_request(
+            ScheduleRequest(scenario=scenario, system_index=1, spec=SchedulerSpec.parse("static"))
+        )
+        task_set = materialize(scenario, 1).task_set
+        schedules = response.device_schedules(task_set)
+        platform = materialize(scenario, 1).platform
+        model = create_execution_model(model_name)
+        first, second = (
+            model.execute(task_set, schedules, platform, seed=3, max_events=max_events)
+            for _ in range(2)
+        )
+        assert second.start_time_deviations() == first.start_time_deviations()
+        assert (second.mean_noc_latency, second.max_noc_latency) == (
+            first.mean_noc_latency,
+            first.max_noc_latency,
+        )
+        assert (second.events_processed, second.executed_jobs) == (
+            first.events_processed,
+            first.executed_jobs,
+        )
+        assert platform.network.delivered == []
+
     def test_invalid_options_are_rejected(self):
         with pytest.raises(ValueError):
             create_execution_model("cpu-instigated", jitter_window=0)

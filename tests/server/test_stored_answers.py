@@ -152,7 +152,10 @@ class TestDaemonHitPath:
         variants = [base, reordered]
         for value in (1, 1.0, True):
             payload = copy.deepcopy(base)
-            payload["data"]["spec"] = {"name": "static", "options": {"limit": value}}
+            payload["data"]["spec"] = {
+                "name": "static",
+                "options": {"prefer_ideal_placement": value},
+            }
             variants.append(payload)
         with ThreadedServer(n_workers=1, port=0) as threaded:
             parse = threaded.server._parse_payload

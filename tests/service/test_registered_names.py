@@ -1,11 +1,12 @@
 """Request payloads, flags and campaign specs name registered schedulers and
-execution models.
+execution models, with options their factories accept.
 
-A payload naming anything else is an invalid request where it is read: the
-batch CLIs stop at ``source:line: invalid request: …`` before computing
-anything, and the daemon answers ``invalid-request`` without admitting it.
-A ``--methods`` or ``--execution-models`` flag, or a campaign spec, naming
-anything else is a usage error (exit status 2) before anything runs.
+A payload naming anything else, or an option the factory rejects, is an
+invalid request where it is read: the batch CLIs stop at
+``source:line: invalid request: …`` before computing anything, and the
+daemon answers ``invalid-request`` without admitting it.  A ``--methods`` or
+``--execution-models`` flag, or a campaign spec, doing so is a usage error
+(exit status 2) before anything runs.
 """
 
 import json
@@ -34,6 +35,14 @@ def schedule_payload(spec) -> dict:
     return payload
 
 
+#: A registered scheduler and a registered model, each with an option its
+#: factory rejects, and the start of the error naming the spec.
+GA_POPULATION = {"name": "ga", "options": {"population": 8}}
+GA_POPULATION_ERROR = "scheduler spec 'ga:population=8': scheduler 'ga' "
+JITER_WINDOW = {"name": "cpu-instigated", "options": {"jiter_window": 2}}
+JITER_WINDOW_ERROR = "execution model spec 'cpu-instigated:jiter_window=2': "
+
+
 def simulation_payload(method="static", model="dedicated-controller") -> dict:
     payload = SimulationRequest(scenario=SCENARIO, request_id="r").to_dict()
     payload["data"]["method"] = method
@@ -54,6 +63,25 @@ class TestPayloadParsing:
     def test_unknown_execution_model(self):
         with pytest.raises(ValueError, match="^unknown execution model 'nosuch'$"):
             SimulationRequest.from_dict(simulation_payload(model={"name": "nosuch"}))
+
+    @pytest.mark.parametrize(
+        "parse, payload, message",
+        [
+            (ScheduleRequest.from_dict, schedule_payload(GA_POPULATION), GA_POPULATION_ERROR),
+            (SimulationRequest.from_dict, simulation_payload(method=GA_POPULATION),
+             GA_POPULATION_ERROR),
+            (SimulationRequest.from_dict, simulation_payload(model=JITER_WINDOW),
+             JITER_WINDOW_ERROR),
+            (SimulationRequest.from_dict,
+             simulation_payload(model={"name": "cpu-instigated", "options": {"jitter_window": 0}}),
+             "execution model spec 'cpu-instigated:jitter_window=0': jitter_window must be"),
+        ],
+        ids=["schedule-spec", "simulation-method", "simulation-model", "model-value"],
+    )
+    def test_rejected_option(self, parse, payload, message):
+        with pytest.raises(ValueError) as error:
+            parse(payload)
+        assert str(error.value).startswith(message)
 
     def test_aliases_are_registered_names(self):
         assert ScheduleRequest.from_dict(schedule_payload("heuristic")).spec.name == "heuristic"
@@ -80,6 +108,24 @@ class TestBatchClis:
         assert stop.value.code == f"{path}:1: invalid request: {message}"
         assert not output.exists()
 
+    @pytest.mark.parametrize(
+        "main, payload, message",
+        [
+            (service_main, schedule_payload(GA_POPULATION), GA_POPULATION_ERROR),
+            (runtime_main, simulation_payload(model=JITER_WINDOW), JITER_WINDOW_ERROR),
+        ],
+        ids=["service", "runtime-model"],
+    )
+    def test_a_rejected_option_stops_at_the_line(self, tmp_path, main, payload, message):
+        path = tmp_path / "requests.jsonl"
+        output = tmp_path / "responses.jsonl"
+        path.write_text(json.dumps(payload) + "\n")
+        with pytest.raises(SystemExit) as stop:
+            main([str(path), "-o", str(output)])
+        assert stop.value.code.startswith(f"{path}:1: invalid request: {message}")
+        assert "\n" not in stop.value.code
+        assert not output.exists()
+
 
 class TestDaemon:
     @pytest.mark.parametrize(
@@ -94,20 +140,33 @@ class TestDaemon:
         ids=["schedule", "simulate"],
     )
     def test_invalid_request_is_not_admitted(self, payload, message):
+        assert self.rejection(payload) == (f"invalid-request: {message}", (0, 0))
+
+    def test_a_rejected_option_is_not_admitted(self):
+        error, counts = self.rejection(schedule_payload(GA_POPULATION))
+        assert error.startswith(f"invalid-request: invalid ScheduleRequest: {GA_POPULATION_ERROR}")
+        assert counts == (0, 0)
+
+    @staticmethod
+    def rejection(payload):
+        """The daemon's error for ``payload`` and its (admitted, failed) counts."""
         with ThreadedServer(n_workers=1, port=0) as threaded:
             dispatcher = threaded.server.dispatcher
             with ServerClient(threaded.host, threaded.port) as client:
                 with pytest.raises(ServerError) as error:
                     client.submit_envelopes([payload])
             counts = (dispatcher.admitted, dispatcher.failed)
-        assert str(error.value) == f"invalid-request: {message}"
-        assert counts == (0, 0)
+        return str(error.value), counts
 
 
 def spec_file(directory: Path, method="static", model="dedicated-controller") -> str:
+    """A campaign spec file naming ``method`` and ``model`` (names or spec dicts)."""
     payload = build_campaign(scenarios=(SCENARIO,), execution_models=("cpu-instigated",)).to_dict()
-    payload["data"]["methods"][0]["name"] = method
-    payload["data"]["runtime"]["execution_models"][0]["name"] = model
+    data = payload["data"]
+    data["methods"][0] = method if isinstance(method, dict) else {"name": method, "options": {}}
+    data["runtime"]["execution_models"][0] = (
+        model if isinstance(model, dict) else {"name": model, "options": {}}
+    )
     path = directory / "spec.json"
     path.write_text(json.dumps(payload))
     return str(path)
@@ -184,10 +243,42 @@ class TestUsageErrors:
     def test_unknown_name(self, tmp_path, argv, message):
         (tmp_path / "m").mkdir()
         names = {
-            "art": str(tmp_path / "art"),
             "spec": spec_file(tmp_path, method="nosuch"),
             "model_spec": spec_file(tmp_path / "m", model="nosuch"),
         }
+        self.assert_usage_error(tmp_path, argv, names, message, "nosuch")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["repro.service", "--scenario", SCENARIO, "--methods", "ga:population=8"],
+                f"--methods: {GA_POPULATION_ERROR}",
+            ),
+            (
+                ["repro.campaign", "run", "--methods", "ga:population=8", "--artifact-dir",
+                 "{art}"],
+                f"--methods: {GA_POPULATION_ERROR}",
+            ),
+            (
+                ["repro.runtime", "--scenario", SCENARIO, "--execution-models",
+                 "cpu-instigated:jiter_window=2"],
+                f"--execution-models: {JITER_WINDOW_ERROR}",
+            ),
+            (
+                ["repro.campaign", "run", "{spec}", "--artifact-dir", "{art}"],
+                f"invalid campaign spec: {GA_POPULATION_ERROR}",
+            ),
+        ],
+        ids=["service-methods", "campaign-methods", "runtime-models", "campaign-spec-method"],
+    )
+    def test_rejected_option(self, tmp_path, argv, message):
+        names = {"spec": spec_file(tmp_path, method=GA_POPULATION)}
+        self.assert_usage_error(tmp_path, argv, names, message, "spec '")
+
+    @staticmethod
+    def assert_usage_error(tmp_path, argv, names, message, marker):
+        names = dict(names, art=str(tmp_path / "art"))
         done = subprocess.run(
             [sys.executable, "-m", *(arg.format(**names) for arg in argv)],
             env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
@@ -198,7 +289,7 @@ class TestUsageErrors:
         )
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
-        (line,) = [line for line in done.stderr.splitlines() if "nosuch" in line]
+        (line,) = [line for line in done.stderr.splitlines() if marker in line]
         assert line.startswith(f"python -m {argv[0]}: error: {message}")
         assert done.stdout == ""
         assert not (tmp_path / "art").exists()
