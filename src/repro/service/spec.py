@@ -171,10 +171,10 @@ class SchedulerSpec:
         return cls.parse(spec)
 
     def with_options(self, **options: OptionValue) -> "SchedulerSpec":
-        """A copy with ``options`` merged over the existing ones."""
+        """A copy of the same spec class with ``options`` merged over the existing ones."""
         merged = self.options_dict()
         merged.update(options)
-        return SchedulerSpec(name=self.name, options=merged)
+        return type(self)(name=self.name, options=merged)
 
     # -- views -------------------------------------------------------------------
 

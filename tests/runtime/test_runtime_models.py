@@ -109,6 +109,16 @@ class TestExecutionModelSpec:
         spec = ExecutionModelSpec.parse("dedicated-controller")
         assert ExecutionModelSpec.from_dict(spec.to_dict()) == spec
 
+    def test_with_options_keeps_the_execution_model_spec(self):
+        spec = ExecutionModelSpec.parse("cpu-instigated").with_options(jitter_window=2)
+        assert isinstance(spec, ExecutionModelSpec)
+        assert spec.resolve().jitter_window == 2
+
+    def test_coerced_scheduler_spec_resolves_to_a_model(self):
+        spec = ExecutionModelSpec.coerce(SchedulerSpec.parse("cpu-instigated:jitter_window=2"))
+        assert type(spec) is ExecutionModelSpec
+        assert spec.resolve().jitter_window == 2
+
 
 class TestDedicatedController:
     def test_reproduces_offline_exactly(self, materialized, schedules):
