@@ -32,9 +32,8 @@ from repro.core.serialization import (
     parse_versioned_payload,
     versioned_payload,
 )
-from repro.runtime.models import ExecutionModelSpec, execution_model_registered
+from repro.runtime.models import ExecutionModelSpec
 from repro.scenario import Scenario, ScenarioLike, create_scenario
-from repro.scheduling.registry import scheduler_registered
 from repro.service import SchedulerSpec
 from repro.service.messages import registered_spec
 
@@ -103,9 +102,7 @@ class RuntimeSpec:
             registered_spec(
                 ExecutionModelSpec.coerce(entry)
                 if not isinstance(entry, Mapping)
-                else ExecutionModelSpec.from_dict(dict(entry)),
-                execution_model_registered,
-                "execution model",
+                else ExecutionModelSpec.from_dict(dict(entry))
             )
             for entry in models
         )
@@ -271,7 +268,7 @@ class CampaignSpec(JsonEnvelope, ContentKeyed):
             self,
             "methods",
             tuple(
-                registered_spec(SchedulerSpec.coerce(entry), scheduler_registered, "scheduler")
+                registered_spec(SchedulerSpec.coerce(entry))
                 for entry in self._as_tuple("methods")
             ),
         )

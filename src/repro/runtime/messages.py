@@ -34,7 +34,6 @@ from repro.core.serialization import (
 )
 from repro.core.task import TaskSet
 from repro.scenario import Scenario, create_scenario
-from repro.scheduling.registry import scheduler_registered
 from repro.service.messages import (
     RequestEnvelope,
     ResponseEnvelope,
@@ -42,7 +41,7 @@ from repro.service.messages import (
     registered_spec,
 )
 from repro.service.spec import SchedulerSpec
-from repro.runtime.models import ExecutionModelSpec, execution_model_registered
+from repro.runtime.models import ExecutionModelSpec
 
 SIM_REQUEST_KIND = "repro/sim-request"
 SIM_REQUEST_VERSION = 1
@@ -177,13 +176,9 @@ class SimulationRequest(RequestEnvelope):
         task_set = data.get("taskset")
         return cls(
             scenario=Scenario.from_dict(data["scenario"]),
-            method=registered_spec(
-                SchedulerSpec.from_dict(data["method"]), scheduler_registered, "scheduler"
-            ),
+            method=registered_spec(SchedulerSpec.from_dict(data["method"])),
             execution_model=registered_spec(
-                ExecutionModelSpec.from_dict(data["execution_model"]),
-                execution_model_registered,
-                "execution model",
+                ExecutionModelSpec.from_dict(data["execution_model"])
             ),
             system_index=data.get("system_index", 0),
             task_set=taskset_from_dict(task_set) if task_set is not None else None,

@@ -5,11 +5,11 @@ execution model: a **dedicated I/O controller** triggers every job from the
 global timer and reproduces the offline start times bit-exactly, while
 **CPU-instigated I/O** sends each request across the NoC and pays per-hop
 latency plus arbitration jitter.  This module makes that choice *data*: every
-model registers a factory under a short name (mirroring
-:mod:`repro.scheduling.registry`), and the run-time subsystem resolves
-``"name:key=value,..."`` spec strings through :class:`ExecutionModelSpec`
-without knowing any concrete class — a new run-time architecture plugs into
-every simulation request, campaign and CLI by registering itself.
+model registers a factory under a short name in :data:`EXECUTION_MODELS`, and
+the run-time subsystem resolves ``"name:key=value,..."`` spec strings through
+:class:`ExecutionModelSpec` without knowing any concrete class — a new
+run-time architecture plugs into every simulation request, campaign and CLI
+by registering itself.
 
 Built-in models:
 
@@ -41,19 +41,20 @@ is the hop-by-hop oracle the tests hold ``transport`` and these models to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.metrics import aggregate_psi, aggregate_upsilon
+from repro.core.registry import Registry
 from repro.core.schedule import Schedule, ScheduleEntry
 from repro.core.task import TaskSet
 from repro.scenario import Platform
 from repro.service.spec import SchedulerSpec
 from repro.sim.engine import Simulator
 
-#: name -> factory.  Aliases map to the same factory object.
-_REGISTRY: Dict[str, Callable[..., "ExecutionModel"]] = {}
+#: Every execution model, by name and alias.
+EXECUTION_MODELS = Registry("execution model")
 
 
 @dataclass
@@ -153,62 +154,19 @@ class ExecutionModel:
         raise NotImplementedError
 
 
-# -- the registry (mirrors repro.scheduling.registry) ---------------------------
+# -- the registry ---------------------------------------------------------------
 
-
-def register_execution_model(
-    name: str,
-    factory: Optional[Callable[..., ExecutionModel]] = None,
-    *,
-    aliases: Sequence[str] = (),
-    overwrite: bool = False,
-):
-    """Register an execution-model factory under ``name`` (plus aliases).
-
-    Usable as a class decorator or called directly with a factory.  Duplicate
-    names raise ``ValueError`` unless ``overwrite=True``.
-    """
-
-    def _register(target: Callable[..., ExecutionModel]) -> Callable[..., ExecutionModel]:
-        keys = (name, *aliases)
-        if not overwrite:
-            for key in keys:
-                if key in _REGISTRY and _REGISTRY[key] is not target:
-                    raise ValueError(
-                        f"execution model {key!r} is already registered "
-                        f"(to {_REGISTRY[key]!r}); pass overwrite=True to replace it"
-                    )
-        for key in keys:
-            _REGISTRY[key] = target
-        return target
-
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-def unregister_execution_model(name: str) -> None:
-    """Remove ``name`` from the registry (aliases must be removed separately)."""
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown execution model {name!r}")
-    del _REGISTRY[name]
-
-
-def execution_model_registered(name: str) -> bool:
-    return name in _REGISTRY
-
-
-def available_execution_models() -> Tuple[str, ...]:
-    """Sorted names (including aliases) of every registered execution model."""
-    return tuple(sorted(_REGISTRY))
+register_execution_model = EXECUTION_MODELS.register
+unregister_execution_model = EXECUTION_MODELS.unregister
+execution_model_registered = EXECUTION_MODELS.__contains__
+available_execution_models = EXECUTION_MODELS.names
 
 
 def list_execution_models() -> Dict[str, str]:
     """Name -> one-line description of every registered model (CLI listings)."""
     listing = {}
-    for name in available_execution_models():
-        factory = _REGISTRY[name]
-        doc = (factory.__doc__ or "").strip().splitlines()
+    for name in EXECUTION_MODELS.names():
+        doc = (EXECUTION_MODELS.factory(name).__doc__ or "").strip().splitlines()
         listing[name] = doc[0] if doc else ""
     return listing
 
@@ -222,52 +180,18 @@ def format_execution_model_listing() -> str:
 
 
 def create_execution_model(name: str, **overrides: Any) -> ExecutionModel:
-    """Instantiate the execution model registered under ``name``.
-
-    Keyword ``overrides`` are forwarded to the factory verbatim — the hook
-    spec strings such as ``"cpu-instigated:jitter_window=2"`` resolve
-    through.  Unknown names raise ``KeyError`` listing the registered models;
-    a rejected keyword raises ``TypeError`` naming the factory.
-    """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown execution model {name!r}; "
-            f"registered: {', '.join(available_execution_models())}"
-        ) from None
-    try:
-        return factory(**overrides)
-    except TypeError as error:
-        raise TypeError(
-            f"execution model {name!r} (factory {factory!r}) rejected "
-            f"keyword overrides {sorted(overrides)}: {error}"
-        ) from error
+    """Instantiate the execution model registered under ``name`` with keyword
+    ``overrides`` (see :meth:`~repro.core.registry.Registry.create`)."""
+    return EXECUTION_MODELS.create(name, **overrides)
 
 
 @dataclass(frozen=True)
 class ExecutionModelSpec(SchedulerSpec):
-    """An execution-model name plus typed options, in the spec-string grammar.
+    """An execution-model name plus typed options, in the spec-string grammar:
+    a :class:`~repro.service.spec.SchedulerSpec` that resolves through
+    :data:`EXECUTION_MODELS`."""
 
-    Reuses the (property-tested) ``"name:key=value,..."`` grammar and the
-    lossless parse/format/dict round-trips of
-    :class:`~repro.service.spec.SchedulerSpec`; only :meth:`resolve` differs —
-    it goes through the execution-model registry instead of the scheduler
-    registry.
-    """
-
-    @classmethod
-    def coerce(cls, spec: Union[str, SchedulerSpec]) -> "ExecutionModelSpec":
-        """Accept a spec string, an :class:`ExecutionModelSpec`, or a plain
-        :class:`SchedulerSpec` (rewrapped — the grammar is shared)."""
-        if isinstance(spec, cls):
-            return spec
-        if isinstance(spec, SchedulerSpec):
-            return cls(name=spec.name, options=spec.options)
-        return cls.parse(spec)
-
-    def resolve(self) -> ExecutionModel:
-        return create_execution_model(self.name, **self.options_dict())
+    REGISTRY = EXECUTION_MODELS
 
 
 # -- built-in models ------------------------------------------------------------

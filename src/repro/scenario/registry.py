@@ -1,10 +1,10 @@
 """Scenario registry — named, reusable scenario presets.
 
-Mirrors the scheduler registry (:mod:`repro.scheduling.registry`): presets
-register themselves under short names, and every entry point resolves them
-through :func:`create_scenario` without knowing how they are built.  A preset
-is registered as a zero-argument factory (or a ready :class:`Scenario`), so
-registering costs nothing until the scenario is actually requested.
+Presets register themselves under short names in :data:`SCENARIOS`, and every
+entry point resolves them through :func:`create_scenario` without knowing how
+they are built.  A preset is registered as a zero-argument factory (or a
+ready :class:`Scenario`), so registering costs nothing until the scenario is
+actually requested.
 
 :func:`create_scenario` is deliberately liberal in what it accepts — a
 :class:`Scenario`, a registered name, inline JSON text, or a plain payload
@@ -15,14 +15,15 @@ through CLIs, request envelopes and config files.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Union
 
+from repro.core.registry import Registry
 from repro.hardware.faults import FaultSpec
 from repro.scenario.spec import FaultPlanSpec, PlatformSpec, Scenario, WorkloadSpec
 from repro.taskgen import GeneratorConfig
 
-#: name -> zero-argument factory returning the preset scenario.
-_REGISTRY: Dict[str, Callable[[], Scenario]] = {}
+#: Every scenario preset, by name: a zero-argument factory returning it.
+SCENARIOS = Registry("scenario")
 
 
 def register_scenario(
@@ -34,45 +35,26 @@ def register_scenario(
     """Register a scenario (or factory) under ``name``.
 
     Usable as a decorator on a zero-argument factory function or called
-    directly with a ready :class:`Scenario`.  Duplicate names raise
-    ``ValueError`` unless ``overwrite=True``.
+    directly with a ready :class:`Scenario`.  A name registered to another
+    factory raises ``ValueError`` unless ``overwrite=True``.
     """
 
     def _register(target: Union[Scenario, Callable[[], Scenario]]):
-        if name in _REGISTRY and not overwrite:
-            raise ValueError(
-                f"scenario {name!r} is already registered; pass overwrite=True to replace it"
-            )
-        if isinstance(target, Scenario):
-            _REGISTRY[name] = lambda: target
-        else:
-            _REGISTRY[name] = target
+        build = (lambda: target) if isinstance(target, Scenario) else target
+        SCENARIOS.register(name, build, overwrite=overwrite)
         return target
 
-    if factory is not None:
-        return _register(factory)
-    return _register
+    return _register if factory is None else _register(factory)
 
 
-def unregister_scenario(name: str) -> None:
-    """Remove ``name`` from the registry."""
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown scenario {name!r}")
-    del _REGISTRY[name]
-
-
-def scenario_registered(name: str) -> bool:
-    return name in _REGISTRY
-
-
-def available_scenarios() -> Tuple[str, ...]:
-    """Sorted names of every registered scenario preset."""
-    return tuple(sorted(_REGISTRY))
+unregister_scenario = SCENARIOS.unregister
+scenario_registered = SCENARIOS.__contains__
+available_scenarios = SCENARIOS.names
 
 
 def list_scenarios() -> Dict[str, str]:
     """Name -> one-line description of every registered preset (CLI listings)."""
-    return {name: _REGISTRY[name]().description for name in available_scenarios()}
+    return {name: SCENARIOS.create(name).description for name in SCENARIOS.names()}
 
 
 def format_scenario_listing() -> str:
@@ -83,8 +65,8 @@ def format_scenario_listing() -> str:
     schedule is reusable), and the one-line description.
     """
     lines = []
-    for name in available_scenarios():
-        scenario = _REGISTRY[name]()
+    for name in SCENARIOS.names():
+        scenario = SCENARIOS.create(name)
         lines.append(f"{name:<20} {scenario.content_key()}  {scenario.description}")
     return "\n".join(lines)
 
@@ -110,11 +92,7 @@ def create_scenario(ref: Union[str, Mapping, Scenario]) -> Scenario:
         except json.JSONDecodeError as error:
             raise ValueError(f"invalid inline scenario JSON: {error}") from None
         return Scenario.from_dict(payload)
-    if text not in _REGISTRY:
-        raise KeyError(
-            f"unknown scenario {text!r}; registered: {', '.join(available_scenarios())}"
-        )
-    return _REGISTRY[text]()
+    return SCENARIOS.create(text)
 
 
 # -- the built-in presets ------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 from repro.core import logging as relog
 from repro.core.profiling import DEFAULT_PROFILE_PATH
 from repro.scenario import create_scenario, format_scenario_listing
-from repro.scheduling import available_schedulers, format_scheduler_listing, scheduler_registered
+from repro.scheduling import format_scheduler_listing
 from repro.service.core import distinct_registries
 from repro.service.messages import CACHE_HIT, ScheduleRequest, registered_spec
 from repro.service.spec import SchedulerSpec
@@ -67,20 +67,20 @@ def print_listings(args: argparse.Namespace, order: Sequence[str] = LISTING_ORDE
     return bool(wanted)
 
 
-def _validate_specs(parser, flag, entries, parse, registered, what, available):
+def _validate_specs(parser, flag, entries, spec_cls):
     """``entries`` as a list, or a usage error naming ``flag`` and the first
-    entry that does not ``parse``, names no ``registered`` ``what`` or does
-    not resolve (see :func:`~repro.service.messages.registered_spec`)."""
+    entry that does not parse as a ``spec_cls``, names nothing in its
+    registry or does not resolve (see
+    :func:`~repro.service.messages.registered_spec`)."""
     if entries is None:
         return None
     for entry in entries:
         try:
-            spec = parse(entry)
-            if not registered(spec.name):
-                parser.error(
-                    f"{flag}: unknown {what} {spec.name!r}; registered: {', '.join(available())}"
-                )
-            registered_spec(spec, registered, what)
+            spec = spec_cls.parse(entry)
+            spec_cls.REGISTRY.factory(spec.name)
+            registered_spec(spec)
+        except KeyError as error:  # the unknown name, with the registered ones
+            parser.error(f"{flag}: {error.args[0]}")
         except ValueError as error:
             parser.error(f"{flag}: {error}")
     return list(entries)
@@ -90,26 +90,16 @@ def validate_methods(
     parser: argparse.ArgumentParser, methods: Optional[Sequence[str]]
 ) -> Optional[Sequence[str]]:
     """Fail fast (with the parser's usage message) on bad ``--methods`` entries."""
-    return _validate_specs(
-        parser, "--methods", methods, SchedulerSpec.parse, scheduler_registered, "scheduler",
-        available_schedulers,
-    )
+    return _validate_specs(parser, "--methods", methods, SchedulerSpec)
 
 
 def validate_execution_models(
     parser: argparse.ArgumentParser, models: Optional[Sequence[str]]
 ) -> Optional[Sequence[str]]:
     """Fail fast (with the parser's usage message) on bad ``--execution-models`` entries."""
-    from repro.runtime.models import (
-        ExecutionModelSpec,
-        available_execution_models,
-        execution_model_registered,
-    )
+    from repro.runtime.models import ExecutionModelSpec
 
-    return _validate_specs(
-        parser, "--execution-models", models, ExecutionModelSpec.parse,
-        execution_model_registered, "execution model", available_execution_models,
-    )
+    return _validate_specs(parser, "--execution-models", models, ExecutionModelSpec)
 
 
 def add_profile_argument(parser: argparse.ArgumentParser) -> None:

@@ -27,7 +27,7 @@ slim pickles and the result/provenance split.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
+from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 
 from repro.core.schedule import Schedule
 from repro.core.serialization import (
@@ -41,7 +41,6 @@ from repro.core.serialization import (
 )
 from repro.core.task import TaskSet
 from repro.scenario import Scenario, create_scenario, materialize
-from repro.scheduling.registry import scheduler_registered
 from repro.service.spec import SchedulerSpec
 
 REQUEST_KIND = "repro/schedule-request"
@@ -57,19 +56,19 @@ CACHE_MISS = "miss"
 CACHE_DISABLED = "disabled"
 
 
-def registered_spec(spec: SchedulerSpec, registered: Callable[[str], bool], what: str):
-    """``spec``, if ``registered`` knows its name and the spec resolves.
+def registered_spec(spec: SchedulerSpec) -> SchedulerSpec:
+    """``spec``, if its class's registry knows its name and the spec resolves.
 
-    Otherwise a ``ValueError`` names the unknown ``what``, or the spec and
-    the option its factory rejects.  Request payloads name only registered
-    schedulers and models with options they accept, so a bad line fails
-    where it is read."""
-    if not registered(spec.name):
-        raise ValueError(f"unknown {what} {spec.name!r}")
+    Otherwise a ``ValueError`` names the unknown scheduler or model, or the
+    spec and the option its factory rejects, so a request line naming either
+    fails where it is read."""
+    noun = spec.REGISTRY.noun
+    if spec.name not in spec.REGISTRY:
+        raise ValueError(f"unknown {noun} {spec.name!r}")
     try:
         spec.resolve()
     except (TypeError, ValueError) as error:
-        raise ValueError(f"{what} spec {str(spec)!r}: {error}") from None
+        raise ValueError(f"{noun} spec {str(spec)!r}: {error}") from None
     return spec
 
 
@@ -325,9 +324,7 @@ class ScheduleRequest(RequestEnvelope):
             task_set=(
                 taskset_from_dict(data["taskset"]) if data.get("taskset") is not None else None
             ),
-            spec=registered_spec(
-                SchedulerSpec.from_dict(data["spec"]), scheduler_registered, "scheduler"
-            ),
+            spec=registered_spec(SchedulerSpec.from_dict(data["spec"])),
             horizon=data.get("horizon"),
             request_id=data.get("id"),
             scenario=Scenario.from_dict(scenario) if scenario is not None else None,

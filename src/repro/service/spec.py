@@ -19,11 +19,10 @@ string.  :meth:`SchedulerSpec.format` is the exact inverse of
 can travel through CLIs, JSON requests and cache keys without a second,
 divergent representation of "which scheduler, configured how".
 
-Resolution goes through the scheduler registry:
-:meth:`SchedulerSpec.resolve` calls
-:func:`repro.scheduling.create_scheduler(name, **options)
-<repro.scheduling.registry.create_scheduler>`, which forwards the options to
-the registered factory and fails loudly (naming the factory) on an unknown
+Resolution goes through the registry the spec class names in ``REGISTRY``
+(the scheduler registry; :class:`~repro.runtime.ExecutionModelSpec` names the
+execution-model one): :meth:`SchedulerSpec.resolve` forwards the options to
+the registered factory, which fails loudly (naming the factory) on an unknown
 keyword.
 """
 
@@ -34,7 +33,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple, Union
 
-from repro.scheduling.registry import create_scheduler
+from repro.scheduling.registry import SCHEDULERS
 
 #: JSON-compatible option value types a spec can carry.
 OptionValue = Union[bool, int, float, str, None]
@@ -121,6 +120,9 @@ class SchedulerSpec:
     with the same options in different order compare (and hash) equal.
     """
 
+    #: The registry :meth:`resolve` creates through (not a field, never serialised).
+    REGISTRY = SCHEDULERS
+
     name: str
     options: Tuple[Tuple[str, OptionValue], ...] = field(default=())
 
@@ -165,9 +167,12 @@ class SchedulerSpec:
 
     @classmethod
     def coerce(cls, spec: Union[str, "SchedulerSpec"]) -> "SchedulerSpec":
-        """Accept either a spec object or its string form."""
+        """Accept a spec object or its string form; a subclass rewraps a plain
+        :class:`SchedulerSpec` (the grammar is shared)."""
         if isinstance(spec, cls):
             return spec
+        if isinstance(spec, SchedulerSpec):
+            return cls(name=spec.name, options=spec.options)
         return cls.parse(spec)
 
     def with_options(self, **options: OptionValue) -> "SchedulerSpec":
@@ -212,9 +217,9 @@ class SchedulerSpec:
     # -- resolution --------------------------------------------------------------
 
     def resolve(self) -> Any:
-        """Instantiate the scheduler through the registry.
+        """Instantiate the named scheduler (or model) through :attr:`REGISTRY`.
 
         Raises ``KeyError`` for an unregistered name and ``TypeError`` (naming
         the factory) for an option the factory rejects.
         """
-        return create_scheduler(self.name, **self.options_dict())
+        return self.REGISTRY.create(self.name, **self.options_dict())

@@ -15,15 +15,17 @@ backend, anything else the directory backend.  That keeps
 ``--cache-backend my-cache-dir`` working the way ``--cache-dir`` users
 expect.
 
-Third-party backends register through :func:`register_backend`; the two
-built-ins are registered at import time by :mod:`repro.store`.
+Third-party backends register through :func:`register_backend` (into
+:data:`BACKENDS`); the two built-ins are registered at import time by
+:mod:`repro.store`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.core.registry import Registry
 from repro.store.backends import (
     SCHEDULE_CACHE_SUBDIR,
     SIM_CACHE_SUBDIR,
@@ -38,13 +40,10 @@ from repro.store.backends import (
 #: (sqlite) ignore it because their entries carry a ``kind`` column instead.
 BackendFactory = Callable[..., CacheBackend]
 
-
-class _Registration(NamedTuple):
-    factory: BackendFactory
-    description: str
-
-
-_REGISTRY: Dict[str, _Registration] = {}
+#: Every cache backend, by name.
+BACKENDS = Registry("cache backend")
+#: Backend name -> the one-line description :func:`format_backend_listing` prints.
+_DESCRIPTIONS: Dict[str, str] = {}
 
 #: File suffixes that make a bare (grammar-free) path mean "sqlite".
 _SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
@@ -54,19 +53,18 @@ def register_backend(
     name: str, factory: BackendFactory, *, description: str = ""
 ) -> None:
     """Register ``factory`` under ``name`` (replacing any previous owner)."""
-    _REGISTRY[name] = _Registration(factory=factory, description=description)
+    BACKENDS.register(name, factory, overwrite=True)
+    _DESCRIPTIONS[name] = description
 
 
 def backend_names() -> List[str]:
     """Registered backend names, sorted."""
-    return sorted(_REGISTRY)
+    return list(BACKENDS.names())
 
 
 def format_backend_listing() -> str:
     """One ``name — description`` line per registered backend."""
-    return "\n".join(
-        f"  {name} — {_REGISTRY[name].description}" for name in backend_names()
-    )
+    return "\n".join(f"  {name} — {_DESCRIPTIONS[name]}" for name in BACKENDS.names())
 
 
 def _directory_factory(*, subdir: Optional[str] = None, **options: Any) -> CacheBackend:
@@ -124,7 +122,7 @@ def parse_backend_spec(text: str) -> Tuple[str, Dict[str, Any]]:
         raise ValueError(f"invalid backend spec: {text!r}")
     text = text.strip()
     name, sep, _ = text.partition(":")
-    if not sep and name not in _REGISTRY:
+    if not sep and name not in BACKENDS:
         # A bare path like "my-cache-dir" or "cache.db".
         if text.lower().endswith(_SQLITE_SUFFIXES):
             return "sqlite", {"path": text}
@@ -148,12 +146,11 @@ def create_backend(
     if isinstance(spec, CacheBackend):
         return spec
     name, options = parse_backend_spec(spec)
-    registration = _REGISTRY.get(name)
-    if registration is None:
+    if name not in BACKENDS:
         raise ValueError(
             f"unknown cache backend {name!r} (available: {', '.join(backend_names())})"
         )
-    return registration.factory(subdir=subdir, **options)
+    return BACKENDS.factory(name)(subdir=subdir, **options)
 
 
 def schedule_backend(spec: Union[str, CacheBackend]) -> CacheBackend:

@@ -24,6 +24,7 @@ from repro.scenario import (
     register_scenario,
     unregister_scenario,
 )
+from repro.scenario.registry import SCENARIOS
 from repro.scheduling import (
     create_scheduler,
     format_scheduler_listing,
@@ -185,7 +186,8 @@ class TestConflictingRegistrations:
         error = raised(register_scenario, "paper-default", Scenario(name="usurper"))
         assert type(error) is ValueError
         assert str(error) == (
-            "scenario 'paper-default' is already registered; pass overwrite=True to replace it"
+            "scenario 'paper-default' is already registered "
+            f"(to {SCENARIOS.factory('paper-default')!r}); pass overwrite=True to replace it"
         )
 
 
@@ -205,7 +207,7 @@ class TestRejectedKeywords:
         assert type(error) is TypeError
         assert str(error) == (
             "execution model 'cpu-instigated' (factory "
-            "<class 'repro.runtime.models.CPUInstigatedModel'>) rejected keyword overrides "
-            "['jiter_window']: _RemoteCPUBase.__init__() got an unexpected keyword argument "
-            "'jiter_window'"
+            "repro.runtime.models.CPUInstigatedModel) rejected keyword overrides "
+            "['jiter_window']: got an unexpected keyword argument 'jiter_window'; "
+            "accepted parameters: request_size_flits, background_size_flits, jitter_window"
         )
