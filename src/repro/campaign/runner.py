@@ -321,7 +321,8 @@ class CampaignRunner:
         different campaigns can share one root without mixing.  ``None``
         keeps all progress in memory (no resume across processes).
     n_workers:
-        Worker processes of the shared scheduling service (1 = in-process).
+        Worker processes of the shared scheduling service (1 = in-process);
+        run-time cells run on the same pool.
     cache_dir:
         Optional persistent schedule-cache directory for the service; safe to
         share between concurrent campaign processes (entries are written
@@ -353,7 +354,8 @@ class CampaignRunner:
         service (or :class:`~repro.server.RemoteSimulationService`) to
         simulate through.  The caller keeps ownership and must close it.
         Without one, a campaign with a runtime section builds its own
-        :class:`~repro.runtime.SimulationService` over ``service``.
+        :class:`~repro.runtime.SimulationService` over ``service`` (and over
+        its pool, when the runner built ``service``).
     timings:
         Append one line per freshly evaluated cell (coordinates, cache
         status, ``elapsed_ms``) to a ``campaign.metrics.jsonl`` sidecar next
@@ -400,14 +402,17 @@ class CampaignRunner:
 
         # The simulation side (present only when the spec has a runtime
         # section) schedules through the same SchedulingService, so run-time
-        # cells reuse the schedules their schedule cells just computed.
+        # cells reuse the schedules their schedule cells just computed.  When
+        # the runner built that service, both grids also share its pool.
         self.simulation: Optional[SimulationService] = simulation
         self._owns_simulation = simulation is None
         if simulation is None and spec.runtime is not None:
+            shared_pool = self._owns_service and self.n_workers > 1
             self.simulation = SimulationService(
                 n_workers=self.n_workers,
                 cache_backend=cache_backend,
                 scheduling=self.service,
+                executor=self.service._get_executor() if shared_pool else None,
             )
 
         self.directory: Optional[Path] = None

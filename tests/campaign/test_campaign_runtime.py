@@ -1,6 +1,7 @@
 """Tests for the campaign's run-time section (execution-model grid)."""
 
 import json
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,6 +244,26 @@ class TestRunnerIntegration:
             # Two schedule cells -> two schedule computations; the four
             # runtime cells hit the schedule cache instead of recomputing.
             assert runner.service.computed == 2
+
+    def test_a_pooled_run_starts_one_worker_pool(self, runtime_spec, tmp_path):
+        """Run-time cells run on the scheduling service's pool, so a run with
+        ``n_workers=2`` leaves at most two live worker processes."""
+        run_campaign(runtime_spec, artifact_dir=tmp_path / "serial")
+        before = {child.pid for child in multiprocessing.active_children()}
+        with CampaignRunner(
+            runtime_spec, artifact_dir=tmp_path / "pooled", n_workers=2
+        ) as runner:
+            result = runner.run()
+            workers = [
+                child for child in multiprocessing.active_children() if child.pid not in before
+            ]
+        assert result.evaluated == 6
+        assert runner.simulation.n_workers == 2
+        assert len(workers) <= 2
+        journal = runtime_spec.content_key() + "/campaign.jsonl"
+        assert (tmp_path / "pooled" / journal).read_bytes() == (
+            tmp_path / "serial" / journal
+        ).read_bytes()
 
 
 class TestRuntimeReport:
