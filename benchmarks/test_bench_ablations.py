@@ -10,10 +10,15 @@ Two knobs of the reproduction are exercised here:
   its schedulability and Psi are never worse than the static method); the
   unseeded variant shows the cost of pure random initialisation at the same
   search budget.
+
+Every round starts on cold per-process memos (``reset_memos`` in the
+round's set-up), so each times the same work: every variant schedules every
+system from scratch.
 """
 
 import pytest
 
+from repro.core.memo import reset_memos
 from repro.experiments.stats import format_table, mean
 from repro.scheduling import GAConfig, GAScheduler, HeuristicScheduler
 from repro.taskgen import SystemGenerator
@@ -28,6 +33,11 @@ def _schedulable_systems(count: int, utilisation: float):
         if HeuristicScheduler().schedule_taskset(task_set).schedulable:
             systems.append(task_set)
     return systems
+
+
+def cold_memos():
+    reset_memos()
+    return (), {}
 
 
 @pytest.mark.benchmark(group="ablation")
@@ -50,7 +60,7 @@ def test_ablation_lccd_placement_policy(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run, setup=cold_memos, rounds=5, iterations=1)
     print()
     print("Ablation — LCC-D placement policy (5 schedulable systems, U = 0.5)")
     print(format_table(rows))
@@ -88,7 +98,7 @@ def test_ablation_ga_seeding(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run, setup=cold_memos, rounds=5, iterations=1)
     print()
     print("Ablation — GA initial-population seeding (3 schedulable systems, U = 0.5)")
     print(format_table(rows))
