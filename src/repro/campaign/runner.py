@@ -354,8 +354,7 @@ class CampaignRunner:
         service (or :class:`~repro.server.RemoteSimulationService`) to
         simulate through.  The caller keeps ownership and must close it.
         Without one, a campaign with a runtime section builds its own
-        :class:`~repro.runtime.SimulationService` over ``service`` (and over
-        its pool, when the runner built ``service``).
+        :class:`~repro.runtime.SimulationService` over ``service``.
     timings:
         Append one line per freshly evaluated cell (coordinates, cache
         status, ``elapsed_ms``) to a ``campaign.metrics.jsonl`` sidecar next
@@ -400,10 +399,9 @@ class CampaignRunner:
             )
             self._owns_service = True
 
-        # The simulation side (present only when the spec has a runtime
-        # section) schedules through the same SchedulingService, so run-time
-        # cells reuse the schedules their schedule cells just computed.  When
-        # the runner built that service, both grids also share its pool.
+        # The simulation side (present only with a runtime section) schedules
+        # through the same SchedulingService (and, if the runner built it, on
+        # its pool), so run-time cells reuse the schedules just computed.
         self.simulation: Optional[SimulationService] = simulation
         self._owns_simulation = simulation is None
         if simulation is None and spec.runtime is not None:

@@ -1,4 +1,4 @@
-"""Router model: per-output-link FIFO arbitration with configurable latencies."""
+"""Router model: per-output-link serialisation in call order, with configurable latencies."""
 
 from __future__ import annotations
 
@@ -15,10 +15,12 @@ class Router:
 
     The model works at packet granularity: forwarding a packet over an output
     link occupies that link for ``routing_delay + size_flits * flit_delay``
-    time units, and packets competing for the same output link are serialised
-    in arrival order (FIFO arbitration, ties broken by packet priority).  This
-    captures the two effects the paper cares about — per-hop latency and
-    arbitration-induced jitter — without flit-level detail.
+    time units, and packets competing for the same output link are served in
+    the order :meth:`forward` is called for them, not in arrival order: each
+    waits for the one forwarded before it, even one that arrives later
+    (``Packet.priority`` is not read).  This captures the two effects the paper
+    cares about — per-hop latency and arbitration-induced jitter — without
+    flit-level detail.
     """
 
     node: NodeId

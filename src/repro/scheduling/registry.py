@@ -4,13 +4,10 @@ The experiment harness refers to scheduling methods by short string names
 ("fps-offline", "gpiocp", "static", "ga", ...).  Every scheduler module
 registers its own factory in :data:`SCHEDULERS` with
 :func:`register_scheduler`, and the harness instantiates methods through
-:func:`create_scheduler` without importing the concrete classes.
-
-A *factory* is any callable returning a scheduler-like object (something with
-a ``schedule_taskset(task_set)`` method).  Factories may accept one optional
-positional ``config`` argument (e.g. :class:`~repro.scheduling.ga.GAConfig`
-for the GA); :func:`create_scheduler` only forwards ``config`` when the caller
-provides one, so config-free schedulers can ignore the concern entirely.
+:func:`create_scheduler` without importing the concrete classes.  A
+*factory* is any callable returning a scheduler-like object (something with
+a ``schedule_taskset(task_set)`` method), optionally taking one positional
+``config`` (e.g. :class:`~repro.scheduling.ga.GAConfig` for the GA).
 """
 
 from __future__ import annotations
