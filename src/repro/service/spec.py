@@ -128,7 +128,7 @@ class SchedulerSpec:
 
     def __post_init__(self) -> None:
         if not _NAME_RE.match(self.name):
-            raise ValueError(f"invalid scheduler name {self.name!r}")
+            raise ValueError(f"invalid {self.REGISTRY.noun} name {self.name!r}")
         raw = self.options
         items = raw.items() if isinstance(raw, Mapping) else raw
         # Sort by key only: values of different types are not comparable.

@@ -114,6 +114,10 @@ class TestExecutionModelSpec:
         assert isinstance(spec, ExecutionModelSpec)
         assert spec.resolve().jitter_window == 2
 
+    def test_an_invalid_name_is_called_a_model_name(self):
+        with pytest.raises(ValueError, match="^invalid execution model name 'no model'$"):
+            ExecutionModelSpec.parse("no model")
+
     def test_coerced_scheduler_spec_resolves_to_a_model(self):
         spec = ExecutionModelSpec.coerce(SchedulerSpec.parse("cpu-instigated:jitter_window=2"))
         assert type(spec) is ExecutionModelSpec
