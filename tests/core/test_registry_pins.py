@@ -111,7 +111,9 @@ def raised(call, *args, **kwargs):
 
 
 SCHEDULER_NAMES = "fps, fps-offline, fps-online, ga, gpiocp, heuristic, static"
-MODEL_NAMES = "controller, cpu-instigated, cpu-instigated-prioritized, dedicated-controller, remote-cpu"
+MODEL_NAMES = (
+    "controller, cpu-instigated, cpu-instigated-prioritized, dedicated-controller, remote-cpu"
+)
 SCENARIO_NAMES = (
     "bursty-periods, faulty-controller, paper-default, paper-scale, short-hyperperiod, wide-noc"
 )
