@@ -125,7 +125,7 @@ def cell_request(spec: CampaignSpec, cell: CampaignCell) -> ScheduleRequest:
     method = SchedulerSpec.parse(cell.method)
     if (
         cell.replication > 0
-        and method.name in DERIVED_SEED_METHODS
+        and method.canonical().name in DERIVED_SEED_METHODS
         and method.options_dict().get("seed") is None
     ):
         method = method.with_options(seed=replication_seed(scenario, cell))

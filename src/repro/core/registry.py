@@ -33,12 +33,16 @@ class Registry:
 
     ``noun`` names the kind in every error, as in ``unknown scheduler 'x';
     registered: …``.  An alias is a name of its own bound to the same
-    factory.
+    factory; :meth:`canonical` folds it into the factory's first name.
     """
 
     def __init__(self, noun: str):
         self.noun = noun
         self._factories: Dict[str, Callable[..., Any]] = {}
+        #: ``id(factory)`` -> ``(factory, the first name it was registered under)``.
+        self._first: Dict[int, Tuple[Callable[..., Any], str]] = {}
+        #: Bound name -> its canonical name, rebuilt on every (un)registration.
+        self._canonical: Dict[str, str] = {}
 
     def register(
         self,
@@ -67,6 +71,8 @@ class Registry:
                         )
             for key in keys:
                 self._factories[key] = target
+            self._first.setdefault(id(target), (target, name))
+            self._fold()
             return target
 
         return _register if factory is None else _register(factory)
@@ -76,6 +82,23 @@ class Registry:
         if name not in self._factories:
             raise KeyError(f"unknown {self.noun} {name!r}")
         del self._factories[name]
+        self._fold()
+
+    def _fold(self) -> None:
+        canonical = {}
+        for key, factory in self._factories.items():
+            first = self._first[id(factory)][1]
+            canonical[key] = first if self._factories.get(first) is factory else key
+        self._canonical = canonical
+
+    def canonical(self, name: str) -> str:
+        """The name ``name``'s factory was first registered under, while that
+        name is still bound to it; otherwise (or for an unknown name) ``name``.
+
+        Every name of one factory folds into one canonical name, so requests
+        that spell one computation differently share one content key.
+        """
+        return self._canonical.get(name, name)
 
     def __contains__(self, name: str) -> bool:
         return name in self._factories

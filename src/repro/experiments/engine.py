@@ -56,10 +56,6 @@ from repro.taskgen import SystemGenerator
 SCHEDULABILITY_METHODS = ("fps-offline", "fps-online", "gpiocp", "static", "ga")
 ACCURACY_METHODS = ("fps", "gpiocp", "static", "ga")
 
-#: Method-name aliases folded into their canonical names, so an alias cell is
-#: the same request (and the same cache entry) as its canonical cell.
-_CANONICAL_METHOD = {"fps": "fps-offline", "heuristic": "static"}
-
 #: Offset decorrelating the GA's derived RNG stream from the generator's.
 _GA_SEED_OFFSET = 1_000_003
 
@@ -148,17 +144,16 @@ def generate_system(
 def cell_spec(config: ExperimentConfig, job: EvalJob) -> SchedulerSpec:
     """The fully-pinned scheduler spec one cell executes.
 
-    ``job.method`` is parsed as a spec string and method aliases fold into
-    their canonical names (``fps`` is ``fps-offline``); for the GA, the
+    ``job.method`` is parsed as a spec string and folds into the scheduler
+    registry's canonical name (``fps`` is ``fps-offline``); for the GA, the
     configured ``GAConfig`` supplies defaults under any options the spec pins,
     and the RNG seed is derived from the cell seed whenever neither pins one —
     so GA cells are as deterministic (and as worker-count-independent) as
     every other method.
     """
-    spec = SchedulerSpec.parse(job.method)
-    name = _CANONICAL_METHOD.get(spec.name, spec.name)
-    if name != "ga":
-        return SchedulerSpec(name, spec.options)
+    spec = SchedulerSpec.parse(job.method).canonical()
+    if spec.name != "ga":
+        return spec
     options = asdict(config.ga)
     options.update(spec.options_dict())
     if options.get("seed") is None:
@@ -369,7 +364,7 @@ class ExperimentEngine:
         # spec parameters) reports its best-per-objective Pareto points.
         other_methods = [method for method in methods if method != "static"]
         ga_methods = {
-            method for method in methods if SchedulerSpec.parse(method).name == "ga"
+            method for method in methods if SchedulerSpec.parse(method).canonical().name == "ga"
         }
         for utilisation in utilisations:
             admitted, static_cells = self._admit_systems(utilisation)

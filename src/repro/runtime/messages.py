@@ -138,16 +138,16 @@ class SimulationRequest(RequestEnvelope):
     def _key_dict(self) -> Dict[str, Any]:
         """The scenario's content key (covering workload, platform and fault
         plan), the workload override (when explicit), the system index, the
-        schedule-method spec, the execution model, the horizon, the event
-        budget and the seed."""
+        schedule-method spec and the execution model (each under its
+        canonical name), the horizon, the event budget and the seed."""
         return {
             "scenario": self.scenario.content_key(),
             "workload": (
                 taskset_to_dict(self.task_set) if self.task_set is not None else None
             ),
             "system_index": self.system_index,
-            "method": self.method.to_dict(),
-            "execution_model": self.execution_model.to_dict(),
+            "method": self.method.canonical().to_dict(),
+            "execution_model": self.execution_model.canonical().to_dict(),
             "horizon": self.horizon,
             "max_events": self.max_events,
             "seed": self.seed,

@@ -99,7 +99,7 @@ def _unschedulable_response(
         request_id=request.request_id,
         scenario=request.scenario.name,
         method=schedule_response.spec,
-        execution_model=str(request.execution_model),
+        execution_model=str(request.execution_model.canonical()),
         system_index=request.system_index,
         horizon=schedule_response.horizon,
         schedulable=False,
@@ -198,7 +198,7 @@ def execute_simulation(
         request_id=request.request_id,
         scenario=request.scenario.name,
         method=schedule_response.spec,
-        execution_model=str(request.execution_model),
+        execution_model=str(request.execution_model.canonical()),
         system_index=request.system_index,
         horizon=schedule_response.horizon,
         schedulable=True,

@@ -39,9 +39,9 @@ from repro.service.messages import ScheduleRequest, ScheduleResponse
 from repro.service.spec import SchedulerSpec
 from repro.store.backends import SCHEDULE_CACHE_SUBDIR
 
-#: Spec names for which the service derives a deterministic seed when the
-#: request does not pin one.  Methods registered here must accept a ``seed``
-#: keyword override.
+#: Canonical spec names for which the service derives a deterministic seed
+#: when the request does not pin one.  Methods registered here must accept a
+#: ``seed`` keyword override.
 DERIVED_SEED_METHODS = frozenset({"ga"})
 
 #: Scalar types of per-device ``info`` diagnostics that responses carry over.
@@ -57,8 +57,9 @@ def derive_seed(request: ScheduleRequest) -> int:
 
 
 def effective_spec(request: ScheduleRequest) -> SchedulerSpec:
-    """The spec actually executed: the request's, plus a derived seed if needed."""
-    spec = request.spec
+    """The spec actually executed: the request's under its canonical name
+    (:meth:`SchedulerSpec.canonical`), plus a derived seed if needed."""
+    spec = request.spec.canonical()
     if spec.name in DERIVED_SEED_METHODS and spec.options_dict().get("seed") is None:
         return spec.with_options(seed=derive_seed(request))
     return spec

@@ -175,6 +175,11 @@ class SchedulerSpec:
             return cls(name=spec.name, options=spec.options)
         return cls.parse(spec)
 
+    def canonical(self) -> "SchedulerSpec":
+        """This spec under its registry's canonical name (``self`` if it is one)."""
+        name = self.REGISTRY.canonical(self.name)
+        return self if name == self.name else type(self)(name=name, options=self.options)
+
     def with_options(self, **options: OptionValue) -> "SchedulerSpec":
         """A copy of the same spec class with ``options`` merged over the existing ones."""
         merged = self.options_dict()

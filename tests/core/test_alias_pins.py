@@ -111,17 +111,17 @@ SERVICE_BODIES = {
 }
 SERVICE_ECHOES = {
     "short-hyperperiod/0/static": ("static",),
-    "short-hyperperiod/0/heuristic": ("heuristic",),
+    "short-hyperperiod/0/heuristic": ("static",),
     "short-hyperperiod/0/fps-offline": ("fps-offline",),
-    "short-hyperperiod/0/fps": ("fps",),
+    "short-hyperperiod/0/fps": ("fps-offline",),
 }
 SERVICE_CACHE = {
     "short-hyperperiod/0/static": ("0ef5d72da0fc27d5", "miss"),
-    "short-hyperperiod/0/heuristic": ("214750cae9eca392", "miss"),
+    "short-hyperperiod/0/heuristic": ("0ef5d72da0fc27d5", "hit"),
     "short-hyperperiod/0/fps-offline": ("01dfaf20b91c03ed", "miss"),
-    "short-hyperperiod/0/fps": ("ae56ee3a26623817", "miss"),
+    "short-hyperperiod/0/fps": ("01dfaf20b91c03ed", "hit"),
 }
-SERVICE_SUMMARY = "4 response(s): 4 computed, 0 served from cache\n"
+SERVICE_SUMMARY = "4 response(s): 2 computed, 2 served from cache\n"
 
 
 class TestServiceCli:
@@ -161,17 +161,17 @@ RUNTIME_BODIES = {
 }
 RUNTIME_ECHOES = {
     "short-hyperperiod/0/static/dedicated-controller": ("static", "dedicated-controller"),
-    "short-hyperperiod/0/static/controller": ("static", "controller"),
-    "short-hyperperiod/0/heuristic/dedicated-controller": ("heuristic", "dedicated-controller"),
-    "short-hyperperiod/0/heuristic/controller": ("heuristic", "controller"),
+    "short-hyperperiod/0/static/controller": ("static", "dedicated-controller"),
+    "short-hyperperiod/0/heuristic/dedicated-controller": ("static", "dedicated-controller"),
+    "short-hyperperiod/0/heuristic/controller": ("static", "dedicated-controller"),
 }
 RUNTIME_CACHE = {
     "short-hyperperiod/0/static/dedicated-controller": ("08b19afb37d5bad8", "miss"),
-    "short-hyperperiod/0/static/controller": ("ad74f4b7b5d4bc62", "miss"),
-    "short-hyperperiod/0/heuristic/dedicated-controller": ("b518a44f6dc5618f", "miss"),
-    "short-hyperperiod/0/heuristic/controller": ("70a3ba9b60a937b5", "miss"),
+    "short-hyperperiod/0/static/controller": ("08b19afb37d5bad8", "hit"),
+    "short-hyperperiod/0/heuristic/dedicated-controller": ("08b19afb37d5bad8", "hit"),
+    "short-hyperperiod/0/heuristic/controller": ("08b19afb37d5bad8", "hit"),
 }
-RUNTIME_SUMMARY = "4 response(s): 4 simulated, 0 served from cache\n"
+RUNTIME_SUMMARY = "4 response(s): 1 simulated, 3 served from cache\n"
 
 
 class TestRuntimeCli:
@@ -244,21 +244,21 @@ FRAME_BODIES = {
 }
 FRAME_ECHOES = {
     "static": ("static",),
-    "heuristic": ("heuristic",),
+    "heuristic": ("static",),
     "static/dedicated-controller": ("static", "dedicated-controller"),
-    "static/controller": ("static", "controller"),
-    "heuristic/controller": ("heuristic", "controller"),
+    "static/controller": ("static", "dedicated-controller"),
+    "heuristic/controller": ("static", "dedicated-controller"),
 }
 FRAME_CACHE = {
     "static": ("0ef5d72da0fc27d5", "miss"),
-    "heuristic": ("214750cae9eca392", "miss"),
+    "heuristic": ("0ef5d72da0fc27d5", "hit"),
     "static/dedicated-controller": ("08b19afb37d5bad8", "miss"),
-    "static/controller": ("ad74f4b7b5d4bc62", "miss"),
-    "heuristic/controller": ("70a3ba9b60a937b5", "miss"),
+    "static/controller": ("08b19afb37d5bad8", "hit"),
+    "heuristic/controller": ("08b19afb37d5bad8", "hit"),
 }
 FRAME_COMPUTED = {
-    "schedule": (2, 2),
-    "simulation": (3, 3),
+    "schedule": (1, 1),
+    "simulation": (1, 1),
 }
 
 
@@ -298,11 +298,11 @@ CAMPAIGN_DIGESTS = {
 #: The timing sidecar's per-cell cache status, in journal order.
 CAMPAIGN_CELL_CACHE = [
     ("schedule", "static", None, "miss"),
-    ("schedule", "heuristic", None, "miss"),
+    ("schedule", "heuristic", None, "hit"),
     ("simulation", "static", "dedicated-controller", "miss"),
-    ("simulation", "static", "controller", "miss"),
-    ("simulation", "heuristic", "dedicated-controller", "miss"),
-    ("simulation", "heuristic", "controller", "miss"),
+    ("simulation", "static", "controller", "hit"),
+    ("simulation", "heuristic", "dedicated-controller", "hit"),
+    ("simulation", "heuristic", "controller", "hit"),
 ]
 
 
