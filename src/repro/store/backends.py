@@ -38,6 +38,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
@@ -301,24 +302,39 @@ class SqliteBackend(CacheBackend):
             check_same_thread=False,
             isolation_level=None,  # autocommit: every statement is its own txn
         )
-        with self._lock:
-            if self.wal:
-                self._connection.execute("PRAGMA journal_mode=WAL")
-            self._connection.execute(f"PRAGMA synchronous={self.synchronous.upper()}")
-            self._connection.execute(
-                f"PRAGMA busy_timeout={int(self.timeout * 1000)}"
-            )
-            self._connection.execute(
-                "CREATE TABLE IF NOT EXISTS entries ("
-                "  key TEXT PRIMARY KEY,"
-                "  kind TEXT NOT NULL DEFAULT '',"
-                "  version INTEGER NOT NULL DEFAULT 0,"
-                "  payload TEXT NOT NULL"
-                ")"
-            )
-            self._connection.execute(
-                "CREATE INDEX IF NOT EXISTS entries_kind ON entries(kind)"
-            )
+        statements = [
+            *(["PRAGMA journal_mode=WAL"] if self.wal else []),
+            f"PRAGMA synchronous={self.synchronous.upper()}",
+            f"PRAGMA busy_timeout={int(self.timeout * 1000)}",
+            "CREATE TABLE IF NOT EXISTS entries ("
+            "  key TEXT PRIMARY KEY,"
+            "  kind TEXT NOT NULL DEFAULT '',"
+            "  version INTEGER NOT NULL DEFAULT 0,"
+            "  payload TEXT NOT NULL"
+            ")",
+            "CREATE INDEX IF NOT EXISTS entries_kind ON entries(kind)",
+        ]
+        deadline = time.monotonic() + self.timeout
+        try:
+            with self._lock:
+                for statement in statements:
+                    self._set_up(statement, deadline)
+        except sqlite3.Error:
+            self._connection.close()
+            raise
+
+    def _set_up(self, statement: str, deadline: float) -> None:
+        """Run one set-up statement, retrying ``database is locked`` until
+        ``deadline``: processes opening one fresh file at once (shard workers
+        on one store) can meet a lock that the busy handler does not wait on."""
+        while True:
+            try:
+                self._connection.execute(statement)
+                return
+            except sqlite3.OperationalError as error:
+                if "database is locked" not in str(error) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         with self._lock:

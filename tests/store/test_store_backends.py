@@ -1,6 +1,8 @@
 """repro.store backends: round-trips, first-write-wins, specs, maintenance."""
 
 import json
+import sqlite3
+import time
 
 import pytest
 
@@ -132,6 +134,83 @@ class TestSqliteSpecifics:
             backend.put("aa" * 8, PAYLOAD)
         with SqliteBackend(path) as backend:
             assert backend.get("aa" * 8) == PAYLOAD
+
+
+class FailingConnection:
+    """A real connection whose statements raise ``OperationalError(message)``
+    whenever ``error(statement)`` returns a message, as ``database is locked``
+    does when other processes open the same fresh file."""
+
+    def __init__(self, connection, error):
+        self.connection = connection
+        self.error = error
+        self.closed = False
+
+    def execute(self, statement, *args):
+        message = self.error(statement)
+        if message:
+            raise sqlite3.OperationalError(message)
+        return self.connection.execute(statement, *args)
+
+    def close(self):
+        self.closed = True
+        self.connection.close()
+
+
+@pytest.fixture
+def failing_connect(monkeypatch):
+    """``install(error)`` makes ``sqlite3.connect`` hand out
+    :class:`FailingConnection` s, collected in ``install.made``."""
+    connect = sqlite3.connect
+
+    def install(error):
+        def fake(*args, **kwargs):
+            install.made.append(FailingConnection(connect(*args, **kwargs), error))
+            return install.made[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", fake)
+
+    install.made = []
+    return install
+
+
+def on_journal_mode(message):
+    return lambda statement: message if statement.startswith("PRAGMA journal_mode") else None
+
+
+class TestSqliteOpenRetry:
+    def test_a_first_set_up_statement_that_meets_a_lock_still_opens(
+        self, tmp_path, failing_connect
+    ):
+        attempts = []
+
+        def error(statement):
+            attempts.append(statement)
+            return "database is locked" if len(attempts) == 1 else None
+
+        failing_connect(error)
+        with SqliteBackend(tmp_path / "store.db") as backend:
+            backend.put("aa" * 8, PAYLOAD)
+            assert backend.get("aa" * 8) == PAYLOAD
+        assert attempts[:2] == ["PRAGMA journal_mode=WAL"] * 2
+
+    def test_a_lock_that_outlasts_the_timeout_fails_and_closes(
+        self, tmp_path, failing_connect
+    ):
+        failing_connect(on_journal_mode("database is locked"))
+        started = time.monotonic()
+        with pytest.raises(sqlite3.OperationalError, match="database is locked"):
+            SqliteBackend(tmp_path / "store.db", timeout=0.2)
+        assert time.monotonic() - started >= 0.2
+        assert [connection.closed for connection in failing_connect.made] == [True]
+
+    def test_other_errors_fail_at_once(self, tmp_path, failing_connect):
+        failing_connect(on_journal_mode("disk I/O error"))
+        started = time.monotonic()
+        with pytest.raises(sqlite3.OperationalError, match="disk I/O error"):
+            SqliteBackend(tmp_path / "store.db", timeout=5.0)
+        assert time.monotonic() - started < 1.0
+        assert [connection.closed for connection in failing_connect.made] == [True]
 
 
 class TestRegistry:
