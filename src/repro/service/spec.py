@@ -21,7 +21,8 @@ divergent representation of "which scheduler, configured how".
 
 Resolution goes through the registry the spec class names in ``REGISTRY``
 (the scheduler registry; :class:`~repro.runtime.ExecutionModelSpec` names the
-execution-model one): :meth:`SchedulerSpec.resolve` forwards the options to
+execution-model one, :class:`BackendSpec` the cache-backend one):
+:meth:`SchedulerSpec.resolve` forwards the options to
 the registered factory, which fails loudly (naming the factory) on an unknown
 keyword.
 """
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple, Union
 
 from repro.scheduling.registry import SCHEDULERS
+from repro.store.registry import BACKENDS
 
 #: JSON-compatible option value types a spec can carry.
 OptionValue = Union[bool, int, float, str, None]
@@ -228,3 +230,11 @@ class SchedulerSpec:
         the factory) for an option the factory rejects.
         """
         return self.REGISTRY.create(self.name, **self.options_dict())
+
+
+@dataclass(frozen=True)
+class BackendSpec(SchedulerSpec):
+    """A cache-backend name plus typed options (``sqlite:path=cache.db``): the
+    spec grammar, resolving through :data:`~repro.store.registry.BACKENDS`."""
+
+    REGISTRY = BACKENDS

@@ -174,15 +174,12 @@ def _format_spec(name: str, **options: Any) -> Optional[str]:
     """``name:key=value`` spec text, or ``None`` if a value is unrepresentable."""
     # Imported lazily: the spec grammar lives with the scheduler specs, and
     # importing it at module load would cycle through the service package.
-    from repro.service.spec import format_option_value
+    from repro.service.spec import BackendSpec
 
     try:
-        rendered = ",".join(
-            f"{key}={format_option_value(value)}" for key, value in sorted(options.items())
-        )
+        return BackendSpec(name, options).format()
     except ValueError:
         return None
-    return f"{name}:{rendered}" if rendered else name
 
 
 class DirectoryBackend(CacheBackend):

@@ -1,9 +1,9 @@
 """Backend registry: ``name:key=value`` spec strings → live backends.
 
-Backend specs reuse the :class:`~repro.service.spec.SchedulerSpec` grammar —
-the same ``name:key=value,...`` strings, typed values included — so one
-parser (and one set of round-trip guarantees) covers scheduler specs and
-storage specs alike::
+Backend specs are :class:`~repro.service.spec.BackendSpec` s: the scheduler
+spec grammar — the same ``name:key=value,...`` strings, typed values
+included — so one parser (and one set of round-trip guarantees) covers
+scheduler specs and storage specs alike::
 
     directory:root=/var/cache/repro      # one JSON file per key under root
     sqlite:path=/var/cache/repro.db      # everything in one SQLite file
@@ -116,7 +116,7 @@ def parse_backend_spec(text: str) -> Tuple[str, Dict[str, Any]]:
     otherwise).
     """
     # Lazy import: repro.service imports repro.store for its cache backends.
-    from repro.service.spec import SchedulerSpec
+    from repro.service.spec import BackendSpec
 
     if not isinstance(text, str) or not text.strip():
         raise ValueError(f"invalid backend spec: {text!r}")
@@ -128,7 +128,7 @@ def parse_backend_spec(text: str) -> Tuple[str, Dict[str, Any]]:
             return "sqlite", {"path": text}
         return "directory", {"root": text}
     try:
-        spec = SchedulerSpec.parse(text)
+        spec = BackendSpec.parse(text)
     except ValueError as error:
         raise ValueError(f"invalid backend spec {text!r}: {error}") from error
     return spec.name, spec.options_dict()

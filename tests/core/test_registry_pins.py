@@ -213,3 +213,12 @@ class TestRejectedKeywords:
             "['jiter_window']: got an unexpected keyword argument 'jiter_window'; "
             "accepted parameters: request_size_flits, background_size_flits, jitter_window"
         )
+
+
+class TestInvalidNames:
+    def test_backend(self):
+        error = raised(create_backend, "bad name:x=1")
+        assert type(error) is ValueError
+        assert error.args == (
+            "invalid backend spec 'bad name:x=1': invalid cache backend name 'bad name'",
+        )
