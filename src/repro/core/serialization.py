@@ -55,14 +55,6 @@ def taskset_from_dict(data: Dict[str, Any]) -> TaskSet:
     return TaskSet([task_from_dict(entry) for entry in data["tasks"]])
 
 
-def taskset_to_json(task_set: TaskSet, *, indent: int = 2) -> str:
-    return json.dumps(taskset_to_dict(task_set), indent=indent)
-
-
-def taskset_from_json(text: str) -> TaskSet:
-    return taskset_from_dict(json.loads(text))
-
-
 def schedule_to_dict(schedule: Schedule, task_set: TaskSet) -> Dict[str, Any]:
     """Schedule as ``{device, entries: [{task, job, start}]}`` (tasks by name)."""
     return {
@@ -85,14 +77,6 @@ def schedule_from_dict(data: Dict[str, Any], task_set: TaskSet) -> Schedule:
         task = task_set.by_name(entry["task"])
         schedule.add(ScheduleEntry(job=task.job(int(entry["job"])), start=int(entry["start"])))
     return schedule
-
-
-def schedule_to_json(schedule: Schedule, task_set: TaskSet, *, indent: int = 2) -> str:
-    return json.dumps(schedule_to_dict(schedule, task_set), indent=indent)
-
-
-def schedule_from_json(text: str, task_set: TaskSet) -> Schedule:
-    return schedule_from_dict(json.loads(text), task_set)
 
 
 # -- versioned payloads and content hashing ------------------------------------

@@ -33,10 +33,6 @@ class IODevice:
         self.operations: List[DeviceOperation] = []
         self._busy_until = 0
 
-    @property
-    def busy_until(self) -> int:
-        return self._busy_until
-
     def is_busy(self, time: int) -> bool:
         return time < self._busy_until
 

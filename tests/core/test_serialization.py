@@ -7,12 +7,12 @@ import pytest
 from repro.core import MS, IOTask, TaskSet
 from repro.core.serialization import (
     atomic_write_json,
-    schedule_from_json,
-    schedule_to_json,
+    schedule_from_dict,
+    schedule_to_dict,
     task_from_dict,
     task_to_dict,
-    taskset_from_json,
-    taskset_to_json,
+    taskset_from_dict,
+    taskset_to_dict,
 )
 from repro.scheduling import HeuristicScheduler
 
@@ -41,7 +41,7 @@ class TestTaskRoundTrip:
 
     def test_taskset_json_round_trip(self):
         original = make_taskset()
-        restored = taskset_from_json(taskset_to_json(original))
+        restored = taskset_from_dict(json.loads(json.dumps(taskset_to_dict(original))))
         assert len(restored) == len(original)
         for a, b in zip(original, restored):
             assert a == b
@@ -54,8 +54,8 @@ class TestScheduleRoundTrip:
         result = HeuristicScheduler().schedule_taskset(task_set)
         for device, partition in task_set.partition().items():
             schedule = result.per_device[device].schedule
-            text = schedule_to_json(schedule, task_set)
-            restored = schedule_from_json(text, task_set)
+            text = json.dumps(schedule_to_dict(schedule, task_set))
+            restored = schedule_from_dict(json.loads(text), task_set)
             assert len(restored) == len(schedule)
             for entry in schedule.entries:
                 assert restored.start_of(entry.job) == entry.start
@@ -63,8 +63,8 @@ class TestScheduleRoundTrip:
     def test_schedule_refers_to_tasks_by_name(self):
         task_set = make_taskset()
         result = HeuristicScheduler().schedule_taskset(task_set)
-        text = schedule_to_json(result.per_device["dev0"].schedule, task_set)
-        assert '"task": "a"' in text
+        data = schedule_to_dict(result.per_device["dev0"].schedule, task_set)
+        assert {entry["task"] for entry in data["entries"]} == {"a"}
 
 
 class TestAtomicWriteJson:
