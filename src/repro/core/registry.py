@@ -39,9 +39,8 @@ class Registry:
     def __init__(self, noun: str):
         self.noun = noun
         self._factories: Dict[str, Callable[..., Any]] = {}
-        #: ``id(factory)`` -> ``(factory, the first name it was registered under)``.
+        #: ``id(factory) -> (factory, first name)``; ``name -> canonical name``.
         self._first: Dict[int, Tuple[Callable[..., Any], str]] = {}
-        #: Bound name -> its canonical name, rebuilt on every (un)registration.
         self._canonical: Dict[str, str] = {}
 
     def register(
@@ -85,6 +84,7 @@ class Registry:
         self._fold()
 
     def _fold(self) -> None:
+        """Rebuild the canonical name of every bound name (see :meth:`canonical`)."""
         canonical = {}
         for key, factory in self._factories.items():
             first = self._first[id(factory)][1]
@@ -93,11 +93,7 @@ class Registry:
 
     def canonical(self, name: str) -> str:
         """The name ``name``'s factory was first registered under, while that
-        name is still bound to it; otherwise (or for an unknown name) ``name``.
-
-        Every name of one factory folds into one canonical name, so requests
-        that spell one computation differently share one content key.
-        """
+        name is still bound to it; otherwise ``name`` (unknown names too)."""
         return self._canonical.get(name, name)
 
     def __contains__(self, name: str) -> bool:

@@ -92,9 +92,10 @@ def derive_execution_seed(request: SimulationRequest) -> int:
     )
 
 
-def _unschedulable_response(
-    request: SimulationRequest, schedule_response: ScheduleResponse, elapsed_s: float
+def _response(
+    request: SimulationRequest, schedule_response: ScheduleResponse, started: float, **result
 ) -> SimulationResponse:
+    """The answer to ``request``: what the request and its schedule fix, plus ``result``."""
     return SimulationResponse(
         request_id=request.request_id,
         scenario=request.scenario.name,
@@ -102,22 +103,10 @@ def _unschedulable_response(
         execution_model=str(request.execution_model.canonical()),
         system_index=request.system_index,
         horizon=schedule_response.horizon,
-        schedulable=False,
-        accuracy=0.0,
-        psi=0.0,
-        upsilon=0.0,
         offline_psi=schedule_response.psi,
         offline_upsilon=schedule_response.upsilon,
-        matches_offline=False,
-        executed_jobs=0,
-        skipped_jobs=0,
-        faults_detected=0,
-        mean_noc_latency=0.0,
-        max_noc_latency=0,
-        events_processed=0,
-        exhausted=False,
-        trace={},
-        elapsed_s=elapsed_s,
+        elapsed_s=time.perf_counter() - started,
+        **result,
     )
 
 
@@ -164,8 +153,11 @@ def execute_simulation(
             schedule_response = execute_request(schedule_request)
 
     if not schedule_response.schedulable:
-        return _unschedulable_response(
-            request, schedule_response, time.perf_counter() - start
+        return _response(
+            request, schedule_response, start, schedulable=False, accuracy=0.0, psi=0.0,
+            upsilon=0.0, matches_offline=False, executed_jobs=0, skipped_jobs=0,
+            faults_detected=0, mean_noc_latency=0.0, max_noc_latency=0, events_processed=0,
+            exhausted=False, trace={},
         )
 
     with span(PHASE_SIMULATE):
@@ -194,19 +186,14 @@ def execute_simulation(
         )
     deviations = outcome.start_time_deviations()
 
-    return SimulationResponse(
-        request_id=request.request_id,
-        scenario=request.scenario.name,
-        method=schedule_response.spec,
-        execution_model=str(request.execution_model.canonical()),
-        system_index=request.system_index,
-        horizon=schedule_response.horizon,
+    return _response(
+        request,
+        schedule_response,
+        start,
         schedulable=True,
         accuracy=outcome.accuracy_of(deviations),
         psi=outcome.psi,
         upsilon=outcome.upsilon,
-        offline_psi=schedule_response.psi,
-        offline_upsilon=schedule_response.upsilon,
         matches_offline=outcome.matches_offline,
         executed_jobs=outcome.executed_jobs,
         skipped_jobs=outcome.skipped_jobs,
@@ -216,7 +203,6 @@ def execute_simulation(
         events_processed=outcome.events_processed,
         exhausted=outcome.exhausted,
         trace=_trace_summary(outcome, deviations),
-        elapsed_s=time.perf_counter() - start,
     )
 
 

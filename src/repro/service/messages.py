@@ -293,8 +293,7 @@ class ScheduleRequest(RequestEnvelope):
         """Scenario-backed requests hash the scenario's own content key (which
         covers every scenario field) plus the system index, so changing *any*
         scenario field — workload, platform, faults, even the name — yields a
-        different key and therefore a cache miss.  The spec enters under its
-        canonical name, so every spelling of one method shares one key."""
+        different key.  The spec enters under its canonical name."""
         key: Dict[str, Any] = {"spec": self.spec.canonical().to_dict(), "horizon": self.horizon}
         if self.scenario is not None:
             key.update(scenario=self.scenario.content_key(), system_index=self.system_index)

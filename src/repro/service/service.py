@@ -57,8 +57,7 @@ def derive_seed(request: ScheduleRequest) -> int:
 
 
 def effective_spec(request: ScheduleRequest) -> SchedulerSpec:
-    """The spec actually executed: the request's under its canonical name
-    (:meth:`SchedulerSpec.canonical`), plus a derived seed if needed."""
+    """The spec actually executed: the request's canonical spec, plus a derived seed if needed."""
     spec = request.spec.canonical()
     if spec.name in DERIVED_SEED_METHODS and spec.options_dict().get("seed") is None:
         return spec.with_options(seed=derive_seed(request))
@@ -105,49 +104,41 @@ def build_response(
     produces_schedule: bool = True,
     elapsed_s: float = 0.0,
 ) -> ScheduleResponse:
-    """Fold a scheduler outcome into the response envelope (deterministic)."""
-    if not produces_schedule:
-        return ScheduleResponse(
-            request_id=request.request_id,
-            spec=str(spec),
-            horizon=_effective_horizon(request),
-            schedulable=bool(result.schedulable),
-            psi=0.0,
-            upsilon=0.0,
-            best_psi=0.0,
-            best_upsilon=0.0,
-            per_device={},
-            elapsed_s=elapsed_s,
-        )
+    """Fold a scheduler outcome into the response envelope (deterministic).
 
-    task_set = request.effective_task_set()
+    A method that produces no schedule only answers whether the task set is
+    schedulable: its metrics read 0.0 and it has no per-device entries.
+    """
     per_device: Dict[str, Dict[str, Any]] = {}
-    for device, device_result in result.per_device.items():
-        schedule = device_result.schedule
-        info = {
-            key: value
-            for key, value in device_result.info.items()
-            if isinstance(value, _SCALAR_INFO_TYPES)
-        }
-        per_device[device] = {
-            "schedulable": bool(device_result.schedulable),
-            "psi": device_result.psi,
-            "upsilon": device_result.upsilon,
-            "n_jobs": device_result.metrics.n_jobs,
-            "schedule": (
-                schedule_to_dict(schedule, task_set) if schedule is not None else None
-            ),
-            "info": info,
-        }
-
-    best_psi, best_upsilon = ga_best_objectives(result)
+    psi = upsilon = best_psi = best_upsilon = 0.0
+    if produces_schedule:
+        task_set = request.effective_task_set()
+        for device, device_result in result.per_device.items():
+            schedule = device_result.schedule
+            info = {
+                key: value
+                for key, value in device_result.info.items()
+                if isinstance(value, _SCALAR_INFO_TYPES)
+            }
+            per_device[device] = {
+                "schedulable": bool(device_result.schedulable),
+                "psi": device_result.psi,
+                "upsilon": device_result.upsilon,
+                "n_jobs": device_result.metrics.n_jobs,
+                "schedule": (
+                    schedule_to_dict(schedule, task_set) if schedule is not None else None
+                ),
+                "info": info,
+            }
+        psi, upsilon = result.psi, result.upsilon
+        best_psi, best_upsilon = ga_best_objectives(result)
     return ScheduleResponse(
         request_id=request.request_id,
         spec=str(spec),
         horizon=_effective_horizon(request),
         schedulable=bool(result.schedulable),
-        psi=result.psi,
-        upsilon=result.upsilon,
+        psi=psi,
+        upsilon=upsilon,
         best_psi=best_psi,
         best_upsilon=best_upsilon,
         per_device=per_device,
