@@ -359,37 +359,35 @@ class ExperimentEngine:
         upsilon_series: Dict[str, List[float]] = {method: [] for method in methods}
         systems_evaluated: Dict[float, int] = {}
 
-        # "static" doubles as the admission filter, so its cells come from
-        # _admit_systems rather than a second evaluation; the GA (under any
-        # spec parameters) reports its best-per-objective Pareto points.
-        other_methods = [method for method in methods if method != "static"]
-        ga_methods = {
-            method for method in methods if SchedulerSpec.parse(method).canonical().name == "ga"
-        }
+        # Plain "static" doubles as the admission filter, so the cells of every
+        # method that folds into it come from _admit_systems rather than a
+        # second evaluation; the GA (under any spec parameters) reports its
+        # best-per-objective Pareto points.
+        specs = {method: SchedulerSpec.parse(method).canonical() for method in methods}
+        other_methods = {method for method in methods if specs[method] != SchedulerSpec("static")}
+        ga_methods = {method for method in methods if specs[method].name == "ga"}
         for utilisation in utilisations:
             admitted, static_cells = self._admit_systems(utilisation)
             jobs = [
                 EvalJob(utilisation, system_index, method)
                 for system_index in admitted
-                for method in other_methods
+                for method in methods
+                if method in other_methods
             ]
             cells = self.run_cells(jobs)
 
             per_method_psi: Dict[str, List[float]] = {method: [] for method in methods}
             per_method_upsilon: Dict[str, List[float]] = {method: [] for method in methods}
             for system_index in admitted:
-                if "static" in per_method_psi:
-                    static_cell = static_cells[system_index]
-                    per_method_psi["static"].append(static_cell.psi)
-                    per_method_upsilon["static"].append(static_cell.upsilon)
-                for method in other_methods:
-                    cell = cells[EvalJob(utilisation, system_index, method)]
-                    if method in ga_methods:
-                        per_method_psi[method].append(cell.best_psi)
-                        per_method_upsilon[method].append(cell.best_upsilon)
-                    else:
-                        per_method_psi[method].append(cell.psi)
-                        per_method_upsilon[method].append(cell.upsilon)
+                for method in methods:
+                    cell = (
+                        cells[EvalJob(utilisation, system_index, method)]
+                        if method in other_methods
+                        else static_cells[system_index]
+                    )
+                    best = method in ga_methods
+                    per_method_psi[method].append(cell.best_psi if best else cell.psi)
+                    per_method_upsilon[method].append(cell.best_upsilon if best else cell.upsilon)
 
             systems_evaluated[utilisation] = len(admitted)
             for method in methods:

@@ -107,6 +107,21 @@ class TestFigureSweep:
             assert engine.cells_computed == computed
         assert folded.series[lccd] == static.series["static"]
 
+    @pytest.mark.parametrize("alias", ["heuristic", "lccd"])
+    def test_an_alias_of_static_reuses_the_admission_cells(self, lccd, alias):
+        """The accuracy sweep admits systems with plain ``static``; a series
+        under another name of it reads those cells, even without a cache."""
+        config = ExperimentConfig.smoke()
+        with ExperimentEngine(config) as engine:
+            static = engine.accuracy_sweep(methods=["static"])
+            computed = engine.cells_computed
+        reset_memos()
+        with ExperimentEngine(config) as engine:
+            folded = engine.accuracy_sweep(methods=[alias])
+            assert engine.cells_computed == computed
+        assert folded.psi.series[alias] == static.psi.series["static"]
+        assert folded.upsilon.series[alias] == static.upsilon.series["static"]
+
 
 @pytest.fixture(params=["alias", "second-register"])
 def genetic(request):
