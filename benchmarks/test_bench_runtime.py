@@ -4,8 +4,8 @@ Three numbers track the subsystem's performance trajectory in
 ``BENCH_results.json``:
 
 * **simulated events per second** — the cold path: materialise the scenario,
-  obtain the schedule, execute it on the dedicated-controller model through
-  the discrete-event simulator;
+  obtain the schedule, execute it on the dedicated-controller model, which
+  loads the controller's tables and fires them in one pass;
 * **one large partition** — ``model.execute`` alone on a 476-job
   single-device partition, on the dedicated controller and on CPU-instigated
   I/O, where the cost of a trigger or a request grows with the table size if

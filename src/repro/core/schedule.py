@@ -157,7 +157,14 @@ class Schedule:
         return idle
 
     def copy(self) -> "Schedule":
-        return Schedule(self._entries.values(), device=self.device)
+        """An independent schedule with the same entries, order and device.
+
+        The entries were checked when they were added, so the copy takes the
+        entry table as it is.
+        """
+        clone = Schedule(device=self.device)
+        clone._entries = dict(self._entries)
+        return clone
 
 
 def validate_schedule(

@@ -2,9 +2,10 @@
 
 The processor bundles the scheduling table, the request and response channels,
 the global timer and the execution module (synchroniser + fault recovery +
-EXU).  It registers one simulation event per scheduling-table entry; when the
-event fires it first drains the request channel (setting enable bits) and then
-lets the synchroniser execute the due entries on the device.
+EXU).  It registers one simulation event per distinct start time of its
+scheduling table; when the event fires it first drains the request channel
+(setting enable bits) and then lets the synchroniser execute the due entries on
+the device.
 """
 
 from __future__ import annotations

@@ -122,8 +122,9 @@ class SimulationBatchCli(BatchCli):
             type=int,
             default=None,
             metavar="N",
-            help="with --scenario: bound the discrete-event simulation; an "
-            "exhausted budget is reported on the response",
+            help="with --scenario: bound each run's events (controller "
+            "triggers or NoC packets); an exhausted budget is reported on "
+            "the response",
         )
 
     def derive(self, source: str, args: argparse.Namespace) -> List[SimulationRequest]:

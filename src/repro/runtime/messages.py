@@ -67,8 +67,9 @@ class SimulationRequest(RequestEnvelope):
     architecture executing it.  ``seed`` feeds the execution model's RNG
     (CPU-tile placement, background-traffic jitter); ``None`` derives one
     from the request's content, so unseeded requests are still pure.
-    ``max_events`` bounds the discrete-event simulation; a budget that runs
-    out mid-horizon is reported via ``SimulationResponse.exhausted``.
+    ``max_events`` bounds a run's events (the controller's timer triggers,
+    or the packets of a CPU-instigated run); a budget that runs out
+    mid-horizon is reported via ``SimulationResponse.exhausted``.
     """
 
     KIND = SIM_REQUEST_KIND

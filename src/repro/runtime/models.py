@@ -16,6 +16,10 @@ Built-in models:
 ``dedicated-controller``
     The paper's architecture: the schedule is pre-loaded into the I/O
     controller and the synchroniser triggers every job from the global timer.
+    The model loads the controller's tables and fires them in one pass
+    (:meth:`~repro.hardware.controller.IOController.run_tables`);
+    :meth:`~repro.hardware.controller.IOController.run`, the event-driven
+    run of the same tables, is the oracle the tests hold the pass to.
 ``cpu-instigated``
     Each I/O request is injected by an application CPU at the job's offline
     start time, behind ``background_packets_per_job`` competing packets, so
@@ -40,71 +44,40 @@ is the hop-by-hop oracle the tests hold ``transport`` and these models to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.metrics import aggregate_psi, aggregate_upsilon
 from repro.core.registry import Registry
 from repro.core.schedule import Schedule, ScheduleEntry
 from repro.core.task import TaskSet
+from repro.hardware.controller import ControllerRunResult
 from repro.scenario import Platform
 from repro.service.spec import SchedulerSpec
-from repro.sim.engine import Simulator
 
 #: Every execution model, by name and alias.
 EXECUTION_MODELS = Registry("execution model")
 
 
 @dataclass
-class ExecutionOutcome:
+class ExecutionOutcome(ControllerRunResult):
     """What one execution-model run produced (plain data + schedules).
 
-    ``runtime_schedules`` hold the *actual* start times observed at run time;
-    ``offline_schedules`` the start times the offline method computed.  The
-    derived properties (`psi`, `upsilon`, `accuracy`, `matches_offline`) are
-    the run-time counterparts of the offline metrics.
+    A :class:`~repro.hardware.controller.ControllerRunResult` plus the NoC
+    latencies of CPU-instigated requests.  ``runtime_schedules`` hold the
+    *actual* start times observed at run time; ``offline_schedules`` the
+    start times the offline method computed.  The derived properties
+    (`psi`, `upsilon`, `accuracy`, `matches_offline`) are the run-time
+    counterparts of the offline metrics.
     """
 
-    runtime_schedules: Dict[str, Schedule]
-    offline_schedules: Dict[str, Schedule]
-    executed_jobs: int
-    skipped_jobs: int
-    faults_detected: int
     mean_noc_latency: float = 0.0
     max_noc_latency: int = 0
-    events_processed: int = 0
-    #: True when the simulator's ``max_events`` budget ran out mid-horizon.
-    exhausted: bool = False
-    #: Stored trace events per kind (structured summary, not the full trace).
-    trace_counts: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def psi(self) -> float:
-        """Run-time Psi (fraction of executed jobs started at their ideal times)."""
-        return aggregate_psi(self.runtime_schedules.values())
-
-    @property
-    def upsilon(self) -> float:
-        """Run-time Upsilon of the executed jobs."""
-        return aggregate_upsilon(self.runtime_schedules.values())
 
     @property
     def offline_jobs(self) -> int:
         return sum(len(schedule.entries) for schedule in self.offline_schedules.values())
-
-    def start_time_deviations(self) -> List[int]:
-        """Per-job |runtime start - offline start| for every executed job."""
-        deviations: List[int] = []
-        for device, runtime in self.runtime_schedules.items():
-            offline = self.offline_schedules.get(device)
-            if offline is None:
-                continue
-            for entry in runtime.entries:
-                if entry.job in offline:
-                    deviations.append(abs(entry.start - offline.start_of(entry.job)))
-        return deviations
 
     @property
     def accuracy(self) -> float:
@@ -121,18 +94,6 @@ class ExecutionOutcome:
         if total == 0:
             return 1.0
         return sum(1 for deviation in deviations if deviation == 0) / total
-
-    @property
-    def matches_offline(self) -> bool:
-        """True iff every executed job started exactly at its offline start time."""
-        for device, runtime in self.runtime_schedules.items():
-            offline = self.offline_schedules.get(device)
-            if offline is None:
-                return False
-            for entry in runtime.entries:
-                if entry.job not in offline or offline.start_of(entry.job) != entry.start:
-                    return False
-        return True
 
 
 class ExecutionModel:
@@ -215,21 +176,8 @@ class DedicatedControllerModel(ExecutionModel):
         controller = platform.controller
         controller.preload_taskset(task_set)
         controller.load_system_schedule(schedules)
-        simulator = Simulator()
-        run = controller.run(simulator, max_events=max_events)
-        return ExecutionOutcome(
-            runtime_schedules=run.runtime_schedules,
-            offline_schedules=run.offline_schedules,
-            executed_jobs=run.executed_jobs,
-            skipped_jobs=run.skipped_jobs,
-            faults_detected=run.faults_detected,
-            # No run-time NoC traffic: triggering is local to the controller.
-            mean_noc_latency=0.0,
-            max_noc_latency=0,
-            events_processed=simulator.events_processed,
-            exhausted=simulator.exhausted,
-            trace_counts=simulator.trace.counts_by_kind(),
-        )
+        # No run-time NoC traffic: triggering is local to the controller.
+        return ExecutionOutcome(**vars(controller.run_tables(max_events)))
 
 
 class _RemoteCPUBase(ExecutionModel):

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.core import MS, IOTask, Schedule, TaskSet
-from repro.hardware import FaultInjector, FaultSpec, IOController
+from repro.hardware import (
+    CANDevice,
+    FaultInjector,
+    FaultSpec,
+    GPIOPin,
+    IOController,
+    SPIDevice,
+    UARTDevice,
+)
 from repro.hardware.controller import default_command_builder
 from repro.hardware.memory import IOCommand
 from repro.scheduling import HeuristicScheduler
@@ -38,6 +46,11 @@ class TestDefaultCommandBuilder:
         commands = default_command_builder(task)
         assert len(commands) == 1
         assert commands[0].duration == task.wcet
+
+    @pytest.mark.parametrize("device", [GPIOPin, UARTDevice, SPIDevice, CANDevice])
+    def test_every_built_in_device_accepts_the_command(self, device):
+        (command,) = default_command_builder(make_task("a", 3, 40, delta=10))
+        assert command.opcode in device("dev0").supported_opcodes()
 
 
 class TestIOController:
@@ -82,6 +95,26 @@ class TestIOController:
         result = controller.run(Simulator())
         assert set(controller.processors) == {"d0", "d1"}
         assert result.matches_offline
+
+    def test_a_device_without_an_offline_schedule(self):
+        """A task device the schedules omit runs an empty runtime schedule:
+        the run does not match the offline one, and that device has no
+        deviations."""
+        task_set = TaskSet(
+            [
+                make_task("a", 2, 40, delta=10, device="d0"),
+                make_task("b", 3, 40, delta=10, device="d1"),
+            ]
+        )
+        for run in (lambda c: c.run(Simulator()), IOController.run_tables):
+            controller = IOController()
+            controller.preload_taskset(task_set)
+            controller.load_system_schedule({"d0": schedule_at_ideal(task_set)["d0"]})
+            result = run(controller)
+            assert list(result.runtime_schedules) == ["d0", "d1"]
+            assert len(result.runtime_schedules["d1"]) == 0
+            assert not result.matches_offline
+            assert result.start_time_deviations() == [0]
 
     def test_device_operations_recorded(self):
         task_set = TaskSet([make_task("a", 2, 40, delta=10)])

@@ -6,21 +6,31 @@ import numpy as np
 import pytest
 
 from repro.core.schedule import Schedule
-from repro.hardware import SchedulingTable
+from repro.hardware import (
+    IODevice,
+    RequestChannel,
+    ResponseChannel,
+    SchedulingTable,
+    Synchroniser,
+)
 from repro.runtime import (
     BUILTIN_EXECUTION_MODELS,
     ExecutionModelSpec,
+    SimulationRequest,
     available_execution_models,
     create_execution_model,
+    execute_simulation,
     execution_model_registered,
     format_execution_model_listing,
     list_execution_models,
     register_execution_model,
     unregister_execution_model,
 )
-from repro.scenario import create_scenario, materialize
+from repro.scenario import DEVICE_TYPES, create_scenario, materialize
 from repro.service import ScheduleRequest, SchedulerSpec
 from repro.service.service import execute_request
+from repro.sim import Simulator
+from repro.sim.events import EventQueue
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +178,83 @@ class TestDedicatedController:
         tables = [processor.table for processor in system.platform.controller.processors.values()]
         assert sorted(calls) == sorted(id(table) for table in tables)
         assert all(calls[id(table)] <= 2 for table in tables)
+
+
+    @pytest.mark.parametrize("device_type", DEVICE_TYPES)
+    def test_every_device_type_runs(self, device_type):
+        """The default command is a ``write``, which every built-in device
+        accepts, so each device type reproduces the offline schedule, in the
+        model and in the event-driven controller alike."""
+        scenario = create_scenario("short-hyperperiod").with_platform(device_type=device_type)
+        request = SimulationRequest(
+            scenario=scenario, method="static", execution_model="dedicated-controller"
+        )
+        response = execute_simulation(request)
+        assert response.schedulable and response.matches_offline
+        assert response.executed_jobs > 0 and response.skipped_jobs == 0
+        system = materialize(scenario, 0)
+        schedules = execute_request(request.schedule_request()).device_schedules(system.task_set)
+        controller = system.platform.controller
+        controller.preload_taskset(system.task_set)
+        controller.load_system_schedule(schedules)
+        assert controller.run().matches_offline
+
+    def test_a_run_builds_no_event_loop(self, monkeypatch):
+        """On the 476-job partition the model reads each table at most twice
+        and makes no event, channel message, synchroniser step or device
+        operation; the event-driven run of the same tables makes them all."""
+        calls = Counter()
+        counted = [
+            (Simulator, "run"),
+            (EventQueue, "push"),
+            (RequestChannel, "push"),
+            (ResponseChannel, "push"),
+            (Synchroniser, "execute_due"),
+            (IODevice, "execute"),
+            (SchedulingTable, "entries"),
+        ]
+        for cls, name in counted:
+            monkeypatch.setattr(cls, name, counting(calls, cls, name))
+        scenario = (
+            create_scenario("paper-default").with_utilisation(0.7).with_workload(n_tasks=40)
+        )
+        system = materialize(scenario, 0)
+        response = execute_request(
+            ScheduleRequest(scenario=scenario, system_index=0, spec=SchedulerSpec.parse("static"))
+        )
+        schedules = response.device_schedules(system.task_set)
+        outcome = create_execution_model("dedicated-controller").execute(
+            system.task_set, schedules, system.platform
+        )
+        assert outcome.executed_jobs == outcome.events_processed == 476
+        tables = len(system.platform.controller.processors)
+        assert 0 < calls.pop("SchedulingTable.entries") <= 2 * tables
+        assert calls == Counter()
+
+        controller = materialize(scenario, 0).platform.controller
+        controller.preload_taskset(system.task_set)
+        controller.load_system_schedule(schedules)
+        controller.run()
+        calls.pop("SchedulingTable.entries")
+        assert calls == {
+            "Simulator.run": 1,
+            "EventQueue.push": 476,
+            "RequestChannel.push": 436,
+            "ResponseChannel.push": 476,
+            "Synchroniser.execute_due": 476,
+            "IODevice.execute": 476,
+        }
+
+
+def counting(calls, cls, name):
+    """``cls.name``, counting its calls under ``"Class.name"``."""
+    method = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls[f"{cls.__name__}.{name}"] += 1
+        return method(*args, **kwargs)
+
+    return counted
 
 
 class TestCPUInstigated:
