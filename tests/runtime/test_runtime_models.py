@@ -180,6 +180,24 @@ class TestDedicatedController:
         assert all(calls[id(table)] <= 2 for table in tables)
 
 
+    def test_a_reused_platform_gives_the_same_run(self, materialized, schedules):
+        """The pass changes no run-time state of the controller (device busy
+        times, channels, enable bits, fault counters), so a second run on
+        the same platform repeats the first."""
+        platform = fresh_platform()
+        model = create_execution_model("dedicated-controller")
+        first, second = (
+            model.execute(materialized.task_set, schedules, platform, max_events=40)
+            for _ in range(2)
+        )
+        assert second.runtime_schedules["dev0"].entries == first.runtime_schedules["dev0"].entries
+        assert (second.executed_jobs, second.events_processed, second.exhausted) == (
+            first.executed_jobs,
+            first.events_processed,
+            first.exhausted,
+        )
+        assert second.trace_counts == first.trace_counts
+
     @pytest.mark.parametrize("device_type", DEVICE_TYPES)
     def test_every_device_type_runs(self, device_type):
         """The default command is a ``write``, which every built-in device
