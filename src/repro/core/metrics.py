@@ -4,6 +4,13 @@
   their ideal start time (Equation (1)).
 * ``Upsilon = sum V(kappa) / sum V(ideal)`` — the total obtained quality
   normalised by the maximum achievable quality (Equation (2)).
+
+Both come in two forms: over :class:`~repro.core.schedule.Schedule` objects
+and, for the run-time layer, over
+:class:`~repro.core.schedule.FlatSchedule` vectors
+(:func:`flat_psi`, :func:`flat_upsilon`).  :func:`linear_quality` is the
+element-wise quality curve the vector forms and the GA's batched fitness
+share.
 """
 
 from __future__ import annotations
@@ -11,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from repro.core.schedule import Schedule, ScheduleEntry, validate_schedule
+import numpy as np
+
+from repro.core.schedule import FlatSchedule, Schedule, ScheduleEntry, validate_schedule
 from repro.core.task import IOJob
 
 
@@ -131,3 +140,55 @@ def aggregate_upsilon(schedules: Iterable[Schedule]) -> float:
     if ideal == 0:
         return 1.0
     return obtained / ideal
+
+
+# -- vector forms ------------------------------------------------------------------
+
+
+def linear_quality(
+    distance: np.ndarray, theta: np.ndarray, v_max: np.ndarray, v_min: np.ndarray
+) -> np.ndarray:
+    """:meth:`LinearQualityCurve.value <repro.core.quality.LinearQualityCurve.value>`
+    element-wise, with the same operations in the same order, so every
+    value is bit-identical to the scalar curve's.
+
+    ``distance`` is ``|start - ideal start|``; the arrays broadcast.
+    Distances are non-negative, so ``distance >= theta`` covers
+    ``theta <= 0`` too.
+    """
+    fraction = 1.0 - distance / np.maximum(theta, 1)
+    decayed = v_min + (v_max - v_min) * fraction
+    return np.where(distance == 0, v_max, np.where(distance >= theta, v_min, decayed))
+
+
+def flat_psi(schedules: Iterable[FlatSchedule]) -> float:
+    """:func:`aggregate_psi` over flat schedules."""
+    total = exact = 0
+    for schedule in schedules:
+        total += len(schedule)
+        exact += int(np.count_nonzero(schedule.start == schedule.ideal_starts()))
+    if total == 0:
+        return 1.0
+    return exact / total
+
+
+def flat_upsilon(schedules: Iterable[FlatSchedule]) -> float:
+    """:func:`aggregate_upsilon` over flat schedules, bit for bit.
+
+    The qualities are summed in the order the schedules list their jobs,
+    left to right from ``0.0`` (``np.cumsum`` adds sequentially), as the
+    object form's loop does.
+    """
+    obtained: List[np.ndarray] = [np.zeros(1)]
+    best: List[np.ndarray] = [np.zeros(1)]
+    for schedule in schedules:
+        columns = schedule.tasks.columns()
+        task = schedule.task
+        v_max = columns.v_max[task]
+        distance = np.abs(schedule.start - schedule.ideal_starts())
+        obtained.append(linear_quality(distance, columns.theta[task], v_max, columns.v_min[task]))
+        best.append(v_max)
+    ideal = float(np.cumsum(np.concatenate(best))[-1])
+    if ideal == 0:
+        return 1.0
+    return float(np.cumsum(np.concatenate(obtained))[-1]) / ideal

@@ -6,6 +6,11 @@ heuristic of Algorithm 1 and the GA search) produce such schedules offline;
 the I/O-controller hardware model (``repro.hardware``) later executes them at
 run time.
 
+The run-time layer reads a device schedule in a flat form,
+:class:`FlatSchedule`: each job's task position, job index and start time
+as int vectors.  :meth:`FlatSchedule.from_schedule` and
+:meth:`FlatSchedule.to_schedule` convert between the two forms.
+
 The module also provides schedule validation for the two execution-model
 constraints of Section III-B:
 
@@ -18,10 +23,12 @@ constraints of Section III-B:
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.task import IOJob
+import numpy as np
+
+from repro.core.task import IOJob, TaskSet
 
 
 class ScheduleValidationError(Exception):
@@ -165,6 +172,128 @@ class Schedule:
         clone = Schedule(device=self.device)
         clone._entries = dict(self._entries)
         return clone
+
+
+@dataclass(frozen=True)
+class FlatSchedule:
+    """A device schedule as int64 vectors, the form the run-time layer reads.
+
+    Entry ``i`` starts job ``job[i]`` of task ``tasks[task[i]]`` at
+    ``start[i]``.  The entries keep the order the schedule lists its jobs in
+    (a :class:`Schedule`'s insertion order) and, as in a :class:`Schedule`,
+    hold each job once.  A job's release and ideal start follow from its
+    task and index, as for :meth:`IOTask.job <repro.core.task.IOTask.job>`.
+    The flat schedules of one run share one task table ``tasks`` (normally
+    the request's task set), so a job is the pair ``(task position, job
+    index)`` throughout the run.
+    """
+
+    tasks: TaskSet
+    task: np.ndarray
+    job: np.ndarray
+    start: np.ndarray
+    device: Optional[str] = None
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    @classmethod
+    def from_schedule(cls, schedule: Schedule, tasks: TaskSet) -> "FlatSchedule":
+        """``schedule`` over ``tasks``, which names every task its jobs belong
+        to (:func:`task_table` builds such a table); tasks match by name, as
+        :attr:`IOJob.key <repro.core.task.IOJob.key>` does."""
+        index = tasks.name_index
+        entries = schedule.entries
+        return cls(
+            tasks,
+            np.array([index[entry.job.task.name] for entry in entries], dtype=np.int64),
+            np.array([entry.job.index for entry in entries], dtype=np.int64),
+            np.array([entry.start for entry in entries], dtype=np.int64),
+            schedule.device,
+        )
+
+    def to_schedule(self) -> Schedule:
+        """The object form: one :class:`ScheduleEntry` per entry, in order."""
+        tasks = self.tasks
+        return Schedule(
+            (
+                ScheduleEntry(job=tasks[task].job(job), start=start)
+                for task, job, start in zip(
+                    self.task.tolist(), self.job.tolist(), self.start.tolist()
+                )
+            ),
+            device=self.device,
+        )
+
+    def take(self, rows) -> "FlatSchedule":
+        """The entries at ``rows`` (an index array or mask), in that order."""
+        return FlatSchedule(
+            self.tasks, self.task[rows], self.job[rows], self.start[rows], self.device
+        )
+
+    def ideal_starts(self) -> np.ndarray:
+        """Each job's ideal start, ``T_i * j + delta_i`` plus the task's offset."""
+        columns = self.tasks.columns()
+        task = self.task
+        return columns.offset[task] + columns.period[task] * self.job + columns.ideal_offset[task]
+
+    def table_order(self) -> "FlatSchedule":
+        """The entries in ``(start, task name, index)`` order, the order of
+        :meth:`Schedule.sorted_entries` and of a scheduling table; ``self``
+        when they are listed in it already."""
+        if len(self) < 2:
+            return self
+        start, job = self.start, self.job
+        rank = self.tasks.columns().name_rank[self.task]
+        same_start = start[:-1] == start[1:]
+        same_task = rank[:-1] == rank[1:]
+        in_order = (start[:-1] < start[1:]) | (
+            same_start & ((rank[:-1] < rank[1:]) | (same_task & (job[:-1] < job[1:])))
+        )
+        if in_order.all():
+            return self
+        return self.take(np.lexsort((job, rank, start)))
+
+    def starts_of(self, other: "FlatSchedule") -> Tuple[np.ndarray, np.ndarray]:
+        """``(held, starts)``: for each job of ``other``, whether this schedule
+        holds it and its start here (0 where it does not).  The two schedules
+        share one task table."""
+        if np.array_equal(self.task, other.task) and np.array_equal(self.job, other.job):
+            return np.ones(len(other), dtype=bool), self.start
+        if not len(self):
+            return np.zeros(len(other), dtype=bool), np.zeros(len(other), dtype=np.int64)
+        stride = int(max(self.job.max(), other.job.max(initial=0))) + 1
+        mine = self.task * stride + self.job
+        theirs = other.task * stride + other.job
+        order = np.argsort(mine, kind="stable")
+        rows = order[np.minimum(np.searchsorted(mine[order], theirs), len(mine) - 1)]
+        held = mine[rows] == theirs
+        return held, np.where(held, self.start[rows], 0)
+
+
+def shared_tasks(schedules: Iterable[FlatSchedule], default: TaskSet) -> TaskSet:
+    """The one task table ``schedules`` share (``default`` when there are
+    none); schedules over different tables raise ``ValueError``."""
+    tables = {id(schedule.tasks): schedule.tasks for schedule in schedules}
+    if len(tables) > 1:
+        raise ValueError("the flat schedules of one run must share one task table")
+    return next(iter(tables.values()), default)
+
+
+def task_table(schedules: Iterable[Schedule], tasks: Optional[TaskSet] = None) -> TaskSet:
+    """A task table for flattening ``schedules``: ``tasks`` when its names
+    cover every scheduled job's task, otherwise ``tasks`` followed by the
+    tasks it lacks, in the order the schedules first name them."""
+    known = tasks.name_index if tasks is not None else {}
+    missing: Dict[str, object] = {}
+    for schedule in schedules:
+        for entry in schedule.entries:
+            name = entry.job.task.name
+            if name not in known and name not in missing:
+                missing[name] = entry.job.task
+    if tasks is not None and not missing:
+        return tasks
+    return TaskSet([*(tasks or ()), *missing.values()])
 
 
 def validate_schedule(

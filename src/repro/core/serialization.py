@@ -16,7 +16,9 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.core.schedule import Schedule, ScheduleEntry
+import numpy as np
+
+from repro.core.schedule import FlatSchedule, Schedule, ScheduleEntry
 from repro.core.task import IOTask, TaskSet
 
 _TASK_FIELDS = (
@@ -77,6 +79,50 @@ def schedule_from_dict(data: Dict[str, Any], task_set: TaskSet) -> Schedule:
         task = task_set.by_name(entry["task"])
         schedule.add(ScheduleEntry(job=task.job(int(entry["job"])), start=int(entry["start"])))
     return schedule
+
+
+def flat_schedule_from_dict(data: Dict[str, Any], task_set: TaskSet) -> FlatSchedule:
+    """:func:`schedule_from_dict` in the flat form, over ``task_set``.
+
+    The entries become three vectors through the task set's name index,
+    without a job, entry or schedule object.  Entries that the object form
+    rejects or folds take the object form: an unknown task, a job index
+    that is negative or not an integer, a start that is not an integer, a
+    job listed twice, or a task of another device.  So the result, or the
+    error raised, is always the object form's.
+    """
+    entries = data["entries"]
+    device = data.get("device")
+    index = task_set.name_index
+    try:
+        task = np.array([index[entry["task"]] for entry in entries], dtype=np.int64)
+        job = np.array([entry["job"] for entry in entries])
+        start = np.array([entry["start"] for entry in entries])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return FlatSchedule.from_schedule(schedule_from_dict(data, task_set), task_set)
+    if not len(task):
+        return FlatSchedule(task_set, task, task, task, device)
+    if job.dtype.kind == start.dtype.kind == "i":
+        columns = task_set.columns()
+        codes = columns.device_code[task]
+        if device is None:
+            device = columns.device_names[codes[0]]
+        stride = int(job.max()) + 1
+        if (
+            device in columns.device_names
+            and bool((codes == columns.device_names.index(device)).all())
+            and job.min() >= 0
+            and stride <= 2**32
+            and len(np.unique(task * stride + job)) == len(task)
+        ):
+            return FlatSchedule(
+                task_set,
+                task,
+                job.astype(np.int64, copy=False),
+                start.astype(np.int64, copy=False),
+                device,
+            )
+    return FlatSchedule.from_schedule(schedule_from_dict(data, task_set), task_set)
 
 
 # -- versioned payloads and content hashing ------------------------------------

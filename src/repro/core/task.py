@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.hyperperiod import hyperperiod as _hyperperiod
 from repro.core.quality import LinearQualityCurve, QualityCurve
 
@@ -292,31 +294,86 @@ class IOJob:
         self.__dict__.update(state)
 
 
+@dataclass(frozen=True)
+class TaskColumns:
+    """The attributes of a task set's tasks, one entry per task position.
+
+    Flat schedules (:class:`~repro.core.schedule.FlatSchedule`) name a job
+    by its task's position and read every per-task value from here.
+    ``name_rank`` orders the tasks by name, and ``device_code`` indexes
+    ``device_names``, the distinct devices in first-use order.
+    """
+
+    names: List[str]
+    devices: List[str]
+    device_names: List[str]
+    device_code: np.ndarray
+    name_rank: np.ndarray
+    offset: np.ndarray
+    period: np.ndarray
+    ideal_offset: np.ndarray
+    theta: np.ndarray
+    wcet: np.ndarray
+    v_max: np.ndarray
+    v_min: np.ndarray
+
+    @classmethod
+    def of(cls, tasks: Sequence[IOTask]) -> "TaskColumns":
+        names = [task.name for task in tasks]
+        devices = [task.device for task in tasks]
+        device_names = list(dict.fromkeys(devices))
+        code = {device: position for position, device in enumerate(device_names)}
+        name_rank = np.empty(len(tasks), dtype=np.int64)
+        name_rank[sorted(range(len(tasks)), key=names.__getitem__)] = np.arange(len(tasks))
+
+        def column(attribute: str, dtype=np.int64) -> np.ndarray:
+            return np.array([getattr(task, attribute) for task in tasks], dtype=dtype)
+
+        return cls(
+            names=names,
+            devices=devices,
+            device_names=device_names,
+            device_code=np.array([code[device] for device in devices], dtype=np.int64),
+            name_rank=name_rank,
+            offset=column("offset"),
+            period=column("period"),
+            ideal_offset=column("ideal_offset"),
+            theta=column("theta"),
+            wcet=column("wcet"),
+            v_max=column("v_max", np.float64),
+            v_min=column("v_min", np.float64),
+        )
+
+
 class TaskSet:
     """An ordered collection of timed I/O tasks (``Gamma`` in the paper)."""
 
     def __init__(self, tasks: Iterable[IOTask]):
         self._tasks: List[IOTask] = list(tasks)
-        names = [task.name for task in self._tasks]
-        if len(names) != len(set(names)):
+        self._index = {task.name: position for position, task in enumerate(self._tasks)}
+        if len(self._index) != len(self._tasks):
             raise ValueError("task names within a TaskSet must be unique")
         # The task list never changes after construction, so the per-device
-        # partitions and the released-jobs lists (pure functions of the tasks)
-        # are computed once and shared by every consumer of this instance.
+        # partitions, the released-jobs lists and the task columns (pure
+        # functions of the tasks) are computed once and shared by every
+        # consumer of this instance.
         self._partition_cache: Optional[Dict[str, "TaskSet"]] = None
         self._jobs_cache: Dict[int, List[IOJob]] = {}
+        self._columns: Optional[TaskColumns] = None
 
     def __getstate__(self) -> Dict[str, object]:
-        """Slim pickles: derived caches are recomputed on demand by receivers."""
+        """Slim pickles: derived caches are recomputed by receivers."""
         state = dict(self.__dict__)
-        state.pop("_partition_cache", None)
-        state.pop("_jobs_cache", None)
+        for cache in ("_index", "_partition_cache", "_jobs_cache", "_columns"):
+            state.pop(cache, None)
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
+        self._index = {task.name: position for position, task in enumerate(self._tasks)}
         self._partition_cache = None
         self._jobs_cache = {}
+        self._columns = None
 
     def __iter__(self) -> Iterator[IOTask]:
         return iter(self._tasks)
@@ -344,11 +401,22 @@ class TaskSet:
         """Sorted list of distinct I/O devices referenced by the tasks."""
         return sorted({task.device for task in self._tasks})
 
+    @property
+    def name_index(self) -> Dict[str, int]:
+        """Task name -> position, built once per task set (do not modify)."""
+        return self._index
+
     def by_name(self, name: str) -> IOTask:
-        for task in self._tasks:
-            if task.name == name:
-                return task
-        raise KeyError(f"no task named {name!r}")
+        try:
+            return self._tasks[self._index[name]]
+        except (KeyError, TypeError):
+            raise KeyError(f"no task named {name!r}") from None
+
+    def columns(self) -> TaskColumns:
+        """The per-task columns, built on first use."""
+        if self._columns is None:
+            self._columns = TaskColumns.of(self._tasks)
+        return self._columns
 
     def hyperperiod(self) -> int:
         """Hyper-period (LCM of all task periods)."""

@@ -4,9 +4,10 @@ The controller realises the three phases of Section IV:
 
 1. **Pre-loading** — :meth:`IOController.preload_taskset` groups the I/O
    commands of every timed I/O task and stores them in the controller memory;
-2. **Offline scheduling** — :meth:`IOController.load_system_schedule` stores
-   the start times produced by any of the offline schedulers into the
-   per-device scheduling tables;
+2. **Offline scheduling** — :meth:`IOController.load_tables` stores the
+   start times produced by any of the offline schedulers, as flat schedules,
+   into the per-device scheduling tables (:meth:`IOController.load_system_schedule`
+   takes :class:`~repro.core.schedule.Schedule` objects);
 3. **Task execution** — :meth:`IOController.run` executes the schedule on a
    discrete-event simulator; application CPUs enable each task through the
    request channels, the synchronisers trigger the EXUs at the stored start
@@ -20,16 +21,18 @@ oracle the tests hold the pass to.
 
 :class:`ControllerRunResult` compares the run-time behaviour against the
 offline schedule (the dedicated controller reproduces it exactly) and exposes
-the achieved Psi/Upsilon.
+the achieved Psi/Upsilon, all as reductions over flat schedules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.metrics import aggregate_psi, aggregate_upsilon
-from repro.core.schedule import Schedule, ScheduleEntry, SystemSchedule
+import numpy as np
+
+from repro.core.metrics import flat_psi, flat_upsilon
+from repro.core.schedule import FlatSchedule, Schedule, shared_tasks, task_table
 from repro.core.task import IOJob, IOTask, TaskSet
 from repro.hardware.devices import GPIOPin, IODevice
 from repro.hardware.faults import FaultInjector
@@ -52,62 +55,135 @@ def default_command_builder(task: IOTask) -> List[IOCommand]:
     return [IOCommand(opcode="write", device=task.device, value=1, duration=task.wcet)]
 
 
-@dataclass
 class ControllerRunResult:
     """Run-time outcome of executing an offline schedule on the controller.
 
-    ``runtime_schedules`` hold the start times observed at run time, one
-    schedule per processor; ``offline_schedules`` the loaded ones.  A device
-    without an offline schedule makes :attr:`matches_offline` false, and its
-    jobs have no start-time deviation.
+    ``runtime`` holds the start times observed at run time, one flat
+    schedule per processor listing its jobs in run order; ``offline`` the
+    loaded ones.  They share one task table.  A device without an offline
+    schedule makes :attr:`matches_offline` false, and its jobs have no
+    start-time deviation.
+
+    ``runtime_schedules`` and ``offline_schedules`` are the same schedules as
+    :class:`~repro.core.schedule.Schedule` objects, built on first access.
+    A result can be built from them instead of the flat form.  Once they
+    exist, the scores are computed from them, so edits to them count.
     """
 
-    runtime_schedules: Dict[str, Schedule]
-    offline_schedules: Dict[str, Schedule]
-    executed_jobs: int
-    skipped_jobs: int
-    faults_detected: int
-    #: Events the run processed: the controller's timer triggers, or the
-    #: packets of a CPU-instigated run.
-    events_processed: int = 0
-    #: True when the ``max_events`` budget ran out with events left to process.
-    exhausted: bool = False
-    #: Trace events per kind, sorted by kind, kinds that never occurred left out.
-    trace_counts: Dict[str, int] = field(default_factory=dict)
+    def __init__(
+        self,
+        runtime_schedules: Optional[Dict[str, Schedule]] = None,
+        offline_schedules: Optional[Dict[str, Schedule]] = None,
+        executed_jobs: int = 0,
+        skipped_jobs: int = 0,
+        faults_detected: int = 0,
+        events_processed: int = 0,
+        exhausted: bool = False,
+        trace_counts: Optional[Dict[str, int]] = None,
+        *,
+        runtime: Optional[Dict[str, FlatSchedule]] = None,
+        offline: Optional[Dict[str, FlatSchedule]] = None,
+    ):
+        if (runtime is None) == (runtime_schedules is None) or (offline is None) == (
+            offline_schedules is None
+        ):
+            raise TypeError(
+                "give the runtime and the offline schedules once each, "
+                "as flat schedules or as Schedule objects"
+            )
+        self._runtime, self._offline = runtime, offline
+        self._runtime_schedules, self._offline_schedules = runtime_schedules, offline_schedules
+        self.executed_jobs = executed_jobs
+        self.skipped_jobs = skipped_jobs
+        self.faults_detected = faults_detected
+        #: Events the run processed: the controller's timer triggers, or the
+        #: packets of a CPU-instigated run.
+        self.events_processed = events_processed
+        #: True when the ``max_events`` budget ran out with events left to process.
+        self.exhausted = exhausted
+        #: Trace events per kind, sorted by kind, kinds that never occurred left out.
+        self.trace_counts = {} if trace_counts is None else trace_counts
+
+    @property
+    def runtime_schedules(self) -> Dict[str, Schedule]:
+        if self._runtime_schedules is None:
+            self._runtime_schedules = _objects(self._runtime)
+        return self._runtime_schedules
+
+    @runtime_schedules.setter
+    def runtime_schedules(self, schedules: Dict[str, Schedule]) -> None:
+        self._runtime_schedules = schedules
+
+    @property
+    def offline_schedules(self) -> Dict[str, Schedule]:
+        if self._offline_schedules is None:
+            self._offline_schedules = _objects(self._offline)
+        return self._offline_schedules
+
+    @offline_schedules.setter
+    def offline_schedules(self, schedules: Dict[str, Schedule]) -> None:
+        self._offline_schedules = schedules
+
+    @property
+    def runtime(self) -> Dict[str, FlatSchedule]:
+        return self._flat()[0]
+
+    @property
+    def offline(self) -> Dict[str, FlatSchedule]:
+        return self._flat()[1]
+
+    def _flat(self) -> Tuple[Dict[str, FlatSchedule], Dict[str, FlatSchedule]]:
+        """``(runtime, offline)``: the flat schedules, or, once the object
+        views exist, the object views flattened over one task table."""
+        if self._runtime_schedules is None and self._offline_schedules is None:
+            return self._runtime, self._offline
+        runtime, offline = self.runtime_schedules, self.offline_schedules
+        given = next(chain((self._runtime or {}).values(), (self._offline or {}).values()), None)
+        tasks = task_table(
+            chain(runtime.values(), offline.values()), given.tasks if given else None
+        )
+        return (
+            {device: FlatSchedule.from_schedule(s, tasks) for device, s in runtime.items()},
+            {device: FlatSchedule.from_schedule(s, tasks) for device, s in offline.items()},
+        )
 
     @property
     def psi(self) -> float:
         """Run-time Psi (fraction of jobs started exactly at their ideal times)."""
-        return aggregate_psi(self.runtime_schedules.values())
+        return flat_psi(self._flat()[0].values())
 
     @property
     def upsilon(self) -> float:
         """Run-time Upsilon of the executed jobs."""
-        return aggregate_upsilon(self.runtime_schedules.values())
+        return flat_upsilon(self._flat()[0].values())
 
     @property
     def matches_offline(self) -> bool:
         """True iff every executed job started exactly at its offline start time."""
-        for device, runtime in self.runtime_schedules.items():
-            offline = self.offline_schedules.get(device)
-            if offline is None:
+        runtime, offline = self._flat()
+        for device, ran in runtime.items():
+            loaded = offline.get(device)
+            if loaded is None:
                 return False
-            for entry in runtime.entries:
-                if entry.job not in offline or offline.start_of(entry.job) != entry.start:
-                    return False
+            held, starts = loaded.starts_of(ran)
+            if not (held.all() and np.array_equal(starts, ran.start)):
+                return False
         return True
 
     def start_time_deviations(self) -> List[int]:
         """Per-job |runtime start - offline start| for every executed job."""
+        runtime, offline = self._flat()
         deviations: List[int] = []
-        for device, runtime in self.runtime_schedules.items():
-            offline = self.offline_schedules.get(device)
-            if offline is None:
-                continue
-            for entry in runtime.entries:
-                if entry.job in offline:
-                    deviations.append(abs(entry.start - offline.start_of(entry.job)))
+        for device, ran in runtime.items():
+            loaded = offline.get(device)
+            if loaded is not None:
+                held, starts = loaded.starts_of(ran)
+                deviations += np.abs(ran.start - starts)[held].tolist()
         return deviations
+
+
+def _objects(schedules: Dict[str, FlatSchedule]) -> Dict[str, Schedule]:
+    return {device: schedule.to_schedule() for device, schedule in schedules.items()}
 
 
 class IOController:
@@ -135,8 +211,6 @@ class IOController:
         self.device_factory = device_factory or (lambda name: GPIOPin(name))
         self.processors: Dict[str, ControllerProcessor] = {}
         self._tasks: Dict[str, IOTask] = {}
-        #: Job key -> the offline entry of that job loaded last.
-        self._loaded: Dict[tuple, ScheduleEntry] = {}
 
     # -- phase 1 ----------------------------------------------------------------
 
@@ -170,14 +244,40 @@ class IOController:
     # -- phase 2 ----------------------------------------------------------------
 
     def load_system_schedule(self, schedules: Dict[str, Schedule]) -> None:
-        """Store the offline scheduling decisions into the per-device tables."""
-        self._offline: Dict[str, Schedule] = {}
-        for device, schedule in schedules.items():
-            processor = self._ensure_processor(device)
-            processor.load_schedule(schedule)
-            self._offline[device] = schedule.copy()
-            for entry in schedule.entries:
-                self._loaded[entry.job.key] = entry
+        """Store the offline scheduling decisions into the per-device tables.
+
+        The object API of :meth:`load_tables`: the schedules are flattened
+        over one task table of the tasks their jobs belong to.
+        """
+        tasks = task_table(schedules.values())
+        self.load_tables(
+            {device: FlatSchedule.from_schedule(s, tasks) for device, s in schedules.items()}
+        )
+
+    def load_tables(self, schedules: Dict[str, FlatSchedule]) -> None:
+        """Phase 2: make ``schedules`` the contents of every scheduling table.
+
+        Each device's table receives its schedule's jobs in ``(start, task,
+        index)`` order, sorted only when not listed so; a device without a
+        schedule gets an empty table, so nothing an earlier load stored is
+        left to fire.  The schedules share one task table.
+        """
+        self._task_table = shared_tasks(schedules.values(), TaskSet([]))
+        self._offline: Dict[str, FlatSchedule] = dict(schedules)
+        names = self._task_table.columns().names
+        for device in schedules:
+            self._ensure_processor(device)
+        for device, processor in self.processors.items():
+            schedule = schedules.get(device)
+            if schedule is None:
+                processor.table.replace([], [], [])
+                continue
+            ordered = schedule.table_order()
+            processor.table.replace(
+                [names[task] for task in ordered.task.tolist()],
+                ordered.job.tolist(),
+                ordered.start.tolist(),
+            )
 
     # -- phase 3 ----------------------------------------------------------------
 
@@ -207,14 +307,13 @@ class IOController:
         if not hasattr(self, "_offline"):
             raise RuntimeError("load_system_schedule() must be called before run()")
         simulator = simulator or Simulator()
+        offline = {device: schedule.to_schedule() for device, schedule in self._offline.items()}
 
         if auto_request:
             requested = request_jobs
             if requested is None:
                 requested = [
-                    entry.job
-                    for schedule in self._offline.values()
-                    for entry in schedule.entries
+                    entry.job for schedule in offline.values() for entry in schedule.entries
                 ]
             for job in requested:
                 processor = self.processors[job.device]
@@ -231,9 +330,7 @@ class IOController:
             processor.attach(simulator)
 
         if horizon is None:
-            horizon = max(
-                (schedule.makespan for schedule in self._offline.values()), default=0
-            )
+            horizon = max((schedule.makespan for schedule in offline.values()), default=0)
         processed = simulator.run(until=horizon, max_events=max_events)
 
         result = self._collect_results()
@@ -265,35 +362,33 @@ class IOController:
         if not hasattr(self, "_offline"):
             raise RuntimeError("load_system_schedule() must be called before run()")
         enabled: Dict[str, set] = {device: set() for device in self.processors}
-        requests: Dict[str, List[Tuple[int, str]]] = {device: [] for device in self.processors}
+        # Per device, the release times and task names of its request FIFO.
+        requests: Dict[str, Tuple[List[int], List[str]]] = {
+            device: ([], []) for device in self.processors
+        }
         for schedule in self._offline.values():
-            for entry in schedule.entries:
-                job = entry.job
-                if job.release < self.request_latency:
-                    enabled[job.device].add(job.task.name)
-                else:
-                    requests[job.device].append((job.release, job.task.name))
+            self._queue_requests(schedule, enabled, requests)
 
         tables = [
-            (device, processor.device, processor.table.entries())
+            (device, processor.device, processor.table.columns())
             for device, processor in self.processors.items()
         ]
-        for device, _, entries in tables:
-            if entries and entries[0].start_time < 0:
+        for device, _, (_, _, starts) in tables:
+            if starts and starts[0] < 0:
                 raise ValueError(
                     f"the table of device {device!r} starts a job before time 0, "
-                    f"at {entries[0].start_time}"
+                    f"at {starts[0]}"
                 )
         # The simulator's events are the distinct (device, start) pairs,
         # ordered by start and then by device order, and ``max_events`` fires
         # a prefix of them: ``until`` holds the last start each device fires.
-        starts = [{entry.start_time for entry in entries} for _, _, entries in tables]
-        n_events = sum(map(len, starts))
+        triggers = [set(starts) for _, _, (_, _, starts) in tables]
+        n_events = sum(map(len, triggers))
         processed = n_events if max_events is None else min(max_events, n_events)
-        until = [entries[-1].start_time if entries else -1 for _, _, entries in tables]
+        until = [starts[-1] if starts else -1 for _, _, (_, _, starts) in tables]
         if processed < n_events:
             events = sorted(
-                (start, position) for position, group in enumerate(starts) for start in group
+                (start, position) for position, group in enumerate(triggers) for start in group
             )
             last_start, last_position = events[processed - 1] if processed else (-1, 0)
             until = [
@@ -303,25 +398,25 @@ class IOController:
 
         skip_disabled = self.missing_request_policy == "skip"
         corrupted: Dict[str, set] = {}  # task -> its corrupted job indexes; None: all
-        runtime: Dict[str, Schedule] = {}
+        position_of = self._task_table.name_index
+        runtime: Dict[str, FlatSchedule] = {}
         failures = []
         executed = skipped = faults = 0
-        for position, (device, io_device, entries) in enumerate(tables):
-            bound, fifo, on, head = until[position], requests[device], enabled[device], 0
+        for position, (device, io_device, (tasks, jobs, starts)) in enumerate(tables):
+            bound, on, head = until[position], enabled[device], 0
+            released, requested = requests[device]
             plans: Dict[str, tuple] = {}  # task -> (duration, first refused command)
             fired, free_at = -1, 0  # the trigger being handled; the device's end
-            ran: List[ScheduleEntry] = []
+            ran: Tuple[List[int], List[int], List[int]] = ([], [], [])
             failure: Optional[Exception] = None
-            for entry in entries:
-                start = entry.start_time
+            for task, index, start in zip(tasks, jobs, starts):
                 if start > bound:
                     break
                 if start != fired:
                     fired = start
-                    while head < len(fifo) and fifo[head][0] <= start:
-                        on.add(fifo[head][1])
+                    while head < len(released) and released[head] <= start:
+                        on.add(requested[head])
                         head += 1
-                task, index = entry.task_name, entry.job_index
                 bad = corrupted.get(task)
                 if bad is None:
                     bad = corrupted[task] = {
@@ -370,24 +465,24 @@ class IOController:
                     )
                     break
                 free_at = start + duration
-                # The job starts at its table's start: the loaded entry, unless
-                # another table holds that job at another start.
-                loaded = self._loaded.get((task, index))
+                # The job starts at its table's start; a decision that no
+                # loaded schedule made runs, but is not recorded.
+                loaded = position_of.get(task)
                 if loaded is not None:
-                    if loaded.start != start:
-                        loaded = ScheduleEntry(job=loaded.job, start=start)
-                    ran.append(loaded)
+                    ran[0].append(loaded)
+                    ran[1].append(index)
+                    ran[2].append(start)
                 executed += 1
             if failure is not None:
                 failures.append((fired, position, failure))
-            runtime[device] = Schedule(ran, device=device)
+            runtime[device] = self._ran(device, *ran)
         if failures:
             # The oracle stops at the first failing event.
             raise min(failures, key=lambda item: item[:2])[2]
 
         return ControllerRunResult(
-            runtime_schedules=runtime,
-            offline_schedules=dict(self._offline),
+            runtime=runtime,
+            offline=dict(self._offline),
             executed_jobs=executed,
             skipped_jobs=skipped,
             faults_detected=faults,
@@ -402,26 +497,67 @@ class IOController:
 
     # -- results --------------------------------------------------------------------
 
+    def _queue_requests(
+        self,
+        schedule: FlatSchedule,
+        enabled: Dict[str, set],
+        requests: Dict[str, Tuple[List[int], List[str]]],
+    ) -> None:
+        """Add each job of ``schedule``, in listed order, to its device's
+        request FIFO, or enable its task at start-up when the request would
+        be sent before time 0."""
+        if not len(schedule):
+            return
+        columns = schedule.tasks.columns()
+        task = schedule.task
+        release = columns.offset[task] + columns.period[task] * schedule.job
+        early = release < self.request_latency
+        device_code = columns.device_code[task]
+        for code in np.unique(device_code).tolist():
+            device = columns.device_names[code]
+            on = device_code == code
+            enabled[device].update(columns.names[t] for t in task[on & early].tolist())
+            late = on & ~early
+            released, requested = requests[device]
+            released += release[late].tolist()
+            requested += [columns.names[t] for t in task[late].tolist()]
+
+    def _ran(
+        self, device: str, tasks: Iterable[int], jobs: Iterable[int], starts: Iterable[int]
+    ) -> FlatSchedule:
+        """The jobs a device ran, in run order, as a flat schedule over the
+        loaded task table."""
+        return FlatSchedule(
+            self._task_table,
+            np.array(tasks, dtype=np.int64),
+            np.array(jobs, dtype=np.int64),
+            np.array(starts, dtype=np.int64),
+            device,
+        )
+
     def _collect_results(self) -> ControllerRunResult:
-        runtime: Dict[str, Schedule] = {}
+        position_of = self._task_table.name_index
+        runtime: Dict[str, FlatSchedule] = {}
         executed = 0
         skipped = 0
         faults = 0
         for device, processor in self.processors.items():
-            schedule = Schedule(device=device)
+            ran: Tuple[List[int], List[int], List[int]] = ([], [], [])
             for record in processor.records:
                 if record.executed:
-                    loaded = self._loaded.get(record.entry.key)
+                    loaded = position_of.get(record.entry.task_name)
                     if loaded is not None:
-                        schedule.add(ScheduleEntry(job=loaded.job, start=record.started_at))
+                        ran[0].append(loaded)
+                        ran[1].append(record.entry.job_index)
+                        ran[2].append(record.started_at)
                     executed += 1
                 else:
                     skipped += 1
-            runtime[device] = schedule
+            runtime[device] = self._ran(device, *ran)
             faults += processor.fault_recovery.faults_detected
         return ControllerRunResult(
-            runtime_schedules=runtime,
-            offline_schedules=dict(self._offline),
+            runtime=runtime,
+            offline=dict(self._offline),
             executed_jobs=executed,
             skipped_jobs=skipped,
             faults_detected=faults,

@@ -64,6 +64,8 @@ class ControllerMemory:
             raise ValueError("memory capacity must be positive")
         self.capacity_kb = capacity_kb
         self._tasks: Dict[str, StoredTask] = {}
+        #: Bytes of every stored task, kept up to date by :meth:`store`.
+        self._used_bytes = 0
         self.reads = 0
         self.writes = 0
 
@@ -73,22 +75,27 @@ class ControllerMemory:
 
     @property
     def used_bytes(self) -> int:
-        return sum(task.size_bytes for task in self._tasks.values())
+        return self._used_bytes
 
     def store(self, task_name: str, commands: Sequence[IOCommand]) -> StoredTask:
-        """Pre-load the command sequence of one I/O task (Phase 1)."""
+        """Pre-load the command sequence of one I/O task (Phase 1).
+
+        Storing a task again replaces it, and frees the bytes it held.
+        """
         commands = list(commands)
         if not commands:
             raise ValueError(f"task {task_name!r} must have at least one command")
         stored = StoredTask(task_name=task_name, commands=commands)
+        size = stored.size_bytes
         existing = self._tasks.get(task_name)
-        projected = self.used_bytes - (existing.size_bytes if existing else 0) + stored.size_bytes
+        projected = self._used_bytes - (existing.size_bytes if existing else 0) + size
         if projected > self.capacity_bytes:
             raise MemoryCapacityError(
-                f"storing task {task_name!r} ({stored.size_bytes} B) exceeds the "
+                f"storing task {task_name!r} ({size} B) exceeds the "
                 f"{self.capacity_kb} KB controller memory"
             )
         self._tasks[task_name] = stored
+        self._used_bytes = projected
         self.writes += 1
         return stored
 

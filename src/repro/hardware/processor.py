@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.schedule import Schedule
 from repro.hardware.channels import RequestChannel, ResponseChannel
 from repro.hardware.devices import IODevice
 from repro.hardware.execution import ExecutionRecord, ExecutionUnit, FaultRecoveryUnit, Synchroniser
 from repro.hardware.faults import FaultInjector
 from repro.hardware.memory import ControllerMemory
-from repro.hardware.scheduling_table import SchedulingTable, TableEntry
+from repro.hardware.scheduling_table import SchedulingTable
 from repro.hardware.timer import GlobalTimer
 from repro.sim.engine import Simulator
 
@@ -48,19 +47,6 @@ class ControllerProcessor:
         self.exu = ExecutionUnit(device)
         self.fault_injector = fault_injector or FaultInjector()
         self.synchroniser: Optional[Synchroniser] = None
-
-    # -- phase 2: offline schedule loading --------------------------------------
-
-    def load_schedule(self, schedule: Schedule) -> None:
-        """Store the offline scheduling decisions for this device's partition."""
-        for entry in schedule.sorted_entries():
-            self.table.load(
-                TableEntry(
-                    task_name=entry.job.task.name,
-                    job_index=entry.job.index,
-                    start_time=entry.start,
-                )
-            )
 
     # -- phase 3: run-time execution -----------------------------------------------
 

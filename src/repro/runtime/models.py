@@ -40,6 +40,16 @@ builds the run's packet sequence and hands it to
 traffic without building packets or touching the platform's network.
 :meth:`~repro.noc.network.NoCNetwork.send` serves configuration traffic and
 is the hop-by-hop oracle the tests hold ``transport`` and these models to.
+
+A model receives the offline schedules in one of two forms.
+:func:`~repro.runtime.service.execute_simulation` calls
+:meth:`~ExecutionModel.execute_flat` with
+:class:`~repro.core.schedule.FlatSchedule` vectors decoded from the stored
+schedule; :meth:`~ExecutionModel.execute` takes
+:class:`~repro.core.schedule.Schedule` objects.  Each form's default
+converts to the other, so a model implements either one.  The built-in
+models implement :meth:`~ExecutionModel.execute_flat` and build no job,
+schedule or table-entry object.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.registry import Registry
-from repro.core.schedule import Schedule, ScheduleEntry
+from repro.core.schedule import FlatSchedule, Schedule, shared_tasks, task_table
 from repro.core.task import TaskSet
 from repro.hardware.controller import ControllerRunResult
 from repro.scenario import Platform
@@ -60,24 +70,31 @@ from repro.service.spec import SchedulerSpec
 EXECUTION_MODELS = Registry("execution model")
 
 
-@dataclass
 class ExecutionOutcome(ControllerRunResult):
     """What one execution-model run produced (plain data + schedules).
 
     A :class:`~repro.hardware.controller.ControllerRunResult` plus the NoC
-    latencies of CPU-instigated requests.  ``runtime_schedules`` hold the
-    *actual* start times observed at run time; ``offline_schedules`` the
-    start times the offline method computed.  The derived properties
-    (`psi`, `upsilon`, `accuracy`, `matches_offline`) are the run-time
-    counterparts of the offline metrics.
+    latencies of CPU-instigated requests.  ``runtime`` holds the *actual*
+    start times observed at run time; ``offline`` the start times the
+    offline method computed (``runtime_schedules`` and ``offline_schedules``
+    as objects).  The derived properties (`psi`, `upsilon`, `accuracy`,
+    `matches_offline`) are the run-time counterparts of the offline metrics.
     """
 
-    mean_noc_latency: float = 0.0
-    max_noc_latency: int = 0
+    def __init__(
+        self,
+        *args: Any,
+        mean_noc_latency: float = 0.0,
+        max_noc_latency: int = 0,
+        **fields: Any,
+    ):
+        super().__init__(*args, **fields)
+        self.mean_noc_latency = mean_noc_latency
+        self.max_noc_latency = max_noc_latency
 
     @property
     def offline_jobs(self) -> int:
-        return sum(len(schedule.entries) for schedule in self.offline_schedules.values())
+        return sum(len(schedule) for schedule in self.offline.values())
 
     @property
     def accuracy(self) -> float:
@@ -98,7 +115,11 @@ class ExecutionOutcome(ControllerRunResult):
 
 class ExecutionModel:
     """Interface every execution model implements (duck-typed; this class
-    documents the contract and provides the shared NoC statistics helper)."""
+    documents the contract and converts between the two schedule forms).
+
+    A model implements :meth:`execute_flat` or :meth:`execute`; the
+    default of each calls the other with the schedules converted.
+    """
 
     #: Registry name the model was created under (set by subclasses).
     name: str = ""
@@ -112,7 +133,47 @@ class ExecutionModel:
         seed: int = 0,
         max_events: Optional[int] = None,
     ) -> ExecutionOutcome:
-        raise NotImplementedError
+        """Run ``schedules`` (per device) on ``platform``: the object API.
+
+        The default flattens the schedules over ``task_set`` (extended by
+        any task the schedules name that it lacks) and calls
+        :meth:`execute_flat`.
+        """
+        tasks = task_table(schedules.values(), task_set)
+        return self.execute_flat(
+            task_set,
+            {device: FlatSchedule.from_schedule(s, tasks) for device, s in schedules.items()},
+            platform,
+            seed=seed,
+            max_events=max_events,
+        )
+
+    def execute_flat(
+        self,
+        task_set: TaskSet,
+        schedules: Dict[str, FlatSchedule],
+        platform: Platform,
+        *,
+        seed: int = 0,
+        max_events: Optional[int] = None,
+    ) -> ExecutionOutcome:
+        """Run flat ``schedules`` (per device, one task table) on ``platform``.
+
+        What :func:`~repro.runtime.service.execute_simulation` calls.  The
+        default rebuilds :class:`~repro.core.schedule.Schedule` objects and
+        calls :meth:`execute`.
+        """
+        if type(self).execute is ExecutionModel.execute:
+            raise NotImplementedError(
+                f"{type(self).__name__} implements neither execute nor execute_flat"
+            )
+        return self.execute(
+            task_set,
+            {device: schedule.to_schedule() for device, schedule in schedules.items()},
+            platform,
+            seed=seed,
+            max_events=max_events,
+        )
 
 
 # -- the registry ---------------------------------------------------------------
@@ -164,10 +225,10 @@ class DedicatedControllerModel(ExecutionModel):
 
     name = "dedicated-controller"
 
-    def execute(
+    def execute_flat(
         self,
         task_set: TaskSet,
-        schedules: Dict[str, Schedule],
+        schedules: Dict[str, FlatSchedule],
         platform: Platform,
         *,
         seed: int = 0,
@@ -175,9 +236,19 @@ class DedicatedControllerModel(ExecutionModel):
     ) -> ExecutionOutcome:
         controller = platform.controller
         controller.preload_taskset(task_set)
-        controller.load_system_schedule(schedules)
+        controller.load_tables(schedules)
         # No run-time NoC traffic: triggering is local to the controller.
-        return ExecutionOutcome(**vars(controller.run_tables(max_events)))
+        run = controller.run_tables(max_events)
+        return ExecutionOutcome(
+            runtime=run.runtime,
+            offline=run.offline,
+            executed_jobs=run.executed_jobs,
+            skipped_jobs=run.skipped_jobs,
+            faults_detected=run.faults_detected,
+            events_processed=run.events_processed,
+            exhausted=run.exhausted,
+            trace_counts=run.trace_counts,
+        )
 
 
 class _RemoteCPUBase(ExecutionModel):
@@ -214,10 +285,10 @@ class _RemoteCPUBase(ExecutionModel):
         self.background_size_flits = background_size_flits
         self.jitter_window = jitter_window
 
-    def execute(
+    def execute_flat(
         self,
         task_set: TaskSet,
-        schedules: Dict[str, Schedule],
+        schedules: Dict[str, FlatSchedule],
         platform: Platform,
         *,
         seed: int = 0,
@@ -226,52 +297,59 @@ class _RemoteCPUBase(ExecutionModel):
         background_per_job = platform.spec.background_packets_per_job
         cpu_tiles = platform.cpu_tiles()
 
-        # Requests sorted by injection (offline start) time, so link state
-        # evolves chronologically.
-        all_entries: List[ScheduleEntry] = [
-            entry for schedule in schedules.values() for entry in schedule.sorted_entries()
-        ]
-        all_entries.sort(key=lambda e: e.start)
+        # Requests in injection (offline start) order, so link state evolves
+        # chronologically: each device's jobs in (start, task, index) order,
+        # the devices in the order given, then a stable sort by start.
+        tasks = shared_tasks(schedules.values(), task_set)
+        columns = tasks.columns()
+        ordered = [schedule.table_order() for schedule in schedules.values()]
+        task, job, start = (
+            np.concatenate([getattr(s, name) for s in ordered] or [np.zeros(0, np.int64)])
+            for name in ("task", "job", "start")
+        )
+        order = np.argsort(start, kind="stable")
+        n_scheduled = len(order)
 
         # Every packet injection (request or background) is one simulation
         # event, so the ``max_events`` budget bounds the NoC work exactly as
         # it bounds the controller's event loop; jobs the budget cuts off
         # never execute and count as skipped.
         events_per_job = 1 + background_per_job
-        jobs = all_entries
         if max_events is not None:
-            jobs = all_entries[: max(0, max_events // events_per_job)]
+            order = order[: max(0, max_events // events_per_job)]
+        task, job, start = task[order], job[order], start[order]
+        n_jobs = len(order)
 
         # The run's randomness in one draw, in the order the jobs consume it:
         # a CPU tile per task, then a (tile, jitter) pair per background
         # packet.  NumPy draws an array of bounds exactly as it draws each
         # bound on its own: the same values, the same final generator state.
-        tasks = list(task_set)
-        bounds = [len(cpu_tiles)] * len(tasks)
-        bounds += [len(cpu_tiles), self.jitter_window] * (background_per_job * len(jobs))
+        n_tasks = len(task_set)
+        bounds = [len(cpu_tiles)] * n_tasks
+        bounds += [len(cpu_tiles), self.jitter_window] * (background_per_job * n_jobs)
         draws = np.random.default_rng(seed).integers(0, bounds).tolist()
-        cpu_of_task = {task.name: cpu_tiles[tile] for task, tile in zip(tasks, draws)}
+        cpu_of_task = {t.name: cpu_tiles[tile] for t, tile in zip(task_set, draws)}
 
         # The run's packets in call order, ``events_per_job`` per job: the
         # job's request at offset ``request_slot`` and its burst, in draw
         # order, at the other offsets: in front of the request, each packet
         # injected up to a jitter early, or behind it, each up to a jitter late.
-        starts = [entry.start for entry in jobs]
-        n_packets = events_per_job * len(jobs)
+        starts = start.tolist()
+        n_packets = events_per_job * n_jobs
         request_slot = background_per_job if self.background_first else 0
         burst_slots = [slot for slot in range(events_per_job) if slot != request_slot]
         sources = [None] * n_packets
         times = [0] * n_packets
         sizes = [self.background_size_flits] * n_packets
         sources[request_slot::events_per_job] = [
-            cpu_of_task[entry.job.task.name] for entry in jobs
+            cpu_of_task[columns.names[t]] for t in task.tolist()
         ]
         times[request_slot::events_per_job] = starts
-        sizes[request_slot::events_per_job] = [self.request_size_flits] * len(jobs)
+        sizes[request_slot::events_per_job] = [self.request_size_flits] * n_jobs
         stride = 2 * background_per_job
         for i, slot in enumerate(burst_slots):
-            tiles = draws[len(tasks) + 2 * i :: stride]
-            jitters = draws[len(tasks) + 2 * i + 1 :: stride]
+            tiles = draws[n_tasks + 2 * i :: stride]
+            jitters = draws[n_tasks + 2 * i + 1 :: stride]
             sources[slot::events_per_job] = [cpu_tiles[tile] for tile in tiles]
             times[slot::events_per_job] = (
                 [max(0, start - jitter) for start, jitter in zip(starts, jitters)]
@@ -279,29 +357,36 @@ class _RemoteCPUBase(ExecutionModel):
                 else [start + jitter for start, jitter in zip(starts, jitters)]
             )
         delivered = platform.network.transport(sources, platform.io_tile, times, sizes)
+        arrival = np.array(delivered[request_slot::events_per_job], dtype=np.int64)
 
-        runtime: Dict[str, Schedule] = {
-            device: Schedule(device=device) for device in schedules
-        }
-        device_free_at: Dict[str, int] = {device: 0 for device in schedules}
-        request_delivered = delivered[request_slot::events_per_job]
-        for entry, arrival in zip(jobs, request_delivered):
-            device = entry.job.device
-            start = max(arrival, device_free_at[device])
-            runtime[device].add(ScheduleEntry(job=entry.job, start=start))
-            device_free_at[device] = start + entry.job.wcet
-        latencies = [arrival - start for arrival, start in zip(request_delivered, starts)]
+        # A device starts each request on arrival, or when its previous job
+        # ends: s_k = max(a_k, s_(k-1) + C_(k-1)) over the device's jobs in
+        # run order, which is W_k + max(0, max over i <= k of a_i - W_i) with
+        # W_k the WCETs of the device's jobs before job k.
+        empty = np.zeros(0, dtype=np.int64)
+        runtime = {device: FlatSchedule(tasks, empty, empty, empty, device) for device in schedules}
+        device_code = columns.device_code[task]
+        for code in np.unique(device_code).tolist():
+            device = columns.device_names[code]
+            if device not in runtime:
+                raise KeyError(device)
+            rows = np.flatnonzero(device_code == code)
+            wcet = columns.wcet[task[rows]]
+            busy = np.cumsum(wcet) - wcet
+            ran = busy + np.maximum(np.maximum.accumulate(arrival[rows] - busy), 0)
+            runtime[device] = FlatSchedule(tasks, task[rows], job[rows], ran, device)
+        latencies = arrival - start
 
         return ExecutionOutcome(
-            runtime_schedules=runtime,
-            offline_schedules={device: schedule.copy() for device, schedule in schedules.items()},
-            executed_jobs=len(jobs),
-            skipped_jobs=len(all_entries) - len(jobs),
+            runtime=runtime,
+            offline=dict(schedules),
+            executed_jobs=n_jobs,
+            skipped_jobs=n_scheduled - n_jobs,
             faults_detected=0,
-            mean_noc_latency=sum(latencies) / len(latencies) if latencies else 0.0,
-            max_noc_latency=max(latencies, default=0),
+            mean_noc_latency=int(latencies.sum()) / n_jobs if n_jobs else 0.0,
+            max_noc_latency=int(latencies.max()) if n_jobs else 0,
             events_processed=n_packets,
-            exhausted=len(jobs) < len(all_entries),
+            exhausted=n_jobs < n_scheduled,
             trace_counts={"packet-delivered": n_packets},
         )
 

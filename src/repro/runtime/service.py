@@ -5,8 +5,9 @@ offline schedule (through a :class:`~repro.service.SchedulingService` when one
 is supplied — reusing its content-addressed schedule cache — or the pure
 :func:`~repro.service.service.execute_request` otherwise), build a fresh
 platform from the scenario, resolve the execution model through the registry,
-run it, and fold the outcome into a
-:class:`~repro.runtime.messages.SimulationResponse`.  Purity is load-bearing:
+run it on the stored schedule decoded into flat vectors
+(:meth:`~repro.service.messages.ScheduleResponse.flat_schedules`), and fold
+the outcome into a :class:`~repro.runtime.messages.SimulationResponse`.  Purity is load-bearing:
 the execution seed defaults to a hash of the request's content and the
 scheduling path derives its own seeds the same way, so the same request
 yields bit-identical results in-process, on any worker of the pool, and
@@ -176,12 +177,12 @@ def execute_simulation(
             task_set = materialized.task_set
             platform = materialized.platform
 
-        schedules = schedule_response.device_schedules(task_set)
+        schedules = schedule_response.flat_schedules(task_set)
         seed = (
             request.seed if request.seed is not None else derive_execution_seed(request)
         )
         model = request.execution_model.resolve()
-        outcome = model.execute(
+        outcome = model.execute_flat(
             task_set, schedules, platform, seed=seed, max_events=request.max_events
         )
     deviations = outcome.start_time_deviations()

@@ -35,6 +35,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.metrics import linear_quality
 from repro.scheduling.ga.encoding import CompiledPartition, GAProblem
 
 
@@ -142,23 +143,15 @@ def evaluate_batch(
     rows = np.flatnonzero(feasible)
     if rows.size < n_rows:
         order, starts_sorted, ideal_sorted = order[rows], starts_sorted[rows], ideal_sorted[rows]
-    theta_sorted = compiled.theta[order]
     v_max_sorted = compiled.v_max[order]
 
     # Psi: the fraction of exactly timing-accurate jobs.
-    exact = starts_sorted == ideal_sorted
-    psi = exact.sum(axis=1) / n
+    psi = (starts_sorted == ideal_sorted).sum(axis=1) / n
 
-    # Upsilon: linear quality curve, evaluated element-wise exactly as
-    # LinearQualityCurve.value does (same operations, same order).  Distances
-    # are non-negative, so ``distance >= theta`` covers ``theta <= 0`` too.
+    # Upsilon: the linear quality curve, element-wise.
     distance = np.abs(starts_sorted - ideal_sorted)
-    fraction = 1.0 - distance / np.maximum(compiled.theta, 1)[order]
-    decayed = compiled.v_min[order] + (compiled.v_max - compiled.v_min)[order] * fraction
-    quality = np.where(
-        exact,
-        v_max_sorted,
-        np.where(distance >= theta_sorted, compiled.v_min[order], decayed),
+    quality = linear_quality(
+        distance, compiled.theta[order], v_max_sorted, compiled.v_min[order]
     )
     obtained = np.cumsum(quality, axis=1)[:, -1]
     ideal_total = np.cumsum(v_max_sorted, axis=1)[:, -1]

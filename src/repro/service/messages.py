@@ -29,10 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 
-from repro.core.schedule import Schedule
+from repro.core.schedule import FlatSchedule, Schedule
 from repro.core.serialization import (
     ContentKeyed,
     JsonEnvelope,
+    flat_schedule_from_dict,
     parse_versioned_payload,
     schedule_from_dict,
     taskset_from_dict,
@@ -367,6 +368,16 @@ class ScheduleResponse(ResponseEnvelope):
             if entry.get("schedule") is not None:
                 schedules[device] = schedule_from_dict(entry["schedule"], task_set)
         return schedules
+
+    def flat_schedules(self, task_set: TaskSet) -> Dict[str, FlatSchedule]:
+        """:meth:`device_schedules` in the flat form the run-time layer reads:
+        each device's stored entries decoded into vectors over ``task_set``
+        (:func:`~repro.core.serialization.flat_schedule_from_dict`)."""
+        return {
+            device: flat_schedule_from_dict(entry["schedule"], task_set)
+            for device, entry in self.per_device.items()
+            if entry.get("schedule") is not None
+        }
 
     # perfbench's tracer times ``service.envelope`` by wrapping these two
     # methods where it finds them: in this class's own body.

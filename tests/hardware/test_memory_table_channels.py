@@ -12,6 +12,7 @@ from repro.hardware import (
     SchedulingTable,
     TableEntry,
 )
+from repro.hardware.memory import StoredTask
 
 
 class TestIOCommand:
@@ -45,6 +46,40 @@ class TestControllerMemory:
         # Re-storing the same task replaces its footprint instead of adding to it.
         memory.store("tau0", [IOCommand("set", "d0", duration=1)] * 100)
         assert memory.used_bytes == 100 * IOCommand.ENCODED_SIZE_BYTES
+
+    def test_storing_reads_each_size_a_bounded_number_of_times(self, monkeypatch):
+        """``store`` keeps a running total instead of summing every stored
+        task again, so pre-loading T tasks reads O(T) sizes, not T^2/2."""
+        reads = []
+        size_bytes = StoredTask.size_bytes
+
+        def counted(stored):
+            reads.append(stored.task_name)
+            return size_bytes.fget(stored)
+
+        monkeypatch.setattr(StoredTask, "size_bytes", property(counted))
+        memory = ControllerMemory(capacity_kb=32)
+        for index in range(160):
+            memory.store(f"tau{index}", [IOCommand("set", "d0", duration=1)])
+        memory.store("tau0", [IOCommand("set", "d0", duration=1)] * 2)
+        assert len(reads) <= 2 * 161
+        assert memory.used_bytes == 161 * IOCommand.ENCODED_SIZE_BYTES
+
+    def test_a_full_memory_refuses_the_same_task_as_a_recount(self):
+        """The running total raises where summing every stored task raises:
+        at the first task that does not fit, and a replaced task frees its
+        old bytes first."""
+        memory = ControllerMemory(capacity_kb=1)  # 1024 bytes = 128 commands
+        for index in range(12):
+            memory.store(f"tau{index}", [IOCommand("set", "d0", duration=1)] * 10)
+        with pytest.raises(MemoryCapacityError, match="'tau12' \\(80 B\\) exceeds the 1 KB"):
+            memory.store("tau12", [IOCommand("set", "d0", duration=1)] * 10)
+        with pytest.raises(MemoryCapacityError, match="'tau0' \\(168 B\\)"):
+            memory.store("tau0", [IOCommand("set", "d0", duration=1)] * 21)
+        memory.store("tau0", [IOCommand("set", "d0", duration=1)] * 18)
+        assert memory.used_bytes == 1024 == sum(
+            memory.retrieve(f"tau{index}").size_bytes for index in range(12)
+        )
 
     def test_unknown_task_raises(self):
         with pytest.raises(KeyError):

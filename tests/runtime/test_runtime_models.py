@@ -5,7 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core.schedule import Schedule
+from repro.core import MS, IOTask, TaskSet
+from repro.core.schedule import Schedule, ScheduleEntry
 from repro.hardware import (
     IODevice,
     RequestChannel,
@@ -152,18 +153,17 @@ class TestDedicatedController:
         assert outcome.exhausted
         assert outcome.events_processed == 3
 
-    def test_each_scheduling_table_is_sorted_at_most_twice(self, monkeypatch):
-        """Triggers look their entries up in the table's start-time index:
-        the 476-job partition sorts its table once to register the trigger
-        events and once to build the index, not once per trigger."""
+    def test_each_scheduling_table_is_read_once_and_never_sorted(self, monkeypatch):
+        """Phase 2 keeps a schedule listed in ``(start, task, index)`` order
+        as it is, and the pass reads each table's columns once: the 476-job
+        partition's table is never sorted."""
         calls = Counter()
-        entries = SchedulingTable.entries
+        columns = SchedulingTable.columns
 
-        def counting_entries(table):
+        def counting_columns(table):
             calls[id(table)] += 1
-            return entries(table)
+            return columns(table)
 
-        monkeypatch.setattr(SchedulingTable, "entries", counting_entries)
         scenario = (
             create_scenario("paper-default").with_utilisation(0.7).with_workload(n_tasks=40)
         )
@@ -171,14 +171,17 @@ class TestDedicatedController:
         response = execute_request(
             ScheduleRequest(scenario=scenario, system_index=0, spec=SchedulerSpec.parse("static"))
         )
+        schedules = response.device_schedules(system.task_set)
+        monkeypatch.setattr(SchedulingTable, "columns", counting_columns)
+        monkeypatch.setattr(np, "lexsort", counting(calls, np, "lexsort"))
         outcome = create_execution_model("dedicated-controller").execute(
-            system.task_set, response.device_schedules(system.task_set), system.platform
+            system.task_set, schedules, system.platform
         )
         assert outcome.executed_jobs == outcome.events_processed == 476
         tables = [processor.table for processor in system.platform.controller.processors.values()]
+        assert calls.pop("numpy.lexsort", 0) == 0
         assert sorted(calls) == sorted(id(table) for table in tables)
-        assert all(calls[id(table)] <= 2 for table in tables)
-
+        assert all(calls[id(table)] == 1 for table in tables)
 
     def test_a_reused_platform_gives_the_same_run(self, materialized, schedules):
         """The pass changes no run-time state of the controller (device busy
@@ -197,6 +200,36 @@ class TestDedicatedController:
             first.exhausted,
         )
         assert second.trace_counts == first.trace_counts
+
+    def test_a_reused_platform_keeps_no_table_of_an_earlier_run(self):
+        """Phase 2 replaces every table: a device the new schedules omit gets
+        an empty one.  Before, ``b``'s table from the first run stayed on
+        ``d1`` and fired with ``b`` never requested: one skipped job and one
+        fault."""
+        a = IOTask("a", wcet=2 * MS, period=40 * MS, ideal_offset=10 * MS, device="d0")
+        b = IOTask("b", wcet=2 * MS, period=40 * MS, ideal_offset=20 * MS, device="d1")
+        task_set = TaskSet([a, b])
+        both = {
+            task.device: Schedule([ScheduleEntry(task.job(0), task.job(0).ideal_start)])
+            for task in task_set
+        }
+        only_d0 = {"d0": both["d0"]}
+        model = create_execution_model("dedicated-controller")
+
+        def observed(outcome):
+            return (
+                outcome.executed_jobs,
+                outcome.skipped_jobs,
+                outcome.faults_detected,
+                outcome.trace_counts,
+                outcome.start_time_deviations(),
+            )
+
+        fresh = model.execute(task_set, only_d0, fresh_platform())
+        reused = fresh_platform()
+        model.execute(task_set, both, reused)
+        assert observed(model.execute(task_set, only_d0, reused)) == observed(fresh)
+        assert observed(fresh) == (1, 0, 0, {"job-start": 1}, [0])
 
     @pytest.mark.parametrize("device_type", DEVICE_TYPES)
     def test_every_device_type_runs(self, device_type):
@@ -218,9 +251,10 @@ class TestDedicatedController:
         assert controller.run().matches_offline
 
     def test_a_run_builds_no_event_loop(self, monkeypatch):
-        """On the 476-job partition the model reads each table at most twice
-        and makes no event, channel message, synchroniser step or device
-        operation; the event-driven run of the same tables makes them all."""
+        """On the 476-job partition the model reads each table's columns at
+        most twice and makes no event, channel message, synchroniser step,
+        device operation or table entry; the event-driven run of the same
+        tables makes them all."""
         calls = Counter()
         counted = [
             (Simulator, "run"),
@@ -230,6 +264,7 @@ class TestDedicatedController:
             (Synchroniser, "execute_due"),
             (IODevice, "execute"),
             (SchedulingTable, "entries"),
+            (SchedulingTable, "columns"),
         ]
         for cls, name in counted:
             monkeypatch.setattr(cls, name, counting(calls, cls, name))
@@ -246,7 +281,7 @@ class TestDedicatedController:
         )
         assert outcome.executed_jobs == outcome.events_processed == 476
         tables = len(system.platform.controller.processors)
-        assert 0 < calls.pop("SchedulingTable.entries") <= 2 * tables
+        assert 0 < calls.pop("SchedulingTable.columns") <= 2 * tables
         assert calls == Counter()
 
         controller = materialize(scenario, 0).platform.controller
@@ -254,6 +289,7 @@ class TestDedicatedController:
         controller.load_system_schedule(schedules)
         controller.run()
         calls.pop("SchedulingTable.entries")
+        calls.pop("SchedulingTable.columns")
         assert calls == {
             "Simulator.run": 1,
             "EventQueue.push": 476,

@@ -1,10 +1,13 @@
 """Exactness, worker-invariance and caching tests for the simulation service."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro.core import IOJob, Schedule, ScheduleEntry
 from repro.core.serialization import canonical_json
+from repro.hardware import TableEntry
 from repro.runtime import (
     SimulationCache,
     SimulationRequest,
@@ -12,9 +15,10 @@ from repro.runtime import (
     derive_execution_seed,
     execute_simulation,
 )
-from repro.runtime.models import ExecutionOutcome
-from repro.scenario import Scenario, WorkloadSpec, create_scenario
+from repro.runtime.models import BUILTIN_EXECUTION_MODELS, ExecutionOutcome
+from repro.scenario import Scenario, WorkloadSpec, create_scenario, materialize
 from repro.service import SchedulingService
+from repro.service.service import execute_request
 from repro.taskgen import GeneratorConfig
 
 
@@ -53,6 +57,17 @@ def request_batch(scenario):
     return requests
 
 
+def counting_init(built, cls):
+    """``cls.__init__``, counting each call under the class's name."""
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        built[cls.__name__] += 1
+        init(self, *args, **kwargs)
+
+    return counted
+
+
 class TestExecuteSimulation:
     def test_pure_in_the_request(self, tiny_scenario):
         request = SimulationRequest(scenario=tiny_scenario, execution_model="cpu-instigated")
@@ -72,6 +87,32 @@ class TestExecuteSimulation:
         responses = [execute_simulation(request) for request in request_batch(tiny_scenario)]
         assert all(response.schedulable for response in responses)
         assert len(calls) == len(responses) == 5
+
+    @pytest.mark.parametrize("model", BUILTIN_EXECUTION_MODELS)
+    def test_a_cell_builds_no_job_entry_schedule_or_table_entry(self, model, monkeypatch):
+        """On the 476-job partition, ``execute_simulation`` decodes the stored
+        schedule into vectors and runs, scores and answers from them; the
+        object path (``device_schedules`` and ``IOController.run``) builds
+        every one of these objects."""
+        scenario = (
+            create_scenario("paper-default").with_utilisation(0.7).with_workload(n_tasks=40)
+        )
+        request = SimulationRequest(scenario=scenario, method="static", execution_model=model)
+        stored = execute_request(request.schedule_request())
+        execute_simulation(request, schedule_response=stored)  # warms the workload memo
+        built = Counter()
+        for cls in (IOJob, ScheduleEntry, Schedule, TableEntry):
+            monkeypatch.setattr(cls, "__init__", counting_init(built, cls))
+        response = execute_simulation(request, schedule_response=stored)
+        assert response.executed_jobs == 476
+        assert built == Counter()
+
+        system = materialize(scenario, 0)
+        controller = system.platform.controller
+        controller.preload_taskset(system.task_set)
+        controller.load_system_schedule(stored.device_schedules(system.task_set))
+        controller.run()
+        assert set(built) == {"IOJob", "ScheduleEntry", "Schedule", "TableEntry"}
 
     def test_scheduling_service_path_is_bit_identical(self, tiny_scenario):
         request = SimulationRequest(scenario=tiny_scenario, execution_model="cpu-instigated")
