@@ -66,7 +66,8 @@ class ControllerRunResult:
 
     ``runtime_schedules`` and ``offline_schedules`` are the same schedules as
     :class:`~repro.core.schedule.Schedule` objects, built on first access.
-    A result can be built from them instead of the flat form.  Once they
+    A result is built from either form: ``runtime`` and ``offline``, or
+    ``runtime_schedules`` and ``offline_schedules``.  Once the objects
     exist, the scores are computed from them, so edits to them count.
     """
 
@@ -84,13 +85,6 @@ class ControllerRunResult:
         runtime: Optional[Dict[str, FlatSchedule]] = None,
         offline: Optional[Dict[str, FlatSchedule]] = None,
     ):
-        if (runtime is None) == (runtime_schedules is None) or (offline is None) == (
-            offline_schedules is None
-        ):
-            raise TypeError(
-                "give the runtime and the offline schedules once each, "
-                "as flat schedules or as Schedule objects"
-            )
         self._runtime, self._offline = runtime, offline
         self._runtime_schedules, self._offline_schedules = runtime_schedules, offline_schedules
         self.executed_jobs = executed_jobs
@@ -138,10 +132,7 @@ class ControllerRunResult:
         if self._runtime_schedules is None and self._offline_schedules is None:
             return self._runtime, self._offline
         runtime, offline = self.runtime_schedules, self.offline_schedules
-        given = next(chain((self._runtime or {}).values(), (self._offline or {}).values()), None)
-        tasks = task_table(
-            chain(runtime.values(), offline.values()), given.tasks if given else None
-        )
+        tasks = task_table(chain(runtime.values(), offline.values()))
         return (
             {device: FlatSchedule.from_schedule(s, tasks) for device, s in runtime.items()},
             {device: FlatSchedule.from_schedule(s, tasks) for device, s in offline.items()},
@@ -495,8 +486,6 @@ class IOController:
             },
         )
 
-    # -- results --------------------------------------------------------------------
-
     def _queue_requests(
         self,
         schedule: FlatSchedule,
@@ -521,6 +510,8 @@ class IOController:
             released, requested = requests[device]
             released += release[late].tolist()
             requested += [columns.names[t] for t in task[late].tolist()]
+
+    # -- results --------------------------------------------------------------------
 
     def _ran(
         self, device: str, tasks: Iterable[int], jobs: Iterable[int], starts: Iterable[int]

@@ -55,7 +55,7 @@ schedule or table-entry object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -302,11 +302,11 @@ class _RemoteCPUBase(ExecutionModel):
         # the devices in the order given, then a stable sort by start.
         tasks = shared_tasks(schedules.values(), task_set)
         columns = tasks.columns()
+        empty = np.zeros(0, dtype=np.int64)
         ordered = [schedule.table_order() for schedule in schedules.values()]
-        task, job, start = (
-            np.concatenate([getattr(s, name) for s in ordered] or [np.zeros(0, np.int64)])
-            for name in ("task", "job", "start")
-        )
+        task = np.concatenate([empty, *(schedule.task for schedule in ordered)])
+        job = np.concatenate([empty, *(schedule.job for schedule in ordered)])
+        start = np.concatenate([empty, *(schedule.start for schedule in ordered)])
         order = np.argsort(start, kind="stable")
         n_scheduled = len(order)
 
@@ -363,7 +363,6 @@ class _RemoteCPUBase(ExecutionModel):
         # ends: s_k = max(a_k, s_(k-1) + C_(k-1)) over the device's jobs in
         # run order, which is W_k + max(0, max over i <= k of a_i - W_i) with
         # W_k the WCETs of the device's jobs before job k.
-        empty = np.zeros(0, dtype=np.int64)
         runtime = {device: FlatSchedule(tasks, empty, empty, empty, device) for device in schedules}
         device_code = columns.device_code[task]
         for code in np.unique(device_code).tolist():

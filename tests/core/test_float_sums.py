@@ -4,9 +4,11 @@ Since Python 3.12 the built-in ``sum()`` adds floats with compensation, so a
 float total computed with ``sum()`` can differ in its last bits between 3.11
 and 3.12.  Upsilon (``repro.core.metrics``) and the series statistics
 (``repro.experiments.stats``) reach pinned digests, so they add left to right
-in a plain loop.  These tests rerun the goldens that read such totals with
-``builtins.sum`` replaced by an emulation of the 3.12 algorithm
-(``sum312.compensated_sum``) and expect the same digests.
+in a plain loop or with ``np.cumsum``.  The simulation goldens pin the
+run-time Upsilon and the deviation and NoC-latency means.  These tests
+rerun the goldens that read such totals with ``builtins.sum`` replaced by
+an emulation of the 3.12 algorithm (``sum312.compensated_sum``) and expect
+the same digests.
 """
 
 import os
@@ -30,6 +32,7 @@ FLOAT_SUM_GOLDENS = (
     "::test_evaluate_batch_matches_scalar_on_generator_partitions",
     "tests/scheduling/test_ga_vectorized_properties.py"
     "::TestBatchedFitnessKernels::test_evaluate_batch_matches_scalar_evaluate",
+    "tests/runtime/test_simulation_golden.py",
 )
 
 

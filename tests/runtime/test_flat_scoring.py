@@ -105,10 +105,13 @@ def test_vector_scores_match_the_object_rules(run):
         offline={device: FlatSchedule.from_schedule(s, tasks) for device, s in offline.items()},
     )
     assert scores(flat) == expected
-    assert scores(ExecutionOutcome(runtime_schedules=runtime, offline_schedules=offline)) == expected
+    objects = ExecutionOutcome(runtime_schedules=runtime, offline_schedules=offline)
+    assert scores(objects) == expected
     # The object views rebuilt from the vectors hold the same entries, in order.
     for built, given_ in ((flat.runtime_schedules, runtime), (flat.offline_schedules, offline)):
-        assert {d: s.entries for d, s in built.items()} == {d: s.entries for d, s in given_.items()}
+        assert {d: s.entries for d, s in built.items()} == {
+            d: s.entries for d, s in given_.items()
+        }
 
 
 def test_an_empty_run_scores_like_the_object_rules():
