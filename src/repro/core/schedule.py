@@ -28,7 +28,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.task import IOJob, TaskSet
+from repro.core.task import IOJob, IOTask, TaskSet
 
 
 class ScheduleValidationError(Exception):
@@ -174,7 +174,7 @@ class Schedule:
         return clone
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatSchedule:
     """A device schedule as int64 vectors, the form the run-time layer reads.
 
@@ -285,7 +285,7 @@ def task_table(schedules: Iterable[Schedule], tasks: Optional[TaskSet] = None) -
     cover every scheduled job's task, otherwise ``tasks`` followed by the
     tasks it lacks, in the order the schedules first name them."""
     known = tasks.name_index if tasks is not None else {}
-    missing: Dict[str, object] = {}
+    missing: Dict[str, IOTask] = {}
     for schedule in schedules:
         for entry in schedule.entries:
             name = entry.job.task.name

@@ -294,7 +294,7 @@ class IOJob:
         self.__dict__.update(state)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaskColumns:
     """The attributes of a task set's tasks, one entry per task position.
 
@@ -305,7 +305,6 @@ class TaskColumns:
     """
 
     names: List[str]
-    devices: List[str]
     device_names: List[str]
     device_code: np.ndarray
     name_rank: np.ndarray
@@ -331,7 +330,6 @@ class TaskColumns:
 
         return cls(
             names=names,
-            devices=devices,
             device_names=device_names,
             device_code=np.array([code[device] for device in devices], dtype=np.int64),
             name_rank=name_rank,

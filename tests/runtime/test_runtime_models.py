@@ -16,6 +16,7 @@ from repro.hardware import (
 )
 from repro.runtime import (
     BUILTIN_EXECUTION_MODELS,
+    ExecutionModel,
     ExecutionModelSpec,
     SimulationRequest,
     available_execution_models,
@@ -89,6 +90,40 @@ class TestRegistry:
         assert not execution_model_registered("test-model")
         with pytest.raises(KeyError):
             unregister_execution_model("test-model")
+
+    def test_a_model_implementing_only_execute_receives_schedule_objects(self, materialized):
+        """``execute_simulation`` calls ``execute_flat``; its default hands a
+        model that implements only ``execute`` rebuilt ``Schedule`` objects,
+        and the run answers as the model it delegates to does."""
+        received = []
+
+        class ObjectsOnly(ExecutionModel):
+            def execute(self, task_set, schedules, platform, *, seed=0, max_events=None):
+                received.extend(type(schedule) for schedule in schedules.values())
+                return create_execution_model("cpu-instigated").execute(
+                    task_set, schedules, platform, seed=seed, max_events=max_events
+                )
+
+        register_execution_model("objects-only", ObjectsOnly)
+        try:
+            answers = [
+                execute_simulation(
+                    SimulationRequest(
+                        scenario=materialized.scenario, execution_model=model, seed=5
+                    )
+                ).result_dict()
+                for model in ("objects-only", "cpu-instigated")
+            ]
+        finally:
+            unregister_execution_model("objects-only")
+        assert received and set(received) == {Schedule}
+        assert answers[0].pop("execution_model") == "objects-only"
+        answers[1].pop("execution_model")
+        assert answers[0] == answers[1]
+
+    def test_a_model_implementing_neither_form_raises(self, materialized, schedules):
+        with pytest.raises(NotImplementedError, match="neither execute nor execute_flat"):
+            ExecutionModel().execute(materialized.task_set, schedules, fresh_platform())
 
     def test_rejected_override_names_the_factory(self):
         with pytest.raises(TypeError, match="cpu-instigated"):
