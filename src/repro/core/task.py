@@ -348,13 +348,14 @@ class TaskSet:
 
     def __init__(self, tasks: Iterable[IOTask]):
         self._tasks: List[IOTask] = list(tasks)
-        self._index = {task.name: position for position, task in enumerate(self._tasks)}
-        if len(self._index) != len(self._tasks):
+        names = [task.name for task in self._tasks]
+        if len(names) != len(set(names)):
             raise ValueError("task names within a TaskSet must be unique")
-        # The task list never changes after construction, so the per-device
-        # partitions, the released-jobs lists and the task columns (pure
-        # functions of the tasks) are computed once and shared by every
-        # consumer of this instance.
+        # The task list never changes after construction, so the name index,
+        # the per-device partitions, the released-jobs lists and the task
+        # columns (pure functions of the tasks) are computed once, on first
+        # use, and shared by every consumer of this instance.
+        self._index: Optional[Dict[str, int]] = None
         self._partition_cache: Optional[Dict[str, "TaskSet"]] = None
         self._jobs_cache: Dict[int, List[IOJob]] = {}
         self._columns: Optional[TaskColumns] = None
@@ -368,7 +369,7 @@ class TaskSet:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
-        self._index = {task.name: position for position, task in enumerate(self._tasks)}
+        self._index = None
         self._partition_cache = None
         self._jobs_cache = {}
         self._columns = None
@@ -401,12 +402,14 @@ class TaskSet:
 
     @property
     def name_index(self) -> Dict[str, int]:
-        """Task name -> position, built once per task set (do not modify)."""
+        """Task name -> position, built on first use (do not modify)."""
+        if self._index is None:
+            self._index = {task.name: position for position, task in enumerate(self._tasks)}
         return self._index
 
     def by_name(self, name: str) -> IOTask:
         try:
-            return self._tasks[self._index[name]]
+            return self._tasks[self.name_index[name]]
         except (KeyError, TypeError):
             raise KeyError(f"no task named {name!r}") from None
 
