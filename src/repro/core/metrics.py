@@ -5,22 +5,29 @@
 * ``Upsilon = sum V(kappa) / sum V(ideal)`` — the total obtained quality
   normalised by the maximum achievable quality (Equation (2)).
 
-Both come in two forms: over :class:`~repro.core.schedule.Schedule` objects
-and, for the run-time layer, over
-:class:`~repro.core.schedule.FlatSchedule` vectors
-(:func:`flat_psi`, :func:`flat_upsilon`).  :func:`linear_quality` is the
-element-wise quality curve the vector forms and the GA's batched fitness
-share.
+They are computed as array reductions over
+:class:`~repro.core.schedule.FlatSchedule` vectors (:func:`flat_psi`,
+:func:`flat_upsilon`, :func:`schedule_metrics`); the functions that take
+:class:`~repro.core.schedule.Schedule` objects flatten them first.
+:func:`linear_quality` is the element-wise quality curve the vector forms
+and the GA's batched fitness share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.schedule import FlatSchedule, Schedule, ScheduleEntry, validate_schedule
+from repro.core.schedule import (
+    FlatSchedule,
+    Schedule,
+    ScheduleEntry,
+    find_violations,
+    flatten,
+    task_table,
+)
 from repro.core.task import IOJob
 
 
@@ -29,28 +36,20 @@ def exact_accurate_jobs(schedule: Schedule) -> List[ScheduleEntry]:
     return [entry for entry in schedule.entries if entry.is_exact]
 
 
+def _flat(schedules: Iterable[Schedule]) -> List[FlatSchedule]:
+    schedules = list(schedules)
+    tasks = task_table(schedules)
+    return [FlatSchedule.from_schedule(schedule, tasks) for schedule in schedules]
+
+
 def psi(schedule: Schedule) -> float:
     """Fraction of exactly timing-accurate jobs, ``Psi = |E| / |lambda|``."""
-    total = len(schedule)
-    if total == 0:
-        return 1.0
-    return len(exact_accurate_jobs(schedule)) / total
+    return flat_psi(_flat([schedule]))
 
 
 def upsilon(schedule: Schedule) -> float:
     """Normalised total quality, ``Upsilon`` (Equation (2))."""
-    entries = schedule.entries
-    if not entries:
-        return 1.0
-    # A left-to-right loop, not sum(): since Python 3.12 sum() adds floats
-    # with compensation, which would move Upsilon's last bits.
-    obtained = ideal = 0
-    for entry in entries:
-        obtained += entry.quality
-        ideal += entry.job.max_quality()
-    if ideal == 0:
-        return 1.0
-    return obtained / ideal
+    return flat_upsilon(_flat([schedule]))
 
 
 def mean_absolute_lateness(schedule: Schedule) -> float:
@@ -89,13 +88,15 @@ class ScheduleMetrics:
 
 
 def schedule_metrics(
-    schedule: Schedule,
-    jobs: Optional[Sequence[IOJob]] = None,
+    schedule: Union[Schedule, FlatSchedule],
+    jobs: Union[Sequence[IOJob], FlatSchedule, None] = None,
     *,
     strict: bool = True,
 ) -> ScheduleMetrics:
     """Compute the full metric summary for a schedule.
 
+    ``schedule`` is a :class:`Schedule` (``jobs`` its job objects) or a
+    :class:`FlatSchedule` (``jobs`` one too, over the same task table).
     If ``jobs`` is given, the schedule is also checked for completeness and
     constraint violations.  With ``strict`` (the default) a violating schedule
     is reported as unschedulable with zeroed quality metrics; with
@@ -103,43 +104,32 @@ def schedule_metrics(
     computed from the schedule as produced — useful for measuring the timing
     accuracy of baselines such as GPIOCP even when they miss deadlines.
     """
-    violations = validate_schedule(schedule, jobs, raise_on_error=False)
-    if violations and strict:
+    if isinstance(schedule, Schedule):
+        schedule, jobs = flatten(schedule, jobs)
+    violated = find_violations(schedule, jobs).found
+    if violated and strict:
         return ScheduleMetrics.infeasible(n_jobs=len(jobs) if jobs else len(schedule))
-    exact = exact_accurate_jobs(schedule)
+    n_jobs = len(schedule)
+    distance = np.abs(schedule.start - schedule.ideal_starts())
+    n_exact = int(np.count_nonzero(distance == 0))
     return ScheduleMetrics(
-        schedulable=not violations,
-        psi=psi(schedule),
-        upsilon=upsilon(schedule),
-        n_jobs=len(schedule),
-        n_exact=len(exact),
-        mean_abs_lateness_us=mean_absolute_lateness(schedule),
+        schedulable=not violated,
+        psi=n_exact / n_jobs if n_jobs else 1.0,
+        upsilon=flat_upsilon([schedule]),
+        n_jobs=n_jobs,
+        n_exact=n_exact,
+        mean_abs_lateness_us=int(distance.sum()) / n_jobs if n_jobs else 0.0,
     )
 
 
 def aggregate_psi(schedules: Iterable[Schedule]) -> float:
     """System-wide Psi across several per-device schedules (job-weighted)."""
-    total_jobs = 0
-    total_exact = 0
-    for schedule in schedules:
-        total_jobs += len(schedule)
-        total_exact += len(exact_accurate_jobs(schedule))
-    if total_jobs == 0:
-        return 1.0
-    return total_exact / total_jobs
+    return flat_psi(_flat(schedules))
 
 
 def aggregate_upsilon(schedules: Iterable[Schedule]) -> float:
     """System-wide Upsilon across several per-device schedules (quality-weighted)."""
-    obtained = 0.0
-    ideal = 0.0
-    for schedule in schedules:
-        for entry in schedule.entries:
-            obtained += entry.quality
-            ideal += entry.job.max_quality()
-    if ideal == 0:
-        return 1.0
-    return obtained / ideal
+    return flat_upsilon(_flat(schedules))
 
 
 # -- vector forms ------------------------------------------------------------------
@@ -162,7 +152,7 @@ def linear_quality(
 
 
 def flat_psi(schedules: Iterable[FlatSchedule]) -> float:
-    """:func:`aggregate_psi` over flat schedules."""
+    """System-wide Psi across several flat schedules (job-weighted)."""
     total = exact = 0
     for schedule in schedules:
         total += len(schedule)
@@ -173,11 +163,12 @@ def flat_psi(schedules: Iterable[FlatSchedule]) -> float:
 
 
 def flat_upsilon(schedules: Iterable[FlatSchedule]) -> float:
-    """:func:`aggregate_upsilon` over flat schedules, bit for bit.
+    """System-wide Upsilon across several flat schedules (quality-weighted).
 
     The qualities are summed in the order the schedules list their jobs,
-    left to right from ``0.0`` (``np.cumsum`` adds sequentially), as the
-    object form's loop does.
+    schedule after schedule, left to right from ``0.0`` (``np.cumsum`` adds
+    sequentially).  That order reaches the last bits: ``sum()`` (which
+    compensates since Python 3.12) or another order would move them.
     """
     obtained: List[np.ndarray] = [np.zeros(1)]
     best: List[np.ndarray] = [np.zeros(1)]

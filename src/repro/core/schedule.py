@@ -6,13 +6,15 @@ heuristic of Algorithm 1 and the GA search) produce such schedules offline;
 the I/O-controller hardware model (``repro.hardware``) later executes them at
 run time.
 
-The run-time layer reads a device schedule in a flat form,
-:class:`FlatSchedule`: each job's task position, job index and start time
-as int vectors.  :meth:`FlatSchedule.from_schedule` and
-:meth:`FlatSchedule.to_schedule` convert between the two forms.
+The schedulers emit, and the run-time layer reads, a device schedule in a
+flat form, :class:`FlatSchedule`: each job's task position, job index and
+start time as int vectors.  :meth:`FlatSchedule.from_schedule` and
+:meth:`FlatSchedule.to_schedule` convert between the two forms; a
+:class:`Schedule` is the object API.
 
 The module also provides schedule validation for the two execution-model
-constraints of Section III-B:
+constraints of Section III-B, as array reductions over the flat form
+(:func:`find_violations`; :func:`validate_schedule` lists the messages):
 
 * **Constraint 1** — every job starts within its release window and finishes
   before its deadline: ``T_i*j <= kappa_i^j <= T_i*j + D_i - C_i``.
@@ -23,8 +25,18 @@ constraints of Section III-B:
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -98,13 +110,6 @@ class Schedule:
         """Assign ``start`` as the start time of ``job``."""
         self.add(ScheduleEntry(job=job, start=int(start)))
 
-    @classmethod
-    def from_mapping(cls, mapping: Dict[IOJob, int], device: Optional[str] = None) -> "Schedule":
-        return cls(
-            (ScheduleEntry(job=job, start=int(start)) for job, start in mapping.items()),
-            device=device,
-        )
-
     # -- access ------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -151,18 +156,6 @@ class Schedule:
         """Sorted ``(start, finish)`` intervals during which the device is busy."""
         return [(e.start, e.finish) for e in self.sorted_entries()]
 
-    def idle_intervals(self, horizon: int) -> List[Tuple[int, int]]:
-        """Sorted idle (free-slot) intervals in ``[0, horizon)`` around the busy ones."""
-        idle: List[Tuple[int, int]] = []
-        cursor = 0
-        for start, finish in self.busy_intervals():
-            if start > cursor:
-                idle.append((cursor, start))
-            cursor = max(cursor, finish)
-        if cursor < horizon:
-            idle.append((cursor, horizon))
-        return idle
-
     def copy(self) -> "Schedule":
         """An independent schedule with the same entries, order and device.
 
@@ -176,16 +169,18 @@ class Schedule:
 
 @dataclass(frozen=True, eq=False)
 class FlatSchedule:
-    """A device schedule as int64 vectors, the form the run-time layer reads.
+    """A device schedule as int64 vectors, the form the schedulers emit and
+    the run-time layer reads.
 
     Entry ``i`` starts job ``job[i]`` of task ``tasks[task[i]]`` at
     ``start[i]``.  The entries keep the order the schedule lists its jobs in
     (a :class:`Schedule`'s insertion order) and, as in a :class:`Schedule`,
     hold each job once.  A job's release and ideal start follow from its
     task and index, as for :meth:`IOTask.job <repro.core.task.IOTask.job>`.
-    The flat schedules of one run share one task table ``tasks`` (normally
-    the request's task set), so a job is the pair ``(task position, job
-    index)`` throughout the run.
+    The flat schedules of one run share one task table ``tasks`` (the
+    request's task set, or the table :meth:`of_jobs` builds for a
+    scheduler's jobs), so a job is the pair ``(task position, job index)``
+    throughout the run.
     """
 
     tasks: TaskSet
@@ -212,6 +207,65 @@ class FlatSchedule:
             schedule.device,
         )
 
+    @classmethod
+    def of_jobs(cls, jobs: Sequence[IOJob], tasks: Optional[TaskSet] = None) -> "FlatSchedule":
+        """``jobs`` as listed, each at its ideal start, over ``tasks``.
+
+        ``tasks`` names every job's task (tasks match by name); by default it
+        is a new table of the jobs' own tasks in name order, so the tables
+        of any two lists of one set of tasks agree position for position.
+        Two different tasks of one name raise ``ValueError``, as a schedule
+        could not tell their jobs apart.  The device is left unset
+        (:meth:`as_added` sets it).
+        """
+        owners = [job.task for job in jobs]
+        if tasks is None:
+            named: Dict[str, IOTask] = {}
+            for task in dict.fromkeys(owners):
+                if named.setdefault(task.name, task) is not task:
+                    raise ValueError(f"two different tasks are named {task.name!r}")
+            tasks = TaskSet(sorted(named.values(), key=lambda task: task.name))
+        index = tasks.name_index
+        task = np.array([index[owner.name] for owner in owners], dtype=np.int64)
+        job = np.array([job.index for job in jobs], dtype=np.int64)
+        flat = cls(tasks, task, job, job)
+        return replace(flat, start=flat.ideal_starts())
+
+    def as_added(self) -> "FlatSchedule":
+        """What a :class:`Schedule` holds once these entries are added to it
+        in order: the first job's device, and each job once, in the place it
+        was first added, at the start it was last given.  A job of another
+        device raises the :class:`ScheduleValidationError` of
+        :meth:`Schedule.add`."""
+        if not len(self):
+            return self
+        columns = self.tasks.columns()
+        codes = columns.device_code[self.task]
+        device = columns.device_names[int(codes[0])]
+        other = np.flatnonzero(codes != codes[0])
+        if other.size:
+            row = int(other[0])
+            raise ScheduleValidationError(
+                f"job {self.name(row)} targets device "
+                f"{columns.device_names[int(codes[row])]!r} but the schedule is for "
+                f"device {device!r}"
+            )
+        key = self.task * (int(self.job.max()) + 1) + self.job
+        first = np.unique(key, return_index=True)[1]
+        if len(first) == len(key):
+            return replace(self, device=device)
+        last = len(key) - 1 - np.unique(key[::-1], return_index=True)[1]
+        order = np.argsort(first)
+        rows = first[order]
+        return FlatSchedule(
+            self.tasks, self.task[rows], self.job[rows], self.start[last[order]], device
+        )
+
+    def name(self, row: int) -> str:
+        """The name of entry ``row``'s job, as :attr:`IOJob.name
+        <repro.core.task.IOJob.name>` spells it."""
+        return f"{self.tasks.columns().names[int(self.task[row])]}[{int(self.job[row])}]"
+
     def to_schedule(self) -> Schedule:
         """The object form: one :class:`ScheduleEntry` per entry, in order."""
         tasks = self.tasks
@@ -225,17 +279,25 @@ class FlatSchedule:
             device=self.device,
         )
 
-    def take(self, rows) -> "FlatSchedule":
-        """The entries at ``rows`` (an index array or mask), in that order."""
+    def take(self, rows, start: Optional[np.ndarray] = None) -> "FlatSchedule":
+        """The entries at ``rows`` (an index array or mask), in that order,
+        at ``start`` when given."""
         return FlatSchedule(
-            self.tasks, self.task[rows], self.job[rows], self.start[rows], self.device
+            self.tasks,
+            self.task[rows],
+            self.job[rows],
+            self.start[rows] if start is None else start,
+            self.device,
         )
+
+    def releases(self) -> np.ndarray:
+        """Each job's release, ``T_i * j`` plus the task's offset."""
+        columns = self.tasks.columns()
+        return columns.offset[self.task] + columns.period[self.task] * self.job
 
     def ideal_starts(self) -> np.ndarray:
         """Each job's ideal start, ``T_i * j + delta_i`` plus the task's offset."""
-        columns = self.tasks.columns()
-        task = self.task
-        return columns.offset[task] + columns.period[task] * self.job + columns.ideal_offset[task]
+        return self.releases() + self.tasks.columns().ideal_offset[self.task]
 
     def table_order(self) -> "FlatSchedule":
         """The entries in ``(start, task name, index)`` order, the order of
@@ -296,9 +358,104 @@ def task_table(schedules: Iterable[Schedule], tasks: Optional[TaskSet] = None) -
     return TaskSet([*(tasks or ()), *missing.values()])
 
 
+def flatten(
+    schedule: Schedule, jobs: Optional[Sequence[IOJob]] = None
+) -> Tuple[FlatSchedule, Optional[FlatSchedule]]:
+    """``schedule``, and the ``jobs`` it must hold, as flat schedules over
+    one task table (:func:`task_table` of the schedule and the jobs)."""
+    required = None if jobs is None else FlatSchedule.of_jobs(jobs)
+    tasks = task_table([schedule], None if required is None else required.tasks)
+    if required is not None and tasks is not required.tasks:
+        required = FlatSchedule.of_jobs(jobs, tasks)
+    return FlatSchedule.from_schedule(schedule, tasks), required
+
+
+class Violations(NamedTuple):
+    """Where a flat schedule breaks the execution-model constraints."""
+
+    schedule: FlatSchedule
+    jobs: Optional[FlatSchedule]
+    #: Per job of ``jobs``: the schedule lacks it.
+    missing: np.ndarray
+    #: Per entry: it starts before its release (Constraint 1).
+    early: np.ndarray
+    #: Per entry: it finishes after its deadline (Constraint 1).
+    late: np.ndarray
+    #: The entries in ``(start, task name, index)`` order.
+    ordered: FlatSchedule
+    #: Per pair of neighbours in ``ordered``: the second starts before the
+    #: first finishes (Constraint 2).
+    overlap: np.ndarray
+
+    @property
+    def found(self) -> bool:
+        return bool(
+            self.missing.any() or self.early.any() or self.late.any() or self.overlap.any()
+        )
+
+    def messages(self) -> List[str]:
+        """One message per violation, as :func:`validate_schedule` lists them."""
+        found = [
+            f"job {self.jobs.name(row)} is missing from the schedule"
+            for row in np.flatnonzero(self.missing).tolist()
+        ]
+        schedule, ordered = self.schedule, self.ordered
+        columns = schedule.tasks.columns()
+        release = schedule.releases().tolist()
+        deadline = (schedule.releases() + columns.deadline[schedule.task]).tolist()
+        start = schedule.start.tolist()
+        finish = (schedule.start + columns.wcet[schedule.task]).tolist()
+        for row in np.flatnonzero(self.early | self.late).tolist():
+            if self.early[row]:
+                found.append(
+                    f"job {schedule.name(row)} starts at {start[row]} before its "
+                    f"release {release[row]}"
+                )
+            if self.late[row]:
+                found.append(
+                    f"job {schedule.name(row)} finishes at {finish[row]} after its "
+                    f"deadline {deadline[row]}"
+                )
+        start = ordered.start.tolist()
+        finish = (ordered.start + columns.wcet[ordered.task]).tolist()
+        for row in np.flatnonzero(self.overlap).tolist():
+            found.append(
+                f"jobs {ordered.name(row)} and {ordered.name(row + 1)} overlap: "
+                f"[{start[row]}, {finish[row]}) and [{start[row + 1]}, {finish[row + 1]})"
+            )
+        return found
+
+
+def find_violations(schedule: FlatSchedule, jobs: Optional[FlatSchedule] = None) -> Violations:
+    """Check ``schedule`` against the constraints with array reductions.
+
+    ``jobs``, over the same task table, are the jobs it must hold; the
+    neighbours compared are those of the ``(start, task name, index)``
+    order, as in :func:`validate_schedule`.
+    """
+    columns = schedule.tasks.columns()
+    if jobs is None:
+        missing = np.zeros(0, dtype=bool)
+    else:
+        shared_tasks([schedule, jobs], schedule.tasks)
+        missing = ~schedule.starts_of(jobs)[0]
+    release = schedule.releases()
+    wcet = columns.wcet[schedule.task]
+    ordered = schedule.table_order()
+    return Violations(
+        schedule,
+        jobs,
+        missing,
+        schedule.start < release,
+        schedule.start + wcet > release + columns.deadline[schedule.task],
+        ordered,
+        ordered.start[1:] < (ordered.start + columns.wcet[ordered.task])[:-1],
+    )
+
+
 def validate_schedule(
-    schedule: Schedule,
-    jobs: Optional[Sequence[IOJob]] = None,
+    schedule: Union[Schedule, FlatSchedule],
+    jobs: Union[Sequence[IOJob], FlatSchedule, None] = None,
     *,
     raise_on_error: bool = True,
 ) -> List[str]:
@@ -307,7 +464,9 @@ def validate_schedule(
     Parameters
     ----------
     schedule:
-        The schedule to validate.
+        The schedule to validate: a :class:`Schedule`, or a
+        :class:`FlatSchedule` (then ``jobs`` is one too, over the same task
+        table).
     jobs:
         If given, the complete set of jobs that *must* appear in the schedule
         (completeness check).  If omitted, only the scheduled jobs are checked.
@@ -315,34 +474,15 @@ def validate_schedule(
         If true (default), raise :class:`ScheduleValidationError` describing the
         first group of violations; otherwise return the list of violation
         messages (empty if the schedule is valid).
+
+    The messages name each missing job in the order ``jobs`` lists them,
+    then each entry that starts before its release or finishes after its
+    deadline in the order the schedule lists them, then each pair of
+    neighbours in ``(start, task name, index)`` order that overlaps.
     """
-    violations: List[str] = []
-
-    if jobs is not None:
-        scheduled_keys = {entry.job.key for entry in schedule.entries}
-        for job in jobs:
-            if job.key not in scheduled_keys:
-                violations.append(f"job {job.name} is missing from the schedule")
-
-    for entry in schedule.entries:
-        job = entry.job
-        if entry.start < job.release:
-            violations.append(
-                f"job {job.name} starts at {entry.start} before its release {job.release}"
-            )
-        if entry.finish > job.deadline:
-            violations.append(
-                f"job {job.name} finishes at {entry.finish} after its deadline {job.deadline}"
-            )
-
-    ordered = schedule.sorted_entries()
-    for previous, current in zip(ordered, ordered[1:]):
-        if current.start < previous.finish:
-            violations.append(
-                f"jobs {previous.job.name} and {current.job.name} overlap: "
-                f"[{previous.start}, {previous.finish}) and [{current.start}, {current.finish})"
-            )
-
+    if isinstance(schedule, Schedule):
+        schedule, jobs = flatten(schedule, jobs)
+    violations = find_violations(schedule, jobs).messages()
     if violations and raise_on_error:
         raise ScheduleValidationError("; ".join(violations))
     return violations

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.schedule import FlatSchedule, Schedule, ScheduleEntry
+from repro.core.schedule import FlatSchedule, Schedule, ScheduleEntry, task_table
 from repro.core.task import IOTask, TaskSet
 
 _TASK_FIELDS = (
@@ -59,15 +59,23 @@ def taskset_from_dict(data: Dict[str, Any]) -> TaskSet:
 
 def schedule_to_dict(schedule: Schedule, task_set: TaskSet) -> Dict[str, Any]:
     """Schedule as ``{device, entries: [{task, job, start}]}`` (tasks by name)."""
+    return flat_schedule_to_dict(
+        FlatSchedule.from_schedule(schedule, task_table([schedule], task_set))
+    )
+
+
+def flat_schedule_to_dict(schedule: FlatSchedule) -> Dict[str, Any]:
+    """:func:`schedule_to_dict` of a flat schedule: its entries in ``(start,
+    task name, index)`` order, as plain ``int`` values."""
+    ordered = schedule.table_order()
+    names = schedule.tasks.columns().names
     return {
         "device": schedule.device,
         "entries": [
-            {
-                "task": entry.job.task.name,
-                "job": entry.job.index,
-                "start": entry.start,
-            }
-            for entry in schedule.sorted_entries()
+            {"task": names[task], "job": job, "start": start}
+            for task, job, start in zip(
+                ordered.task.tolist(), ordered.job.tolist(), ordered.start.tolist()
+            )
         ],
     }
 

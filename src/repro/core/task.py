@@ -261,17 +261,6 @@ class IOJob:
             object.__setattr__(self, "_max_quality", cached)
         return cached
 
-    def overlaps_ideally_with(self, other: "IOJob") -> bool:
-        """Whether the *ideal* executions of the two jobs overlap in time.
-
-        Used to build the dependency graphs of Algorithm 1: two jobs conflict
-        if executing both at their ideal start times would overlap on the
-        shared I/O device.
-        """
-        a_start, a_end = self.ideal_start, self.ideal_start + self.wcet
-        b_start, b_end = other.ideal_start, other.ideal_start + other.wcet
-        return a_start < b_end and b_start < a_end
-
     def __lt__(self, other: "IOJob") -> bool:
         return (self.ideal_start, self.key) < (other.ideal_start, other.key)
 
@@ -310,6 +299,8 @@ class TaskColumns:
     name_rank: np.ndarray
     offset: np.ndarray
     period: np.ndarray
+    deadline: np.ndarray
+    priority: np.ndarray
     ideal_offset: np.ndarray
     theta: np.ndarray
     wcet: np.ndarray
@@ -335,6 +326,8 @@ class TaskColumns:
             name_rank=name_rank,
             offset=column("offset"),
             period=column("period"),
+            deadline=column("deadline"),
+            priority=column("priority", None),
             ideal_offset=column("ideal_offset"),
             theta=column("theta"),
             wcet=column("wcet"),

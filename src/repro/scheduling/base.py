@@ -4,51 +4,85 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.metrics import ScheduleMetrics, aggregate_psi, aggregate_upsilon, schedule_metrics
-from repro.core.schedule import Schedule, SystemSchedule
+from repro.core.metrics import ScheduleMetrics, flat_psi, flat_upsilon, schedule_metrics
+from repro.core.schedule import FlatSchedule, Schedule, SystemSchedule, flatten
 from repro.core.task import IOJob, TaskSet
 
 
 @dataclass
 class ScheduleResult:
-    """Outcome of scheduling the jobs of a single per-device partition."""
+    """Outcome of scheduling the jobs of a single per-device partition.
+
+    The schedule is held as start vectors, ``flat``, listing the jobs in the
+    order the scheduler placed them (``None`` when it found none).  The
+    object views are built when first read: :attr:`schedule`, and, for a
+    result with best points (the GA's), ``info["best_psi_schedule"]`` and
+    ``info["best_upsilon_schedule"]``.
+    """
 
     schedulable: bool
-    schedule: Optional[Schedule]
+    flat: Optional[FlatSchedule]
     metrics: ScheduleMetrics
     #: Scheduler-specific diagnostics (e.g. number of sacrificed jobs, GA
     #: generations executed, Pareto-front size).
-    info: Dict[str, Any] = field(default_factory=dict)
+    diagnostics: Dict[str, Any] = field(default_factory=dict)
+    #: The best-Psi and best-Upsilon schedules of a search's Pareto front.
+    best: Optional[Tuple[FlatSchedule, FlatSchedule]] = None
+    _schedule: Optional[Schedule] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def infeasible(cls, n_jobs: int = 0, **info: Any) -> "ScheduleResult":
-        return cls(
-            schedulable=False,
-            schedule=None,
-            metrics=ScheduleMetrics.infeasible(n_jobs=n_jobs),
-            info=dict(info),
-        )
+        return cls(False, None, ScheduleMetrics.infeasible(n_jobs=n_jobs), dict(info))
+
+    @classmethod
+    def from_flat(
+        cls,
+        flat: FlatSchedule,
+        jobs: FlatSchedule,
+        best: Optional[Tuple[FlatSchedule, FlatSchedule]] = None,
+        **info: Any,
+    ) -> "ScheduleResult":
+        """Build a result from the entries a scheduler placed, in the order it
+        placed them, validated against ``jobs`` (over the same task table).
+
+        The entries become what a :class:`Schedule` holds once they are added
+        in that order (:meth:`FlatSchedule.as_added`).  The quality metrics
+        (Psi, Upsilon) are computed even when the schedule violates a
+        deadline — the ``schedulable`` flag records the violation — so that
+        the timing accuracy of non-guaranteeing baselines (FIFO/GPIOCP)
+        remains measurable, as in Figures 6-7 of the paper.
+        """
+        flat = flat.as_added()
+        metrics = schedule_metrics(flat, jobs, strict=False)
+        return cls(metrics.schedulable, flat, metrics, dict(info), best)
 
     @classmethod
     def from_schedule(
         cls, schedule: Schedule, jobs: Sequence[IOJob], **info: Any
     ) -> "ScheduleResult":
-        """Build a result from a complete schedule, validating it against ``jobs``.
+        """:meth:`from_flat` for a complete :class:`Schedule`, validated
+        against the job objects ``jobs``."""
+        flat, required = flatten(schedule, jobs)
+        metrics = schedule_metrics(flat, required, strict=False)
+        return cls(metrics.schedulable, flat, metrics, dict(info), _schedule=schedule)
 
-        The quality metrics (Psi, Upsilon) are computed from the schedule even
-        when it violates a deadline — the ``schedulable`` flag records the
-        violation — so that the timing accuracy of non-guaranteeing baselines
-        (FIFO/GPIOCP) remains measurable, as in Figures 6-7 of the paper.
-        """
-        metrics = schedule_metrics(schedule, jobs, strict=False)
-        return cls(
-            schedulable=metrics.schedulable,
-            schedule=schedule,
-            metrics=metrics,
-            info=dict(info),
-        )
+    @property
+    def schedule(self) -> Optional[Schedule]:
+        if self._schedule is None and self.flat is not None:
+            self._schedule = self.flat.to_schedule()
+        return self._schedule
+
+    @property
+    def info(self) -> Dict[str, Any]:
+        """:attr:`diagnostics`, with the best points as :class:`Schedule`
+        objects under ``best_psi_schedule`` and ``best_upsilon_schedule``."""
+        if self.best is not None and "best_psi_schedule" not in self.diagnostics:
+            psi_point, upsilon_point = self.best
+            self.diagnostics["best_psi_schedule"] = psi_point.to_schedule()
+            self.diagnostics["best_upsilon_schedule"] = upsilon_point.to_schedule()
+        return self.diagnostics
 
     @property
     def psi(self) -> float:
@@ -74,6 +108,10 @@ class SystemScheduleResult:
                 system[device] = result.schedule
         return system
 
+    def flat_schedules(self) -> List[FlatSchedule]:
+        """The produced schedules, in device order."""
+        return [result.flat for result in self.per_device.values() if result.flat is not None]
+
     @property
     def psi(self) -> float:
         """System-wide Psi (job-weighted across devices) of the produced schedules.
@@ -81,16 +119,12 @@ class SystemScheduleResult:
         Computed even when a deadline is violated (see the ``schedulable`` flag),
         so that baselines without timing guarantees remain measurable.
         """
-        return aggregate_psi(
-            result.schedule for result in self.per_device.values() if result.schedule
-        )
+        return flat_psi(self.flat_schedules())
 
     @property
     def upsilon(self) -> float:
         """System-wide Upsilon of the produced schedules (see :attr:`psi`)."""
-        return aggregate_upsilon(
-            result.schedule for result in self.per_device.values() if result.schedule
-        )
+        return flat_upsilon(self.flat_schedules())
 
 
 class Scheduler(ABC):

@@ -11,9 +11,11 @@ entirely, which is why FPS achieves excellent schedulability (Figure 5) but a
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.core.schedule import Schedule
+import numpy as np
+
+from repro.core.schedule import FlatSchedule
 from repro.core.task import IOJob
 from repro.scheduling.base import Scheduler, ScheduleResult
 from repro.scheduling.registry import register_scheduler
@@ -26,38 +28,51 @@ class FPSOfflineScheduler(Scheduler):
     name = "fps-offline"
 
     def schedule_jobs(self, jobs: Sequence[IOJob], horizon: int) -> ScheduleResult:
-        jobs = list(jobs)
-        schedule = Schedule()
-        if not jobs:
-            return ScheduleResult.from_schedule(schedule, jobs)
+        table = FlatSchedule.of_jobs(jobs)
+        if not len(table):
+            return ScheduleResult.from_flat(table, table)
 
         # Jobs indexed by release time; a priority queue holds released jobs
-        # ordered by (priority desc, release, key) — the classic FPS dispatcher.
-        by_release: List[IOJob] = sorted(jobs, key=lambda j: (j.release, j.key))
-        ready: List[Tuple[int, int, Tuple[str, int], IOJob]] = []
+        # ordered by (priority desc, release, key) — the classic FPS
+        # dispatcher.  The table lists tasks in name order, so a task's
+        # position orders its jobs' keys by name.
+        columns = table.tasks.columns()
+        release = table.releases().tolist()
+        wcet = columns.wcet[table.task].tolist()
+        rank = [
+            (-priority, released, task, job)
+            for priority, released, task, job in zip(
+                columns.priority[table.task].tolist(),
+                release,
+                table.task.tolist(),
+                table.job.tolist(),
+            )
+        ]
+        by_release: List[int] = np.lexsort((table.job, table.task, release)).tolist()
+        ready: List[Tuple[Tuple[int, int, int, int], int]] = []
+        dispatched: List[int] = []
+        starts: List[int] = []
         next_index = 0
         time = 0
         n_total = len(by_release)
-        scheduled = 0
 
-        while scheduled < n_total:
+        while len(dispatched) < n_total:
             # Admit everything released by the current time.
-            while next_index < n_total and by_release[next_index].release <= time:
-                job = by_release[next_index]
-                heapq.heappush(ready, (-job.priority, job.release, job.key, job))
+            while next_index < n_total and release[by_release[next_index]] <= time:
+                row = by_release[next_index]
+                heapq.heappush(ready, (rank[row], row))
                 next_index += 1
 
             if not ready:
                 # Idle until the next release.
-                time = by_release[next_index].release
+                time = release[by_release[next_index]]
                 continue
 
-            _, _, _, job = heapq.heappop(ready)
-            start = max(time, job.release)
-            schedule.set_start(job, start)
-            time = start + job.wcet
-            scheduled += 1
+            _, row = heapq.heappop(ready)
+            start = max(time, release[row])
+            dispatched.append(row)
+            starts.append(start)
+            time = start + wcet[row]
 
-        return ScheduleResult.from_schedule(
-            schedule, jobs, makespan=schedule.makespan
-        )
+        schedule = table.take(dispatched, np.array(starts, dtype=np.int64))
+        return ScheduleResult.from_flat(schedule, table, makespan=time)

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.schedule import FlatSchedule
 from repro.core.task import IOJob
 
 
@@ -97,6 +98,7 @@ class GAProblem:
                 f"a GAProblem covers a single device partition, got {sorted(devices)}"
             )
         self._compiled: Optional[CompiledPartition] = None
+        self._table: Optional[FlatSchedule] = None
 
     @property
     def n_genes(self) -> int:
@@ -120,12 +122,6 @@ class GAProblem:
     def ideal_genes(self) -> np.ndarray:
         """Gene vector with every job at its ideal start time."""
         return np.array([job.ideal_start for job in self.jobs], dtype=np.int64)
-
-    def genes_from_schedule_mapping(self, starts_by_key) -> np.ndarray:
-        """Gene vector from a ``{job key: start}`` mapping (e.g. another scheduler's output)."""
-        return np.array(
-            [int(starts_by_key[job.key]) for job in self.jobs], dtype=np.int64
-        )
 
     def random_genes(self, rng: np.random.Generator) -> np.ndarray:
         """Random gene vector drawn uniformly inside the timing boundaries."""
@@ -158,3 +154,11 @@ class GAProblem:
             bounds = [self.gene_bounds(index) for index in range(self.n_genes)]
             self._compiled = CompiledPartition.from_jobs(self.jobs, bounds)
         return self._compiled
+
+    def table(self) -> FlatSchedule:
+        """The jobs, in problem job order, as a flat schedule at their ideal
+        starts (computed once, then cached); a repaired start-time row is a
+        start vector over it."""
+        if self._table is None:
+            self._table = FlatSchedule.of_jobs(self.jobs)
+        return self._table

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.memo import get_memo
-from repro.core.schedule import Schedule
+from repro.core.schedule import FlatSchedule
 from repro.core.task import IOJob
 from repro.scheduling.base import Scheduler, ScheduleResult
 from repro.scheduling.ga.encoding import GAProblem
@@ -90,7 +90,8 @@ class GAScheduler(Scheduler):
     def schedule_jobs(self, jobs: Sequence[IOJob], horizon: int) -> ScheduleResult:
         jobs = list(jobs)
         if not jobs:
-            return ScheduleResult.from_schedule(Schedule(), jobs)
+            empty = FlatSchedule.of_jobs(jobs)
+            return ScheduleResult.from_flat(empty, empty)
 
         # Compiling the partition (gene bounds, release/deadline arrays) is a
         # pure function of (jobs, horizon) and the problem is read-only during
@@ -103,10 +104,10 @@ class GAScheduler(Scheduler):
         seeds = self._build_seeds(problem, jobs, horizon)
 
         # The batch evaluator scores a whole (pop, n_genes) matrix per call.
-        # Archive payloads are the repaired start-time rows — Schedule objects
-        # are only materialised for the handful of entries reported below.
-        # Each row is a copy: an archived view would keep its whole batch's
-        # start matrix alive for the rest of the run.
+        # Archive payloads are the repaired start-time rows; the entries
+        # reported below become flat schedules.  Each row is a copy: an
+        # archived view would keep its whole batch's start matrix alive for
+        # the rest of the run.
         def evaluate_batch(genes_matrix: np.ndarray):
             objectives, starts, feasible = evaluate_genes_batch(problem, genes_matrix)
             payloads = [
@@ -144,16 +145,17 @@ class GAScheduler(Scheduler):
         info["best_psi_upsilon"] = best_psi.objectives[1]
         info["best_upsilon"] = best_upsilon.objectives[1]
         info["best_upsilon_psi"] = best_upsilon.objectives[0]
-        info["best_psi_schedule"] = self._schedule_from_starts(problem, best_psi.payload)
-        info["best_upsilon_schedule"] = self._schedule_from_starts(
-            problem, best_upsilon.payload
+        table = problem.table()
+        best = (
+            self._placed(table, best_psi.payload).as_added(),
+            self._placed(table, best_upsilon.payload).as_added(),
         )
 
         # The preferred single schedule balances both objectives: the archive
         # entry with the largest objective sum (a simple knee-point proxy).
         preferred = max(archive.entries, key=lambda entry: sum(entry.objectives))
-        return ScheduleResult.from_schedule(
-            self._schedule_from_starts(problem, preferred.payload), jobs, **info
+        return ScheduleResult.from_flat(
+            self._placed(table, preferred.payload), table, best, **info
         )
 
     # -- internals -----------------------------------------------------------
@@ -165,19 +167,12 @@ class GAScheduler(Scheduler):
         return problem
 
     @staticmethod
-    def _schedule_from_starts(problem: GAProblem, starts: np.ndarray) -> Schedule:
-        """Materialise a Schedule from a repaired start-time row.
-
-        Entries are inserted in execution order (repaired starts never
-        overlap, so ascending start *is* the execution order) — the same
-        insertion order the scalar repair produced, keeping the metrics'
-        float accumulation identical.
-        """
-        order = np.argsort(np.asarray(starts), kind="stable")
-        schedule = Schedule()
-        for index in order:
-            schedule.set_start(problem.jobs[int(index)], int(starts[int(index)]))
-        return schedule
+    def _placed(table: FlatSchedule, starts: np.ndarray) -> FlatSchedule:
+        """The problem's jobs at a repaired start-time row, in execution
+        order (repaired starts never overlap, so ascending start *is* the
+        execution order; a stable sort keeps ties in problem order)."""
+        order = np.argsort(starts, kind="stable")
+        return table.take(order, starts[order])
 
     def _build_seeds(
         self, problem: GAProblem, jobs: Sequence[IOJob], horizon: int
@@ -191,10 +186,9 @@ class GAScheduler(Scheduler):
         # either way — the heuristic canonicalises internally — and using the
         # caller's order shares the per-worker memo entry with a plain
         # "static" run of the same partition.
+        # Both schedules list their tasks in name order (FlatSchedule.of_jobs),
+        # so their task positions agree.
         result = heuristic.schedule_jobs(jobs, horizon)
-        if result.schedulable and result.schedule is not None:
-            starts_by_key = {
-                entry.job.key: entry.start for entry in result.schedule.entries
-            }
-            seeds.append(problem.genes_from_schedule_mapping(starts_by_key))
+        if result.schedulable and result.flat is not None:
+            seeds.append(result.flat.starts_of(problem.table())[1])
         return seeds

@@ -11,9 +11,11 @@ and schedulability, which is what Figures 5-7 of the paper show.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
-from repro.core.schedule import Schedule
+import numpy as np
+
+from repro.core.schedule import FlatSchedule
 from repro.core.task import IOJob
 from repro.scheduling.base import Scheduler, ScheduleResult
 from repro.scheduling.registry import register_scheduler
@@ -26,25 +28,24 @@ class GPIOCPScheduler(Scheduler):
     name = "gpiocp"
 
     def schedule_jobs(self, jobs: Sequence[IOJob], horizon: int) -> ScheduleResult:
-        jobs = list(jobs)
-        schedule = Schedule()
-        if not jobs:
-            return ScheduleResult.from_schedule(schedule, jobs)
+        table = FlatSchedule.of_jobs(jobs)
+        if not len(table):
+            return ScheduleResult.from_flat(table, table)
 
         # Requests are fired at their ideal start times and enter a FIFO queue;
-        # ties are broken by priority then job identity for determinism.
-        arrival_order: List[IOJob] = sorted(
-            jobs, key=lambda j: (j.ideal_start, -j.priority, j.key)
+        # ties are broken by priority then job identity for determinism (the
+        # table lists tasks in name order, so a task's position orders keys).
+        columns = table.tasks.columns()
+        arrival = np.lexsort(
+            (table.job, table.task, -columns.priority[table.task], table.start)
         )
-        device_free_at = 0
-        queue_delayed = 0
-        for job in arrival_order:
-            start = max(job.ideal_start, device_free_at)
-            if start > job.ideal_start:
-                queue_delayed += 1
-            schedule.set_start(job, start)
-            device_free_at = start + job.wcet
-
-        return ScheduleResult.from_schedule(
-            schedule, jobs, queue_delayed=queue_delayed
+        queued = table.take(arrival)
+        # Each request starts at max(its ideal start, the previous finish):
+        # with W the WCET before it, start_k = W_k + max_{j<=k}(ideal_j - W_j).
+        wcet = columns.wcet[queued.task]
+        before = np.cumsum(wcet) - wcet
+        start = np.maximum.accumulate(queued.start - before) + before
+        queue_delayed = int(np.count_nonzero(start > queued.start))
+        return ScheduleResult.from_flat(
+            queued.take(slice(None), start), table, queue_delayed=queue_delayed
         )

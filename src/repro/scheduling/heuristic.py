@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.core.memo import get_memo
+from repro.core.schedule import FlatSchedule
 from repro.core.task import IOJob
 from repro.scheduling.base import Scheduler, ScheduleResult
 from repro.scheduling.dependency_graph import build_dependency_graphs, decompose_graphs
@@ -39,32 +40,28 @@ class HeuristicScheduler(Scheduler):
     def schedule_jobs(self, jobs: Sequence[IOJob], horizon: int) -> ScheduleResult:
         jobs = list(jobs)
         if not jobs:
-            from repro.core.schedule import Schedule
-
-            return ScheduleResult.from_schedule(Schedule(), jobs)
+            empty = FlatSchedule.of_jobs(jobs)
+            return ScheduleResult.from_flat(empty, empty)
 
         # The whole pipeline is a pure function of (jobs, horizon, placement
         # policy), and the same partition is scheduled repeatedly within a
         # process (cache misses on a warm worker, GA heuristic seeding), so
         # the result is memoised per worker.  Jobs are frozen values, so the
-        # key compares by content, and callers get a fresh Schedule copy to
-        # keep the stored entry pristine.
+        # key compares by content.  Callers share the stored start vectors,
+        # which are read-only, and each gets its own result and diagnostics.
         memo = get_memo("heuristic")
         key = (horizon, self.allocator.prefer_ideal_placement, tuple(jobs))
         result = memo.get(key)
         if result is None:
             result = memo.put(key, self._schedule_jobs_uncached(jobs, horizon))
         return ScheduleResult(
-            schedulable=result.schedulable,
-            schedule=result.schedule.copy() if result.schedule is not None else None,
-            metrics=result.metrics,
-            info=dict(result.info),
+            result.schedulable, result.flat, result.metrics, dict(result.diagnostics)
         )
 
     def _schedule_jobs_uncached(self, jobs: List[IOJob], horizon: int) -> ScheduleResult:
         graphs = build_dependency_graphs(jobs)
         kept, sacrificed = decompose_graphs(graphs)
-        schedule, report = self.allocator.allocate(kept, sacrificed, horizon)
+        flat, report = self.allocator.allocate(kept, sacrificed, horizon)
 
         info = {
             "n_input_jobs": len(jobs),
@@ -75,6 +72,9 @@ class HeuristicScheduler(Scheduler):
             "allocated_by_shift": report.allocated_by_shift,
             "failed_job": report.failed_job,
         }
-        if schedule is None:
+        if flat is None:
             return ScheduleResult.infeasible(n_jobs=len(jobs), **info)
-        return ScheduleResult.from_schedule(schedule, jobs, **info)
+        result = ScheduleResult.from_flat(flat, FlatSchedule.of_jobs(jobs, flat.tasks), **info)
+        for vector in (result.flat.task, result.flat.job, result.flat.start):
+            vector.flags.writeable = False
+        return result

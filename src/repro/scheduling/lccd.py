@@ -23,8 +23,9 @@ The allocator works on arrays.  The placed jobs are start-sorted ``starts`` /
 ``finishes`` / ``placed`` (job position) vectors; they never overlap, so the
 finishes are sorted too.  The free slots are the gaps above the running
 maximum of the finishes, and the jobs inside a run of slots are a contiguous
-range of the vectors.  The :class:`~repro.core.schedule.Schedule` is built
-once, at the end.
+range of the vectors.  The schedule is returned as start vectors
+(:class:`~repro.core.schedule.FlatSchedule`); no job object is read after
+the jobs are laid out.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.schedule import Schedule, ScheduleEntry
+from repro.core.schedule import FlatSchedule
 from repro.core.task import IOJob
 
 
@@ -76,21 +77,25 @@ class LCCDAllocator:
         kept: Sequence[IOJob],
         sacrificed: Sequence[IOJob],
         horizon: int,
-    ) -> Tuple[Optional[Schedule], AllocationReport]:
+    ) -> Tuple[Optional[FlatSchedule], AllocationReport]:
         """Build a complete schedule, or return ``(None, report)`` if infeasible.
 
         ``kept`` must not overlap at their ideal starts (``decompose_graphs``
-        guarantees it).
+        guarantees it).  The schedule lists the kept jobs, then the
+        sacrificed ones in allocation order, over a table of their tasks
+        (:meth:`FlatSchedule.of_jobs`).
         """
         report = AllocationReport()
         # Highest priority first (the paper's "largest P_i first").
         pending = sorted(sacrificed, key=lambda j: (-j.priority, j.ideal_start, j.key))
-        jobs = list(kept) + pending
+        jobs = FlatSchedule.of_jobs(list(kept) + pending)
+        columns = jobs.tasks.columns()
+        release = jobs.releases()
         w = _Windows(
-            release=np.array([j.release for j in jobs], dtype=np.int64),
-            deadline=np.array([j.deadline for j in jobs], dtype=np.int64),
-            wcet=np.array([j.wcet for j in jobs], dtype=np.int64),
-            ideal=np.array([j.ideal_start for j in jobs], dtype=np.int64),
+            release=release,
+            deadline=release + columns.deadline[jobs.task],
+            wcet=columns.wcet[jobs.task],
+            ideal=jobs.start,
         )
 
         # Buffers for every job; the first ``position`` entries hold the jobs
@@ -110,7 +115,7 @@ class LCCDAllocator:
                     starts[:position], finishes[:position], placed[:position],
                 )
                 if start is None:
-                    report.failed_job = jobs[position].name
+                    report.failed_job = jobs.name(position)
                     return None, report
                 report.allocated_by_shift += 1
             at = int(np.searchsorted(starts[:position], start))
@@ -124,10 +129,7 @@ class LCCDAllocator:
 
         final = np.empty(len(jobs), dtype=np.int64)
         final[placed] = starts
-        schedule = Schedule(
-            ScheduleEntry(job=job, start=start) for job, start in zip(jobs, final.tolist())
-        )
-        return schedule, report
+        return jobs.take(slice(None), final), report
 
     def _placement(self, w: _Windows, position: int, lo: int, hi: int) -> int:
         """Start of job ``position`` in the window-clipped gap ``[lo, hi)``."""

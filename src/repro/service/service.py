@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.core.metrics import aggregate_psi, aggregate_upsilon
-from repro.core.serialization import content_hash, schedule_to_dict
+from repro.core.metrics import flat_psi, flat_upsilon
+from repro.core.schedule import FlatSchedule
+from repro.core.serialization import content_hash, flat_schedule_to_dict
 from repro.obs.trace import PHASE_SCHEDULE, span
 from repro.scheduling.base import SystemScheduleResult
 from repro.service.cache import ScheduleCache
@@ -72,21 +73,23 @@ def ga_best_objectives(result: SystemScheduleResult) -> Tuple[float, float]:
     partition, aggregated job-weighted, mirroring how the paper reports "the
     best result obtained for each objective".  For single-schedule methods the
     per-device fronts degenerate to the produced schedule, so the aggregates
-    equal the plain system Psi/Upsilon.
+    equal the plain system Psi/Upsilon.  Both are reductions over the
+    devices' start vectors, in device order.
     """
-    best_psi_schedules = []
-    best_upsilon_schedules = []
+    best_psi_schedules: List[FlatSchedule] = []
+    best_upsilon_schedules: List[FlatSchedule] = []
     for device_result in result.per_device.values():
-        info = device_result.info
-        psi_schedule = info.get("best_psi_schedule") or device_result.schedule
-        upsilon_schedule = info.get("best_upsilon_schedule") or device_result.schedule
-        if psi_schedule is not None:
-            best_psi_schedules.append(psi_schedule)
-        if upsilon_schedule is not None:
-            best_upsilon_schedules.append(upsilon_schedule)
-    best_psi = aggregate_psi(best_psi_schedules) if best_psi_schedules else 0.0
-    best_upsilon = aggregate_upsilon(best_upsilon_schedules) if best_upsilon_schedules else 0.0
-    return best_psi, best_upsilon
+        if device_result.best is not None:
+            psi_schedule, upsilon_schedule = device_result.best
+        elif device_result.flat is not None:
+            psi_schedule = upsilon_schedule = device_result.flat
+        else:
+            continue
+        best_psi_schedules.append(psi_schedule)
+        best_upsilon_schedules.append(upsilon_schedule)
+    if not best_psi_schedules:
+        return 0.0, 0.0
+    return flat_psi(best_psi_schedules), flat_upsilon(best_upsilon_schedules)
 
 
 def _effective_horizon(request: ScheduleRequest) -> int:
@@ -112,12 +115,11 @@ def build_response(
     per_device: Dict[str, Dict[str, Any]] = {}
     psi = upsilon = best_psi = best_upsilon = 0.0
     if produces_schedule:
-        task_set = request.effective_task_set()
         for device, device_result in result.per_device.items():
-            schedule = device_result.schedule
+            flat = device_result.flat
             info = {
                 key: value
-                for key, value in device_result.info.items()
+                for key, value in device_result.diagnostics.items()
                 if isinstance(value, _SCALAR_INFO_TYPES)
             }
             per_device[device] = {
@@ -125,9 +127,7 @@ def build_response(
                 "psi": device_result.psi,
                 "upsilon": device_result.upsilon,
                 "n_jobs": device_result.metrics.n_jobs,
-                "schedule": (
-                    schedule_to_dict(schedule, task_set) if schedule is not None else None
-                ),
+                "schedule": flat_schedule_to_dict(flat) if flat is not None else None,
                 "info": info,
             }
         psi, upsilon = result.psi, result.upsilon

@@ -78,20 +78,10 @@ class TestSchedule:
         assert [e.job.task.name for e in ordered] == ["a", "b"]
         assert schedule.makespan == 9 * MS + 2 * MS
 
-    def test_idle_intervals(self):
-        t1, t2 = make_task(name="a"), make_task(name="b", delta=9 * MS)
-        schedule = Schedule()
-        schedule.set_start(t1.job(0), 5 * MS)
-        schedule.set_start(t2.job(0), 9 * MS)
-        idle = schedule.idle_intervals(20 * MS)
-        assert idle == [(0, 5 * MS), (7 * MS, 9 * MS), (11 * MS, 20 * MS)]
-
-    def test_idle_intervals_empty_schedule(self):
-        assert Schedule().idle_intervals(100) == [(0, 100)]
-
-    def test_from_mapping_and_copy(self):
+    def test_copy_is_independent(self):
         job = make_task().job(0)
-        schedule = Schedule.from_mapping({job: 4000})
+        schedule = Schedule()
+        schedule.set_start(job, 4000)
         duplicate = schedule.copy()
         duplicate.set_start(job, 5000)
         assert schedule.start_of(job) == 4000

@@ -86,14 +86,6 @@ class TestJobs:
         with pytest.raises(ValueError):
             task().job(-1)
 
-    def test_overlaps_ideally_with(self):
-        a = task(name="a", ideal_offset=5 * MS).job(0)
-        b = task(name="b", ideal_offset=6 * MS).job(0)
-        c = task(name="c", ideal_offset=8 * MS).job(0)
-        assert a.overlaps_ideally_with(b)
-        assert b.overlaps_ideally_with(a)
-        assert not a.overlaps_ideally_with(c)  # a ends exactly when c starts
-
     def test_job_quality_at_ideal_is_vmax(self):
         job = task(v_max=7.0).job(1)
         assert job.quality(job.ideal_start) == pytest.approx(7.0)

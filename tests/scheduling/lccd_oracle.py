@@ -12,8 +12,8 @@ equality:
   breadth-first search instead of the running-maximum component count, and
   a max-scan over every node per victim instead of the heap);
 * :class:`LCCDAllocator` against ``repro.scheduling.lccd.LCCDAllocator``
-  (schedules rebuilt from ``Schedule.idle_intervals`` after every
-  placement; same entries in the same insertion order, same report);
+  (schedules rebuilt from :func:`idle_intervals` after every placement;
+  same entries in the same insertion order, same report);
 * :class:`FreeSlot` and the slot helpers, which the reference allocator
   uses and ``test_slots.py`` covers.
 
@@ -85,9 +85,22 @@ class FreeSlot:
         return min(max(job.ideal_start, earliest), latest)
 
 
+def idle_intervals(schedule: Schedule, horizon: int) -> List[Tuple[int, int]]:
+    """Sorted idle (free-slot) intervals in ``[0, horizon)`` around the busy ones."""
+    idle: List[Tuple[int, int]] = []
+    cursor = 0
+    for start, finish in schedule.busy_intervals():
+        if start > cursor:
+            idle.append((cursor, start))
+        cursor = max(cursor, finish)
+    if cursor < horizon:
+        idle.append((cursor, horizon))
+    return idle
+
+
 def free_slots(schedule: Schedule, horizon: int) -> List[FreeSlot]:
     """Maximal idle intervals of ``schedule`` over ``[0, horizon)``."""
-    return [FreeSlot(start, end) for start, end in schedule.idle_intervals(horizon)]
+    return [FreeSlot(start, end) for start, end in idle_intervals(schedule, horizon)]
 
 
 def slots_within_window(
@@ -110,12 +123,19 @@ def total_capacity(slots: Sequence[FreeSlot]) -> int:
 # -- dependency graphs -------------------------------------------------------------
 
 
+def overlaps_ideally(a: IOJob, b: IOJob) -> bool:
+    """Whether the *ideal* executions of the two jobs overlap in time."""
+    a_start, a_end = a.ideal_start, a.ideal_start + a.wcet
+    b_start, b_end = b.ideal_start, b.ideal_start + b.wcet
+    return a_start < b_end and b_start < a_end
+
+
 def conflict_adjacency(jobs: Sequence[IOJob]) -> Dict[Key, Set[Key]]:
     """Job key -> keys of the jobs whose ideal executions overlap it (all pairs)."""
     adjacency: Dict[Key, Set[Key]] = {job.key: set() for job in jobs}
     for i, job in enumerate(jobs):
         for other in jobs[i + 1:]:
-            if job.overlaps_ideally_with(other):
+            if overlaps_ideally(job, other):
                 adjacency[job.key].add(other.key)
                 adjacency[other.key].add(job.key)
     return adjacency
@@ -224,7 +244,7 @@ class LCCDAllocator:
         remaining_wcets: np.ndarray,
         horizon: int,
     ) -> bool:
-        intervals = schedule.idle_intervals(horizon)
+        intervals = idle_intervals(schedule, horizon)
         if not intervals:
             return False
         starts = np.fromiter((lo for lo, _ in intervals), dtype=np.int64, count=len(intervals))

@@ -183,9 +183,7 @@ def perturbed_heuristic_population(problem: GAProblem, size: int, rng) -> np.nda
     """
     result = HeuristicScheduler().schedule_jobs(problem.jobs, problem.horizon)
     assert result.schedulable
-    base = problem.genes_from_schedule_mapping(
-        {entry.job.key: entry.start for entry in result.schedule.entries}
-    )
+    base = np.array([result.schedule.start_of(job) for job in problem.jobs], dtype=np.int64)
     mutating = rng.random((size, problem.n_genes)) < rng.uniform(0.005, 0.05, (size, 1))
     snapping = rng.random((size, problem.n_genes)) < 0.5
     replacement = np.where(

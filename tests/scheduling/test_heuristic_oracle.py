@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import lccd_oracle
 from repro.core import IOTask, Schedule
+from repro.core.schedule import FlatSchedule
 from repro.scenario import create_scenario, materialize
 from repro.scheduling import build_dependency_graphs, decompose_graphs
 from repro.scheduling.lccd import LCCDAllocator
@@ -73,7 +74,8 @@ def entries(schedule):
 def assert_matches_oracle(jobs, horizon, prefer_ideal_placement):
     graphs = build_dependency_graphs(jobs)
     kept, sacrificed = decompose_graphs(graphs)
-    schedule, report = LCCDAllocator(prefer_ideal_placement).allocate(kept, sacrificed, horizon)
+    flat, report = LCCDAllocator(prefer_ideal_placement).allocate(kept, sacrificed, horizon)
+    schedule = None if flat is None else flat.to_schedule()
     oracle = lccd_oracle.schedule_jobs(
         jobs, horizon, prefer_ideal_placement=prefer_ideal_placement
     )
@@ -107,22 +109,16 @@ def test_drawn_partitions_reach_every_allocation_outcome():
     assert any(not r.feasible and not r.allocated_by_shift for r in reports)
 
 
-def test_allocate_builds_the_schedule_once(monkeypatch):
-    """One ``Schedule.add`` per job and no idle-interval rebuilds (476 jobs)."""
+def test_allocate_builds_no_schedule_object(monkeypatch):
+    """The allocation returns start vectors; it adds no ``Schedule`` entry
+    (476 jobs)."""
     scenario = create_scenario("paper-default").with_utilisation(0.7).with_workload(n_tasks=40)
     task_set = materialize(scenario, 0).task_set
     jobs = task_set.jobs(task_set.hyperperiod())
     kept, sacrificed = decompose_graphs(build_dependency_graphs(jobs))
-    calls = {"add": 0, "idle_intervals": 0}
-    for name in calls:
-        original = getattr(Schedule, name)
-
-        def counted(self, *args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(self, *args)
-
-        monkeypatch.setattr(Schedule, name, counted)
-    schedule, report = LCCDAllocator().allocate(kept, sacrificed, task_set.hyperperiod())
-    assert schedule is not None and len(schedule) == len(jobs) == 476
+    added = []
+    monkeypatch.setattr(Schedule, "add", lambda self, entry: added.append(entry))
+    flat, report = LCCDAllocator().allocate(kept, sacrificed, task_set.hyperperiod())
+    assert isinstance(flat, FlatSchedule) and len(flat) == len(jobs) == 476
     assert report.allocated_by_shift > 0
-    assert calls == {"add": 476, "idle_intervals": 0}
+    assert added == []

@@ -6,6 +6,12 @@ from repro.core import MS, IOTask, validate_schedule
 from repro.scheduling.lccd import LCCDAllocator
 
 
+def allocate(kept, sacrificed, horizon, **options):
+    """``LCCDAllocator.allocate`` with its start vectors as a ``Schedule``."""
+    flat, report = LCCDAllocator(**options).allocate(kept, sacrificed, horizon)
+    return (None if flat is None else flat.to_schedule()), report
+
+
 def make_task(name, delta, wcet=2 * MS, period=40 * MS, priority=1, theta=None):
     return IOTask(
         name=name,
@@ -21,7 +27,7 @@ class TestDirectAllocation:
     def test_sacrificed_job_placed_in_free_slot(self):
         kept = [make_task("k", 10 * MS).job(0)]
         sacrificed = [make_task("s", 11 * MS).job(0)]
-        schedule, report = LCCDAllocator().allocate(kept, sacrificed, horizon=40 * MS)
+        schedule, report = allocate(kept, sacrificed, horizon=40 * MS)
         assert schedule is not None
         assert report.allocated_direct == 1
         assert validate_schedule(schedule, kept + sacrificed, raise_on_error=False) == []
@@ -29,7 +35,7 @@ class TestDirectAllocation:
     def test_kept_jobs_remain_at_ideal_start(self):
         kept = [make_task("k1", 10 * MS).job(0), make_task("k2", 20 * MS).job(0)]
         sacrificed = [make_task("s", 11 * MS).job(0)]
-        schedule, _ = LCCDAllocator().allocate(kept, sacrificed, horizon=40 * MS)
+        schedule, _ = allocate(kept, sacrificed, horizon=40 * MS)
         for job in kept:
             assert schedule.start_of(job) == job.ideal_start
 
@@ -39,16 +45,14 @@ class TestDirectAllocation:
         # on its ideal start inside that slot.
         kept = [make_task("k", 1 * MS).job(0)]
         sacrificed = [make_task("s", 20 * MS).job(0)]
-        default_schedule, _ = LCCDAllocator().allocate(kept, sacrificed, 40 * MS)
-        ideal_schedule, _ = LCCDAllocator(prefer_ideal_placement=True).allocate(
-            kept, sacrificed, 40 * MS
-        )
+        default_schedule, _ = allocate(kept, sacrificed, 40 * MS)
+        ideal_schedule, _ = allocate(kept, sacrificed, 40 * MS, prefer_ideal_placement=True)
         sacrificed_job = sacrificed[0]
         assert ideal_schedule.start_of(sacrificed_job) == sacrificed_job.ideal_start
         assert default_schedule.start_of(sacrificed_job) <= ideal_schedule.start_of(sacrificed_job)
 
     def test_empty_inputs(self):
-        schedule, report = LCCDAllocator().allocate([], [], horizon=10 * MS)
+        schedule, report = allocate([], [], horizon=10 * MS)
         assert schedule is not None
         assert len(schedule) == 0
         assert report.feasible
@@ -65,7 +69,7 @@ class TestShiftAllocation:
         sacrificed = [
             make_task("s", 8 * MS, wcet=6 * MS, period=20 * MS, theta=5 * MS).job(0)
         ]
-        schedule, report = LCCDAllocator().allocate(kept, sacrificed, horizon=20 * MS)
+        schedule, report = allocate(kept, sacrificed, horizon=20 * MS)
         assert schedule is not None
         assert report.allocated_by_shift == 1
         assert validate_schedule(schedule, kept + sacrificed, raise_on_error=False) == []
@@ -77,7 +81,7 @@ class TestShiftAllocation:
             make_task("s1", 4 * MS, wcet=6 * MS, period=16 * MS).job(0),
             make_task("s2", 6 * MS, wcet=6 * MS, period=16 * MS).job(0),
         ]
-        schedule, report = LCCDAllocator().allocate(kept, sacrificed, horizon=16 * MS)
+        schedule, report = allocate(kept, sacrificed, horizon=16 * MS)
         assert schedule is None
         assert not report.feasible
         assert report.failed_job is not None
@@ -88,7 +92,7 @@ class TestPriorityOrdering:
         kept = [make_task("k", 10 * MS).job(0)]
         high = make_task("high", 11 * MS, priority=5).job(0)
         low = make_task("low", 12 * MS, priority=1).job(0)
-        schedule, _ = LCCDAllocator().allocate(kept, [low, high], horizon=40 * MS)
+        schedule, _ = allocate(kept, [low, high], horizon=40 * MS)
         assert schedule is not None
         # Both fit, but the higher-priority job is handled first and therefore
         # claims the earlier (smaller-contention) placement.

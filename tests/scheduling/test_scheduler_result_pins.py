@@ -12,6 +12,11 @@
   two devices, two tasks sharing a name, an LC-CD failure and a GA whose
   archive stays empty.  A result is pinned as its flag, metrics, scalar
   diagnostics and the entries of its schedule in the order it lists them.
+  A job listed twice keeps the place it was first given and the start it
+  was last given, as a ``Schedule`` keeps it.  Two different tasks of one
+  name raise ``ValueError``: start vectors name a job by its task's
+  position in a table of tasks by name, so they cannot hold what a
+  ``Schedule`` once made of them (one task's job in the other's place).
 
 The values were computed once and are literals on purpose: do not update
 them to make a change pass.
@@ -203,7 +208,7 @@ EDGE_DIGESTS = {
     ("static", "two-devices"):
         "4ec4da0b8dc8a6eeb3926ef1610b2d1a097de41c588091a1e2aebc31c74cde38",
     ("static", "shared-name"):
-        "b75c82fa3c601d91514acd47bd51d39b6fa3cdd5cce855199281568f27109632",
+        "283c0c6ab38a01f49357929c839fe440eb3ea7112aca8d1cfa196417ff6efb45",
     ("static", "overloaded"):
         "fc4a18714daec33173c972e8b0bb66f22f34948d62155e9c24c5d4cdf48b8b39",
     ("gpiocp", "empty"):
@@ -213,7 +218,7 @@ EDGE_DIGESTS = {
     ("gpiocp", "two-devices"):
         "4ec4da0b8dc8a6eeb3926ef1610b2d1a097de41c588091a1e2aebc31c74cde38",
     ("gpiocp", "shared-name"):
-        "ff32aac67c54d0e9dcaa021bca721ff1bdbe888de8781f3c6a15944be59d8c0c",
+        "283c0c6ab38a01f49357929c839fe440eb3ea7112aca8d1cfa196417ff6efb45",
     ("gpiocp", "overloaded"):
         "86993465a063703ea08577f0291f470f04a6774184de444cb3cc93d7ca531943",
     ("fps-offline", "empty"):
@@ -223,7 +228,7 @@ EDGE_DIGESTS = {
     ("fps-offline", "two-devices"):
         "69a718db39ba5dda0c78e97a2c185303611481ab050a439a061afd38567da0b0",
     ("fps-offline", "shared-name"):
-        "276ba3f04f2bb28548bc544c55f15ea0ae74cc88ccdfb797f40e4a52734796cc",
+        "283c0c6ab38a01f49357929c839fe440eb3ea7112aca8d1cfa196417ff6efb45",
     ("fps-offline", "overloaded"):
         "03aeb5b05bb581b2cf13d31f8923b8c1058d00846600ec4b5948ba6ad15fe375",
     ("ga", "empty"):
@@ -233,7 +238,7 @@ EDGE_DIGESTS = {
     ("ga", "two-devices"):
         "cd9245edebfce6e23d9c3e7569b1b72b92b57641361e44efb6fd2c0d2a70da10",
     ("ga", "shared-name"):
-        "61188f10280eeded38cbf3d4bdaa56f1bab42c7101ce58fd88ac9ef4c5c76d44",
+        "283c0c6ab38a01f49357929c839fe440eb3ea7112aca8d1cfa196417ff6efb45",
     ("ga", "overloaded"):
         "e5ab327109f65dc567b43fdbbf61f769fdc9348704eb1c90c8d29875543b17a6",
 }
