@@ -292,11 +292,19 @@ class IOController:
         ``simulator.exhausted`` set.  The result also carries the events this
         call processed and the simulator's trace counts.
 
+        Every call starts from the loaded state: the devices, channels,
+        enable bits and fault counters of an earlier run do not carry over.
         This is the object API of phase 3 and the oracle of
         :meth:`run_tables`, which the execution models call instead.
         """
         if not hasattr(self, "_offline"):
             raise RuntimeError("load_system_schedule() must be called before run()")
+        # Phase 3 starts from the loaded state, as run_tables does, however
+        # often it runs: each processor is rebuilt around its loaded table,
+        # with fresh devices, channels and fault counters and no task enabled.
+        loaded, self.processors = self.processors, {}
+        for device, processor in loaded.items():
+            self._ensure_processor(device).table.replace(*processor.table.columns())
         simulator = simulator or Simulator()
         offline = {device: schedule.to_schedule() for device, schedule in self._offline.items()}
 
@@ -333,8 +341,8 @@ class IOController:
     def run_tables(self, max_events: Optional[int] = None) -> ControllerRunResult:
         """Phase 3 in one pass over each device's loaded scheduling table.
 
-        Returns what ``run(Simulator(), max_events=max_events)`` returns on a
-        freshly built controller, and leaves the processors as they are: no
+        Returns what ``run(Simulator(), max_events=max_events)`` returns, and
+        leaves the processors as they are: no
         event, channel message, device operation or trace record is built.
 
         Every scheduled job's request joins the FIFO of its device in the

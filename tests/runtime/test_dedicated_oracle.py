@@ -338,3 +338,20 @@ def test_an_error_past_the_budget_is_never_reached():
     assert fast == oracle
     assert oracle["counts"] == (1, 0, 0)
     assert oracle["budget"] == (1, True)
+
+
+def test_a_second_run_repeats_the_first():
+    """``IOController.run`` starts from the loaded state each time: a second
+    run on a fresh simulator, after one load, returns the first run's result
+    (the devices' busy times, channels, enable bits and fault counters of
+    the first run do not carry over)."""
+    scenario = create_scenario("short-hyperperiod")
+    system = materialize(scenario, 0)
+    request = ScheduleRequest(scenario=scenario, spec=SchedulerSpec.parse("static"))
+    controller = system.platform.controller
+    controller.preload_taskset(system.task_set)
+    controller.load_system_schedule(execute_request(request).device_schedules(system.task_set))
+    first = observables(controller.run(Simulator()))
+    assert first["counts"][0] > 0
+    assert observables(controller.run(Simulator())) == first
+    assert observables(controller.run_tables()) == first
