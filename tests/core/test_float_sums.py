@@ -5,7 +5,9 @@ float total computed with ``sum()`` can differ in its last bits between 3.11
 and 3.12.  Upsilon (``repro.core.metrics``) and the series statistics
 (``repro.experiments.stats``) reach pinned digests, so they add left to right
 in a plain loop or with ``np.cumsum``.  The simulation goldens pin the
-run-time Upsilon and the deviation and NoC-latency means.  These tests
+run-time Upsilon and the deviation and NoC-latency means; the GA golden, the
+scheduler-result, batch-CLI, campaign and alias pins pin Upsilon-bearing
+response and journal bytes.  These tests
 rerun the goldens that read such totals with ``builtins.sum`` replaced by
 an emulation of the 3.12 algorithm (``sum312.compensated_sum``) and expect
 the same digests.
@@ -33,6 +35,11 @@ FLOAT_SUM_GOLDENS = (
     "tests/scheduling/test_ga_vectorized_properties.py"
     "::TestBatchedFitnessKernels::test_evaluate_batch_matches_scalar_evaluate",
     "tests/runtime/test_simulation_golden.py",
+    "tests/scheduling/test_ga_golden.py",
+    "tests/scheduling/test_scheduler_result_pins.py",
+    "tests/service/test_batch_cli_pins.py",
+    "tests/campaign/test_campaign_pins.py",
+    "tests/core/test_alias_pins.py",
 )
 
 
