@@ -17,10 +17,8 @@ from repro.core.memo import (
 from repro.core.hyperperiod import hyperperiod, jobs_in_hyperperiod, lcm, lcm_many
 from repro.core.metrics import (
     ScheduleMetrics,
-    aggregate_psi,
-    aggregate_upsilon,
-    exact_accurate_jobs,
-    mean_absolute_lateness,
+    flat_psi,
+    flat_upsilon,
     psi,
     schedule_metrics,
     upsilon,
@@ -69,10 +67,8 @@ __all__ = [
     "partition_utilisations",
     "psi",
     "upsilon",
-    "aggregate_psi",
-    "aggregate_upsilon",
-    "exact_accurate_jobs",
-    "mean_absolute_lateness",
+    "flat_psi",
+    "flat_upsilon",
     "schedule_metrics",
     "ScheduleMetrics",
 ]

@@ -7,8 +7,9 @@
 
 They are computed as array reductions over
 :class:`~repro.core.schedule.FlatSchedule` vectors (:func:`flat_psi`,
-:func:`flat_upsilon`, :func:`schedule_metrics`); the functions that take
-:class:`~repro.core.schedule.Schedule` objects flatten them first.
+:func:`flat_upsilon`, :func:`schedule_metrics`); :func:`schedule_metrics`
+flattens a :class:`~repro.core.schedule.Schedule` first, as :func:`psi` and
+:func:`upsilon` do.
 :func:`linear_quality` is the element-wise quality curve the vector forms
 and the GA's batched fitness share.
 """
@@ -16,51 +17,22 @@ and the GA's batched fitness share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
-from repro.core.schedule import (
-    FlatSchedule,
-    Schedule,
-    ScheduleEntry,
-    find_violations,
-    flatten,
-    task_table,
-)
+from repro.core.schedule import FlatSchedule, Schedule, find_violations, flatten, task_table
 from repro.core.task import IOJob
-
-
-def exact_accurate_jobs(schedule: Schedule) -> List[ScheduleEntry]:
-    """The set ``E`` of exactly timing-accurate jobs (Equation (1))."""
-    return [entry for entry in schedule.entries if entry.is_exact]
-
-
-def _flat(schedules: Iterable[Schedule]) -> List[FlatSchedule]:
-    schedules = list(schedules)
-    tasks = task_table(schedules)
-    return [FlatSchedule.from_schedule(schedule, tasks) for schedule in schedules]
 
 
 def psi(schedule: Schedule) -> float:
     """Fraction of exactly timing-accurate jobs, ``Psi = |E| / |lambda|``."""
-    return flat_psi(_flat([schedule]))
+    return flat_psi([FlatSchedule.from_schedule(schedule, task_table([schedule]))])
 
 
 def upsilon(schedule: Schedule) -> float:
     """Normalised total quality, ``Upsilon`` (Equation (2))."""
-    return flat_upsilon(_flat([schedule]))
-
-
-def mean_absolute_lateness(schedule: Schedule) -> float:
-    """Mean absolute distance between actual and ideal start times (microseconds).
-
-    Not a paper metric, but a useful diagnostic for timing accuracy.
-    """
-    entries = schedule.entries
-    if not entries:
-        return 0.0
-    return sum(abs(entry.lateness) for entry in entries) / len(entries)
+    return flat_upsilon([FlatSchedule.from_schedule(schedule, task_table([schedule]))])
 
 
 @dataclass(frozen=True)
@@ -106,7 +78,7 @@ def schedule_metrics(
     """
     if isinstance(schedule, Schedule):
         schedule, jobs = flatten(schedule, jobs)
-    violated = find_violations(schedule, jobs).found
+    violated = any(mask.any() for mask in find_violations(schedule, jobs))
     if violated and strict:
         return ScheduleMetrics.infeasible(n_jobs=len(jobs) if jobs else len(schedule))
     n_jobs = len(schedule)
@@ -120,16 +92,6 @@ def schedule_metrics(
         n_exact=n_exact,
         mean_abs_lateness_us=int(distance.sum()) / n_jobs if n_jobs else 0.0,
     )
-
-
-def aggregate_psi(schedules: Iterable[Schedule]) -> float:
-    """System-wide Psi across several per-device schedules (job-weighted)."""
-    return flat_psi(_flat(schedules))
-
-
-def aggregate_upsilon(schedules: Iterable[Schedule]) -> float:
-    """System-wide Upsilon across several per-device schedules (quality-weighted)."""
-    return flat_upsilon(_flat(schedules))
 
 
 # -- vector forms ------------------------------------------------------------------

@@ -24,19 +24,8 @@ constraints of Section III-B, as array reductions over the flat form
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, replace
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,11 +59,7 @@ class ScheduleEntry:
 
     @property
     def quality(self) -> float:
-        cached = self.__dict__.get("_quality")
-        if cached is None:
-            cached = self.job.quality(self.start)
-            object.__setattr__(self, "_quality", cached)
-        return cached
+        return self.job.quality(self.start)
 
 
 class Schedule:
@@ -98,12 +83,7 @@ class Schedule:
                 f"job {entry.job.name} targets device {entry.job.device!r} but the "
                 f"schedule is for device {self.device!r}"
             )
-        if self._sorted_cache is not None:
-            if entry.job.key in self._entries:
-                # Replacing an entry moves it; cheaper to re-sort lazily.
-                self._sorted_cache = None
-            else:
-                insort(self._sorted_cache, entry, key=lambda e: (e.start, e.job.key))
+        self._sorted_cache = None
         self._entries[entry.job.key] = entry
 
     def set_start(self, job: IOJob, start: int) -> None:
@@ -149,12 +129,6 @@ class Schedule:
         if not self._entries:
             return 0
         return max(entry.finish for entry in self._entries.values())
-
-    # -- analysis ----------------------------------------------------------
-
-    def busy_intervals(self) -> List[Tuple[int, int]]:
-        """Sorted ``(start, finish)`` intervals during which the device is busy."""
-        return [(e.start, e.finish) for e in self.sorted_entries()]
 
     def copy(self) -> "Schedule":
         """An independent schedule with the same entries, order and device.
@@ -370,85 +344,28 @@ def flatten(
     return FlatSchedule.from_schedule(schedule, tasks), required
 
 
-class Violations(NamedTuple):
-    """Where a flat schedule breaks the execution-model constraints."""
-
-    schedule: FlatSchedule
-    jobs: Optional[FlatSchedule]
-    #: Per job of ``jobs``: the schedule lacks it.
-    missing: np.ndarray
-    #: Per entry: it starts before its release (Constraint 1).
-    early: np.ndarray
-    #: Per entry: it finishes after its deadline (Constraint 1).
-    late: np.ndarray
-    #: The entries in ``(start, task name, index)`` order.
-    ordered: FlatSchedule
-    #: Per pair of neighbours in ``ordered``: the second starts before the
-    #: first finishes (Constraint 2).
-    overlap: np.ndarray
-
-    @property
-    def found(self) -> bool:
-        return bool(
-            self.missing.any() or self.early.any() or self.late.any() or self.overlap.any()
-        )
-
-    def messages(self) -> List[str]:
-        """One message per violation, as :func:`validate_schedule` lists them."""
-        found = [
-            f"job {self.jobs.name(row)} is missing from the schedule"
-            for row in np.flatnonzero(self.missing).tolist()
-        ]
-        schedule, ordered = self.schedule, self.ordered
-        columns = schedule.tasks.columns()
-        release = schedule.releases().tolist()
-        deadline = (schedule.releases() + columns.deadline[schedule.task]).tolist()
-        start = schedule.start.tolist()
-        finish = (schedule.start + columns.wcet[schedule.task]).tolist()
-        for row in np.flatnonzero(self.early | self.late).tolist():
-            if self.early[row]:
-                found.append(
-                    f"job {schedule.name(row)} starts at {start[row]} before its "
-                    f"release {release[row]}"
-                )
-            if self.late[row]:
-                found.append(
-                    f"job {schedule.name(row)} finishes at {finish[row]} after its "
-                    f"deadline {deadline[row]}"
-                )
-        start = ordered.start.tolist()
-        finish = (ordered.start + columns.wcet[ordered.task]).tolist()
-        for row in np.flatnonzero(self.overlap).tolist():
-            found.append(
-                f"jobs {ordered.name(row)} and {ordered.name(row + 1)} overlap: "
-                f"[{start[row]}, {finish[row]}) and [{start[row + 1]}, {finish[row + 1]})"
-            )
-        return found
-
-
-def find_violations(schedule: FlatSchedule, jobs: Optional[FlatSchedule] = None) -> Violations:
+def find_violations(
+    schedule: FlatSchedule, jobs: Optional[FlatSchedule] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Check ``schedule`` against the constraints with array reductions.
 
-    ``jobs``, over the same task table, are the jobs it must hold; the
-    neighbours compared are those of the ``(start, task name, index)``
-    order, as in :func:`validate_schedule`.
+    Returns ``(missing, early, late, overlap)`` masks: per job of ``jobs``
+    (over the same task table), the schedule lacks it; per entry, it starts
+    before its release, or finishes after its deadline (Constraint 1); per
+    pair of neighbours in ``(start, task name, index)`` order, the second
+    starts before the first finishes (Constraint 2).
     """
     columns = schedule.tasks.columns()
-    if jobs is None:
-        missing = np.zeros(0, dtype=bool)
-    else:
+    missing = np.zeros(0, dtype=bool)
+    if jobs is not None:
         shared_tasks([schedule, jobs], schedule.tasks)
         missing = ~schedule.starts_of(jobs)[0]
     release = schedule.releases()
-    wcet = columns.wcet[schedule.task]
     ordered = schedule.table_order()
-    return Violations(
-        schedule,
-        jobs,
+    return (
         missing,
         schedule.start < release,
-        schedule.start + wcet > release + columns.deadline[schedule.task],
-        ordered,
+        schedule.start + columns.wcet[schedule.task] > release + columns.deadline[schedule.task],
         ordered.start[1:] < (ordered.start + columns.wcet[ordered.task])[:-1],
     )
 
@@ -482,7 +399,33 @@ def validate_schedule(
     """
     if isinstance(schedule, Schedule):
         schedule, jobs = flatten(schedule, jobs)
-    violations = find_violations(schedule, jobs).messages()
+    missing, early, late, overlap = find_violations(schedule, jobs)
+    violations = [
+        f"job {jobs.name(row)} is missing from the schedule"
+        for row in np.flatnonzero(missing).tolist()
+    ]
+    columns = schedule.tasks.columns()
+    start, release = schedule.start, schedule.releases()
+    finish = start + columns.wcet[schedule.task]
+    for row in np.flatnonzero(early | late).tolist():
+        name = schedule.name(row)
+        if early[row]:
+            violations.append(
+                f"job {name} starts at {start[row]} before its release {release[row]}"
+            )
+        if late[row]:
+            deadline = release[row] + columns.deadline[schedule.task[row]]
+            violations.append(
+                f"job {name} finishes at {finish[row]} after its deadline {deadline}"
+            )
+    ordered = schedule.table_order()
+    start = ordered.start
+    finish = start + columns.wcet[ordered.task]
+    for row in np.flatnonzero(overlap).tolist():
+        violations.append(
+            f"jobs {ordered.name(row)} and {ordered.name(row + 1)} overlap: "
+            f"[{start[row]}, {finish[row]}) and [{start[row + 1]}, {finish[row + 1]})"
+        )
     if violations and raise_on_error:
         raise ScheduleValidationError("; ".join(violations))
     return violations

@@ -253,13 +253,7 @@ class IOJob:
 
     def max_quality(self) -> float:
         """Quality obtained at the ideal start time (``V_max``)."""
-        cached = self.__dict__.get("_max_quality")
-        if cached is None:
-            cached = self.task.quality_curve.value(
-                self.ideal_start, self.ideal_start, self.task.theta
-            )
-            object.__setattr__(self, "_max_quality", cached)
-        return cached
+        return self.quality(self.ideal_start)
 
     def __lt__(self, other: "IOJob") -> bool:
         return (self.ideal_start, self.key) < (other.ideal_start, other.key)
@@ -273,10 +267,9 @@ class IOJob:
         return cached
 
     def __getstate__(self) -> Dict[str, object]:
-        """Slim pickles: drop memoised derivatives (hash, max quality)."""
+        """Slim pickles: drop the memoised hash."""
         state = dict(self.__dict__)
         state.pop("_hash", None)
-        state.pop("_max_quality", None)
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:

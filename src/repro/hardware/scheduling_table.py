@@ -86,10 +86,6 @@ class SchedulingTable:
         self._columns = None
         self._due = None
 
-    def load_many(self, entries) -> None:
-        for entry in entries:
-            self.load(entry)
-
     # -- run-time interface -----------------------------------------------------
 
     def enable(self, task_name: str) -> None:

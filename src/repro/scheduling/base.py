@@ -64,9 +64,9 @@ class ScheduleResult:
     ) -> "ScheduleResult":
         """:meth:`from_flat` for a complete :class:`Schedule`, validated
         against the job objects ``jobs``."""
-        flat, required = flatten(schedule, jobs)
-        metrics = schedule_metrics(flat, required, strict=False)
-        return cls(metrics.schedulable, flat, metrics, dict(info), _schedule=schedule)
+        result = cls.from_flat(*flatten(schedule, jobs), **info)
+        result._schedule = schedule
+        return result
 
     @property
     def schedule(self) -> Optional[Schedule]:

@@ -39,15 +39,8 @@ class FPSOfflineScheduler(Scheduler):
         columns = table.tasks.columns()
         release = table.releases().tolist()
         wcet = columns.wcet[table.task].tolist()
-        rank = [
-            (-priority, released, task, job)
-            for priority, released, task, job in zip(
-                columns.priority[table.task].tolist(),
-                release,
-                table.task.tolist(),
-                table.job.tolist(),
-            )
-        ]
+        priority = columns.priority[table.task]
+        rank = list(zip((-priority).tolist(), release, table.task.tolist(), table.job.tolist()))
         by_release: List[int] = np.lexsort((table.job, table.task, release)).tolist()
         ready: List[Tuple[Tuple[int, int, int, int], int]] = []
         dispatched: List[int] = []

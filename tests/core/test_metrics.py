@@ -6,14 +6,18 @@ from repro.core import (
     MS,
     IOTask,
     Schedule,
-    aggregate_psi,
-    aggregate_upsilon,
-    exact_accurate_jobs,
-    mean_absolute_lateness,
+    flat_psi,
+    flat_upsilon,
     psi,
     schedule_metrics,
     upsilon,
 )
+from repro.core.schedule import FlatSchedule, task_table
+
+
+def flat(*schedules: Schedule):
+    tasks = task_table(schedules)
+    return [FlatSchedule.from_schedule(schedule, tasks) for schedule in schedules]
 
 
 def make_task(name="t", v_max=5.0, device="dev0", delta=5 * MS):
@@ -50,7 +54,7 @@ class TestPsi:
     def test_half_exact(self):
         schedule = two_job_schedule(second_exact=False)
         assert psi(schedule) == pytest.approx(0.5)
-        assert len(exact_accurate_jobs(schedule)) == 1
+        assert schedule_metrics(schedule).n_exact == 1
 
     def test_empty_schedule_is_vacuously_perfect(self):
         assert psi(Schedule()) == pytest.approx(1.0)
@@ -105,21 +109,21 @@ class TestScheduleMetrics:
         assert metrics.upsilon > 0.0
 
     def test_mean_absolute_lateness_empty(self):
-        assert mean_absolute_lateness(Schedule()) == 0.0
+        assert schedule_metrics(Schedule()).mean_abs_lateness_us == 0.0
 
 
 class TestAggregation:
     def test_aggregate_psi_job_weighted(self):
         exact = two_job_schedule(second_exact=True)
         half = two_job_schedule(second_exact=False)
-        assert aggregate_psi([exact, half]) == pytest.approx(0.75)
+        assert flat_psi(flat(exact, half)) == pytest.approx(0.75)
 
     def test_aggregate_upsilon_between_parts(self):
         exact = two_job_schedule(second_exact=True)
         half = two_job_schedule(second_exact=False)
-        combined = aggregate_upsilon([exact, half])
+        combined = flat_upsilon(flat(exact, half))
         assert upsilon(half) <= combined <= upsilon(exact)
 
     def test_aggregate_of_nothing_is_one(self):
-        assert aggregate_psi([]) == pytest.approx(1.0)
-        assert aggregate_upsilon([]) == pytest.approx(1.0)
+        assert flat_psi([]) == pytest.approx(1.0)
+        assert flat_upsilon([]) == pytest.approx(1.0)

@@ -120,7 +120,8 @@ class TestSchedulingTable:
 
     def test_due_entries_and_next_start(self):
         table = SchedulingTable()
-        table.load_many([TableEntry("a", 0, 100), TableEntry("b", 0, 100), TableEntry("a", 1, 300)])
+        for entry in (TableEntry("a", 0, 100), TableEntry("b", 0, 100), TableEntry("a", 1, 300)):
+            table.load(entry)
         assert {e.task_name for e in table.due_entries(100)} == {"a", "b"}
         assert table.due_entries(200) == []
         assert table.next_start_after(100) == 300
@@ -128,12 +129,14 @@ class TestSchedulingTable:
 
     def test_entries_for_task(self):
         table = SchedulingTable()
-        table.load_many([TableEntry("a", 0, 100), TableEntry("b", 0, 150), TableEntry("a", 1, 300)])
+        for entry in (TableEntry("a", 0, 100), TableEntry("b", 0, 150), TableEntry("a", 1, 300)):
+            table.load(entry)
         assert len(table.entries_for("a")) == 2
 
     def test_reload_moves_a_key_to_its_new_start_time(self):
         table = SchedulingTable()
-        table.load_many([TableEntry("b", 0, 100), TableEntry("a", 0, 100)])
+        table.load(TableEntry("b", 0, 100))
+        table.load(TableEntry("a", 0, 100))
         table.due_entries(100).clear()  # callers get a copy, not the index
         assert table.due_entries(100) == [TableEntry("a", 0, 100), TableEntry("b", 0, 100)]
         table.load(TableEntry("a", 0, 300))
@@ -161,7 +164,8 @@ class TestSchedulingTable:
         never leave the start-time index stale."""
         table = SchedulingTable()
         for loads in rounds:
-            table.load_many(loads)
+            for entry in loads:
+                table.load(entry)
             for time in range(-1, 14):
                 expected = [entry for entry in table.entries() if entry.start_time == time]
                 assert table.due_entries(time) == expected

@@ -3,26 +3,36 @@
 ``ControllerRunResult`` (``repro.hardware.controller``) scores its flat
 runtime and offline schedules with array reductions.  This module keeps the
 rules those reductions replaced, over ``Schedule`` objects, so the property
-tests can hold the vectors to them: Psi and Upsilon through
-``aggregate_psi`` and ``aggregate_upsilon``, and the walks over runtime
-entries behind the start-time deviations, ``matches_offline`` and the
-accuracy.
+tests can hold the vectors to them: Psi and Upsilon over the runtime
+entries (Upsilon added left to right, in run order), and the walks behind
+the start-time deviations, ``matches_offline`` and the accuracy.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.metrics import aggregate_psi, aggregate_upsilon
 from repro.core.schedule import Schedule
 
 
 def psi(runtime: Dict[str, Schedule]) -> float:
-    return aggregate_psi(runtime.values())
+    total = sum(len(schedule) for schedule in runtime.values())
+    if total == 0:
+        return 1.0
+    exact = sum(entry.is_exact for schedule in runtime.values() for entry in schedule.entries)
+    return exact / total
 
 
 def upsilon(runtime: Dict[str, Schedule]) -> float:
-    return aggregate_upsilon(runtime.values())
+    obtained = 0.0
+    ideal = 0.0
+    for schedule in runtime.values():
+        for entry in schedule.entries:
+            obtained += entry.quality
+            ideal += entry.job.max_quality()
+    if ideal == 0:
+        return 1.0
+    return obtained / ideal
 
 
 def matches_offline(runtime: Dict[str, Schedule], offline: Dict[str, Schedule]) -> bool:

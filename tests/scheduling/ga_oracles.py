@@ -11,10 +11,9 @@ can check the kernels against them for exact equality:
 * :func:`dominates` inside the sequential-insert oracle of
   ``ParetoArchive.merge``;
 * :func:`reconfigure` / :func:`evaluate` against ``evaluate_batch``
-  (objectives, repaired starts and feasibility);
-* :func:`satisfies_constraint1`, :func:`count_conflicts` and
-  :func:`violations` against ``constraint1_matrix``,
-  ``count_conflicts_batch`` and ``violations_batch``.
+  (objectives, repaired starts and feasibility), scored by walking the
+  repaired schedule's entries (Upsilon added left to right, in execution
+  order).
 """
 
 from __future__ import annotations
@@ -159,37 +158,13 @@ def evaluate(
     Infeasible individuals (a deadline miss survives the repair) score -1 on
     both objectives, exactly as the paper prescribes.
     """
-    from repro.core.metrics import psi as _psi
-    from repro.core.metrics import upsilon as _upsilon
-
     schedule = reconfigure(jobs, genes)
     if schedule is None:
         return -1.0, -1.0, None
-    return _psi(schedule), _upsilon(schedule), schedule
-
-
-# -- constraints -----------------------------------------------------------------
-
-
-def satisfies_constraint1(job: IOJob, start: int) -> bool:
-    """Constraint 1: the job starts in its release window and meets its deadline."""
-    return job.release <= start <= job.deadline - job.wcet
-
-
-def count_conflicts(jobs: Sequence[IOJob], starts: Sequence[int]) -> int:
-    """Number of overlapping job pairs in a candidate assignment (diagnostic)."""
-    order = sorted(range(len(jobs)), key=lambda i: starts[i])
-    conflicts = 0
-    for a, b in zip(order, order[1:]):
-        if starts[a] + jobs[a].wcet > starts[b]:
-            conflicts += 1
-    return conflicts
-
-
-def violations(jobs: Sequence[IOJob], starts: Sequence[int]) -> Dict[str, int]:
-    """Summary of constraint violations of a candidate assignment (diagnostic)."""
-    c1 = sum(
-        0 if satisfies_constraint1(job, start) else 1
-        for job, start in zip(jobs, starts)
-    )
-    return {"constraint1": c1, "constraint2": count_conflicts(jobs, starts)}
+    entries = schedule.entries
+    obtained = ideal = 0.0
+    for entry in entries:
+        obtained += entry.quality
+        ideal += entry.job.max_quality()
+    psi = sum(entry.is_exact for entry in entries) / len(entries) if entries else 1.0
+    return psi, obtained / ideal if ideal else 1.0, schedule

@@ -89,7 +89,7 @@ def idle_intervals(schedule: Schedule, horizon: int) -> List[Tuple[int, int]]:
     """Sorted idle (free-slot) intervals in ``[0, horizon)`` around the busy ones."""
     idle: List[Tuple[int, int]] = []
     cursor = 0
-    for start, finish in schedule.busy_intervals():
+    for start, finish in ((entry.start, entry.finish) for entry in schedule.sorted_entries()):
         if start > cursor:
             idle.append((cursor, start))
         cursor = max(cursor, finish)

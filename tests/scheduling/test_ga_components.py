@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from ga_oracles import dominates
 
-from repro.core import MS, IOTask
+from repro.core import MS, IOTask, validate_schedule
 from repro.scheduling.ga import GAProblem, evaluate_batch
-from repro.scheduling.ga.constraints import constraint1_matrix, count_conflicts_batch
 from repro.scheduling.ga.nsga2 import ParetoArchive, crowding_distance, fast_non_dominated_sort
 from repro.scheduling.ga.operators import (
     batch_mutate,
@@ -39,20 +38,30 @@ def evaluate_one(jobs, genes):
 
 
 class TestConstraints:
+    """A repaired start-time row is a start vector over the problem's jobs;
+    ``validate_schedule`` checks it against Constraints 1 and 2."""
+
     def test_constraint1(self):
         problem = GAProblem(jobs=[make_task("a").job(0)], horizon=40 * MS)
         job = problem.jobs[0]
         latest = job.deadline - job.wcet
-        starts = np.array([[job.release], [latest], [latest + 1], [job.release - 1]])
-        satisfied = constraint1_matrix(problem.compiled(), starts)
-        assert satisfied[:, 0].tolist() == [True, True, False, False]
+        satisfied = [
+            not validate_schedule(
+                problem.table().take(slice(None), np.array([start])), raise_on_error=False
+            )
+            for start in (job.release, latest, latest + 1, job.release - 1)
+        ]
+        assert satisfied == [True, True, False, False]
 
     def test_constraint2(self):
         a = make_task("a").job(0)
         b = make_task("b").job(0)
-        compiled = GAProblem(jobs=[a, b], horizon=40 * MS).compiled()
-        starts = np.array([[0, 2 * MS], [2 * MS, 0], [0, MS]])  # columns: a, b
-        assert count_conflicts_batch(compiled, starts).tolist() == [0, 0, 1]
+        table = GAProblem(jobs=[a, b], horizon=40 * MS).table()  # rows: a, b
+        overlapping = [
+            len(validate_schedule(table.take(slice(None), np.array(row)), raise_on_error=False))
+            for row in ([0, 2 * MS], [2 * MS, 0], [0, MS])
+        ]
+        assert overlapping == [0, 0, 1]
 
 
 class TestGAProblem:

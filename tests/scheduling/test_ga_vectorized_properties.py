@@ -11,22 +11,14 @@ serialise conflicting jobs.
 import numpy as np
 import pytest
 from ga_oracles import (
-    count_conflicts,
     evaluate,
     reference_crowding_distance,
     reference_fast_non_dominated_sort,
-    satisfies_constraint1,
-    violations,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MS, IOTask
-from repro.scheduling.ga.constraints import (
-    constraint1_matrix,
-    count_conflicts_batch,
-    violations_batch,
-)
 from repro.scheduling.ga.encoding import GAProblem
 from repro.scheduling.ga.nsga2 import crowding_distance, fast_non_dominated_sort
 from repro.scheduling.ga.reconfiguration import evaluate_batch
@@ -119,30 +111,3 @@ class TestBatchedFitnessKernels:
             if schedule is not None:
                 scalar_starts = [schedule.start_of(job) for job in problem.jobs]
                 assert scalar_starts == list(starts[row])
-
-    @given(task_params=task_param_lists, seed=st.integers(0, 10_000))
-    @PROPERTY_SETTINGS
-    def test_constraint_kernels_match_scalar_counts(self, task_params, seed):
-        problem = build_problem(task_params)
-        compiled = problem.compiled()
-        rng = np.random.default_rng(seed)
-        # Raw (unrepaired) genes: plenty of window and overlap violations.
-        population = problem.random_population(6, rng)
-        c1_matrix = constraint1_matrix(compiled, population)
-        batch = violations_batch(compiled, population)
-        for row in range(population.shape[0]):
-            starts = [int(v) for v in population[row]]
-            scalar = violations(problem.jobs, starts)
-            assert batch["constraint1"][row] == scalar["constraint1"]
-            assert batch["constraint2"][row] == scalar["constraint2"]
-            assert batch["constraint2"][row] == count_conflicts(problem.jobs, starts)
-            for index, job in enumerate(problem.jobs):
-                assert bool(c1_matrix[row, index]) == satisfies_constraint1(
-                    job, starts[index]
-                )
-
-    def test_count_conflicts_batch_handles_single_job(self):
-        problem = build_problem([(40, 2, 10, 5, 1)])
-        compiled = problem.compiled()
-        starts = np.array([[compiled.ideal[0]]], dtype=np.int64)
-        assert count_conflicts_batch(compiled, starts).tolist() == [0]
