@@ -25,11 +25,14 @@ constraints of Section III-B, as array reductions over the flat form
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.task import IOJob, IOTask, TaskSet
+
+_TASK, _NAME, _INDEX = attrgetter("task"), attrgetter("name"), attrgetter("index")
 
 
 class ScheduleValidationError(Exception):
@@ -192,16 +195,15 @@ class FlatSchedule:
         could not tell their jobs apart.  The device is left unset
         (:meth:`as_added` sets it).
         """
-        owners = [job.task for job in jobs]
+        owners = list(map(_TASK, jobs))
         if tasks is None:
             named: Dict[str, IOTask] = {}
-            for task in dict.fromkeys(owners):
-                if named.setdefault(task.name, task) is not task:
+            for task in dict(zip(map(id, owners), owners)).values():
+                if named.setdefault(task.name, task) != task:
                     raise ValueError(f"two different tasks are named {task.name!r}")
-            tasks = TaskSet(sorted(named.values(), key=lambda task: task.name))
-        index = tasks.name_index
-        task = np.array([index[owner.name] for owner in owners], dtype=np.int64)
-        job = np.array([job.index for job in jobs], dtype=np.int64)
+            tasks = TaskSet(sorted(named.values(), key=_NAME))
+        task = np.fromiter(map(tasks.name_index.__getitem__, map(_NAME, owners)), np.int64)
+        job = np.fromiter(map(_INDEX, jobs), np.int64)
         flat = cls(tasks, task, job, job)
         return replace(flat, start=flat.ideal_starts())
 

@@ -74,7 +74,10 @@ class HeuristicScheduler(Scheduler):
         }
         if flat is None:
             return ScheduleResult.infeasible(n_jobs=len(jobs), **info)
-        result = ScheduleResult.from_flat(flat, FlatSchedule.of_jobs(jobs, flat.tasks), **info)
+        # LC-CD places every kept and sacrificed job, and together they are
+        # the partition's jobs, so the allocation's rows are the jobs the
+        # schedule must hold.
+        result = ScheduleResult.from_flat(flat, flat, **info)
         for vector in (result.flat.task, result.flat.job, result.flat.start):
             vector.flags.writeable = False
         return result
