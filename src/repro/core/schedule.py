@@ -339,11 +339,12 @@ def flatten(
 ) -> Tuple[FlatSchedule, Optional[FlatSchedule]]:
     """``schedule``, and the ``jobs`` it must hold, as flat schedules over
     one task table (:func:`task_table` of the schedule and the jobs)."""
-    required = None if jobs is None else FlatSchedule.of_jobs(jobs)
-    tasks = task_table([schedule], None if required is None else required.tasks)
-    if required is not None and tasks is not required.tasks:
-        required = FlatSchedule.of_jobs(jobs, tasks)
-    return FlatSchedule.from_schedule(schedule, tasks), required
+    if jobs is None:
+        return FlatSchedule.from_schedule(schedule, task_table([schedule])), None
+    required = FlatSchedule.of_jobs(jobs)
+    # The table lists the jobs' tasks first, at the positions they had.
+    tasks = task_table([schedule], required.tasks)
+    return FlatSchedule.from_schedule(schedule, tasks), replace(required, tasks=tasks)
 
 
 def find_violations(
