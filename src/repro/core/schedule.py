@@ -218,18 +218,19 @@ class FlatSchedule:
         columns = self.tasks.columns()
         codes = columns.device_code[self.task]
         device = columns.device_names[int(codes[0])]
-        other = np.flatnonzero(codes != codes[0])
-        if other.size:
-            row = int(other[0])
+        other = codes != codes[0]
+        if other.any():
+            row = int(other.argmax())
             raise ScheduleValidationError(
                 f"job {self.name(row)} targets device "
                 f"{columns.device_names[int(codes[row])]!r} but the schedule is for "
                 f"device {device!r}"
             )
         key = self.task * (int(self.job.max()) + 1) + self.job
+        ordered = np.sort(key)
+        if (ordered[1:] != ordered[:-1]).all():
+            return FlatSchedule(self.tasks, self.task, self.job, self.start, device)
         first = np.unique(key, return_index=True)[1]
-        if len(first) == len(key):
-            return replace(self, device=device)
         last = len(key) - 1 - np.unique(key[::-1], return_index=True)[1]
         order = np.argsort(first)
         rows = first[order]

@@ -44,17 +44,17 @@ class ScheduleResult:
         best: Optional[Tuple[FlatSchedule, FlatSchedule]] = None,
         **info: Any,
     ) -> "ScheduleResult":
-        """Build a result from the entries a scheduler placed, in the order it
-        placed them, validated against ``jobs`` (over the same task table).
+        """Build a result from a scheduler's schedule, validated against
+        ``jobs`` (over the same task table).
 
-        The entries become what a :class:`Schedule` holds once they are added
-        in that order (:meth:`FlatSchedule.as_added`).  The quality metrics
-        (Psi, Upsilon) are computed even when the schedule violates a
-        deadline — the ``schedulable`` flag records the violation — so that
-        the timing accuracy of non-guaranteeing baselines (FIFO/GPIOCP)
-        remains measurable, as in Figures 6-7 of the paper.
+        ``flat`` lists the jobs in the order the scheduler placed them, as a
+        :class:`Schedule` holds them (:meth:`FlatSchedule.as_added`).  The
+        quality metrics (Psi, Upsilon) are computed even when the schedule
+        violates a deadline — the ``schedulable`` flag records the
+        violation — so that the timing accuracy of non-guaranteeing
+        baselines (FIFO/GPIOCP) remains measurable, as in Figures 6-7 of the
+        paper.
         """
-        flat = flat.as_added()
         metrics = schedule_metrics(flat, jobs, strict=False)
         return cls(metrics.schedulable, flat, metrics, dict(info), best)
 

@@ -67,5 +67,5 @@ class FPSOfflineScheduler(Scheduler):
             starts.append(start)
             time = start + wcet[row]
 
-        schedule = table.take(dispatched, np.array(starts, dtype=np.int64))
+        schedule = table.take(dispatched, np.array(starts, dtype=np.int64)).as_added()
         return ScheduleResult.from_flat(schedule, table, makespan=time)

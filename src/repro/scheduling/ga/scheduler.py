@@ -146,10 +146,7 @@ class GAScheduler(Scheduler):
         info["best_upsilon"] = best_upsilon.objectives[1]
         info["best_upsilon_psi"] = best_upsilon.objectives[0]
         table = problem.table()
-        best = (
-            self._placed(table, best_psi.payload).as_added(),
-            self._placed(table, best_upsilon.payload).as_added(),
-        )
+        best = (self._placed(table, best_psi.payload), self._placed(table, best_upsilon.payload))
 
         # The preferred single schedule balances both objectives: the archive
         # entry with the largest objective sum (a simple knee-point proxy).
@@ -172,7 +169,7 @@ class GAScheduler(Scheduler):
         order (repaired starts never overlap, so ascending start *is* the
         execution order; a stable sort keeps ties in problem order)."""
         order = np.argsort(starts, kind="stable")
-        return table.take(order, starts[order])
+        return table.take(order, starts[order]).as_added()
 
     def _build_seeds(
         self, problem: GAProblem, jobs: Sequence[IOJob], horizon: int

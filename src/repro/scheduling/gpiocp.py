@@ -47,5 +47,5 @@ class GPIOCPScheduler(Scheduler):
         start = np.maximum.accumulate(queued.start - before) + before
         queue_delayed = int(np.count_nonzero(start > queued.start))
         return ScheduleResult.from_flat(
-            queued.take(slice(None), start), table, queue_delayed=queue_delayed
+            queued.take(slice(None), start).as_added(), table, queue_delayed=queue_delayed
         )

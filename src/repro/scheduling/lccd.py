@@ -83,7 +83,9 @@ class LCCDAllocator:
         ``kept`` must not overlap at their ideal starts (``decompose_graphs``
         guarantees it).  The schedule lists the kept jobs, then the
         sacrificed ones in allocation order, over a table of their tasks
-        (:meth:`FlatSchedule.of_jobs`).
+        (:meth:`FlatSchedule.of_jobs`), as a
+        :class:`~repro.core.schedule.Schedule` holds them
+        (:meth:`FlatSchedule.as_added`).
         """
         report = AllocationReport()
         # Highest priority first (the paper's "largest P_i first").
@@ -129,7 +131,7 @@ class LCCDAllocator:
 
         final = np.empty(len(jobs), dtype=np.int64)
         final[placed] = starts
-        return jobs.take(slice(None), final), report
+        return jobs.take(slice(None), final).as_added(), report
 
     def _placement(self, w: _Windows, position: int, lo: int, hi: int) -> int:
         """Start of job ``position`` in the window-clipped gap ``[lo, hi)``."""
