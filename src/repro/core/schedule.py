@@ -133,16 +133,6 @@ class Schedule:
             return 0
         return max(entry.finish for entry in self._entries.values())
 
-    def copy(self) -> "Schedule":
-        """An independent schedule with the same entries, order and device.
-
-        The entries were checked when they were added, so the copy takes the
-        entry table as it is.
-        """
-        clone = Schedule(device=self.device)
-        clone._entries = dict(self._entries)
-        return clone
-
 
 @dataclass(frozen=True, eq=False)
 class FlatSchedule:

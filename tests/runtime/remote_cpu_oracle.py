@@ -83,7 +83,10 @@ def execute(
 
     return ExecutionOutcome(
         runtime_schedules=runtime,
-        offline_schedules={device: schedule.copy() for device, schedule in schedules.items()},
+        offline_schedules={
+            device: Schedule(schedule.entries, device=schedule.device)
+            for device, schedule in schedules.items()
+        },
         executed_jobs=len(jobs),
         skipped_jobs=len(all_entries) - len(jobs),
         faults_detected=0,
