@@ -214,20 +214,6 @@ class ReproServer:
             self.port_file.write_text(f"{self.port}\n", encoding="utf-8")
         self.started.set()
 
-    def start_pool(self) -> None:
-        """Start the worker pool's processes now, from the calling thread.
-
-        A pool forks its workers on its first submission: in a daemon, its
-        first computation, on the event loop's thread.  When that thread is
-        not the process's only one (:class:`ThreadedServer`), a worker forked
-        from it copies whatever the other threads hold at that moment, such
-        as the pipes of a subprocess being started, which then never reach
-        end of file.  Only a pool the daemon built is started; injected
-        services keep their own.
-        """
-        if self._owns_services:
-            self.scheduling._get_executor().submit(int).result()
-
     async def run(self) -> None:
         """Serve until shutdown is requested, then drain and close."""
         await self.start()
@@ -513,10 +499,9 @@ class ThreadedServer:
             client = ServerClient(server.host, server.port)
             ...
 
-    Entering starts the daemon's pool (:meth:`ReproServer.start_pool`), then
-    the event loop thread, and blocks until the socket is bound (so
-    :attr:`server.port <ReproServer.port>` is final); exiting requests
-    graceful shutdown and joins the thread.
+    Entering starts the event loop thread and blocks until the socket is
+    bound (so :attr:`server.port <ReproServer.port>` is final); exiting
+    requests graceful shutdown and joins the thread.
     """
 
     def __init__(self, server: Optional[ReproServer] = None, **kwargs):
@@ -534,7 +519,6 @@ class ThreadedServer:
         return self.server.port
 
     def __enter__(self) -> "ThreadedServer":
-        self.server.start_pool()
         self._thread = threading.Thread(
             target=lambda: asyncio.run(self.server.run()),
             name="repro-server",

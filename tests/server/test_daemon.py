@@ -3,7 +3,6 @@
 import asyncio
 import copy
 import json
-import multiprocessing
 import socket
 import threading
 import time
@@ -346,31 +345,6 @@ class TestGracefulShutdown:
                     client.shutdown()
                 assert exc_info.value.code == ERR_INVALID_REQUEST
                 assert client.health()["status"] == "ok"
-
-
-def new_children(before: set) -> list:
-    return [child for child in multiprocessing.active_children() if child.pid not in before]
-
-
-class TestPoolStart:
-    """Entering a threaded server forks its pool's workers from the entering
-    thread.  Forked later, from the event loop's thread on the first
-    computation, a worker copied the pipes of a subprocess this thread was
-    starting, and the subprocess call never returned."""
-
-    def test_entering_starts_every_worker(self):
-        before = {child.pid for child in multiprocessing.active_children()}
-        with ThreadedServer(n_workers=2, port=0):
-            assert len(new_children(before)) == 2
-        assert new_children(before) == []
-
-    def test_injected_services_keep_their_pool_unstarted(self):
-        before = {child.pid for child in multiprocessing.active_children()}
-        server = ReproServer(
-            port=0, scheduling=GatedStubService(), simulation=GatedStubService()
-        )
-        with ThreadedServer(server):
-            assert new_children(before) == []
 
 
 class TestAsyncClient:
