@@ -21,7 +21,7 @@ from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
-from repro.core.schedule import FlatSchedule, Schedule, find_violations, flatten, task_table
+from repro.core.schedule import FlatSchedule, Schedule, flatten, task_table, validate_schedule
 from repro.core.task import IOJob
 
 
@@ -78,7 +78,7 @@ def schedule_metrics(
     """
     if isinstance(schedule, Schedule):
         schedule, jobs = flatten(schedule, jobs)
-    violated = any(mask.any() for mask in find_violations(schedule, jobs))
+    violated = bool(validate_schedule(schedule, jobs, raise_on_error=False))
     if violated and strict:
         return ScheduleMetrics.infeasible(n_jobs=len(jobs) if jobs else len(schedule))
     n_jobs = len(schedule)

@@ -14,7 +14,7 @@ start time as int vectors.  :meth:`FlatSchedule.from_schedule` and
 
 The module also provides schedule validation for the two execution-model
 constraints of Section III-B, as array reductions over the flat form
-(:func:`find_violations`; :func:`validate_schedule` lists the messages):
+(:func:`validate_schedule`):
 
 * **Constraint 1** — every job starts within its release window and finishes
   before its deadline: ``T_i*j <= kappa_i^j <= T_i*j + D_i - C_i``.
@@ -133,6 +133,20 @@ class Schedule:
             return 0
         return max(entry.finish for entry in self._entries.values())
 
+    def busy_intervals(self) -> List[Tuple[int, int]]:
+        """Sorted ``(start, finish)`` intervals during which the device is busy."""
+        return [(e.start, e.finish) for e in self.sorted_entries()]
+
+    def copy(self) -> "Schedule":
+        """An independent schedule with the same entries, order and device.
+
+        The entries were checked when they were added, so the copy takes the
+        entry table as it is.
+        """
+        clone = Schedule(device=self.device)
+        clone._entries = dict(self._entries)
+        return clone
+
 
 @dataclass(frozen=True, eq=False)
 class FlatSchedule:
@@ -175,23 +189,21 @@ class FlatSchedule:
         )
 
     @classmethod
-    def of_jobs(cls, jobs: Sequence[IOJob], tasks: Optional[TaskSet] = None) -> "FlatSchedule":
-        """``jobs`` as listed, each at its ideal start, over ``tasks``.
+    def of_jobs(cls, jobs: Sequence[IOJob]) -> "FlatSchedule":
+        """``jobs`` as listed, each at its ideal start, over a new table of
+        their tasks in name order, so the tables of any two lists of one set
+        of tasks agree position for position.
 
-        ``tasks`` names every job's task (tasks match by name); by default it
-        is a new table of the jobs' own tasks in name order, so the tables
-        of any two lists of one set of tasks agree position for position.
         Two different tasks of one name raise ``ValueError``, as a schedule
         could not tell their jobs apart.  The device is left unset
         (:meth:`as_added` sets it).
         """
         owners = list(map(_TASK, jobs))
-        if tasks is None:
-            named: Dict[str, IOTask] = {}
-            for task in dict(zip(map(id, owners), owners)).values():
-                if named.setdefault(task.name, task) != task:
-                    raise ValueError(f"two different tasks are named {task.name!r}")
-            tasks = TaskSet(sorted(named.values(), key=_NAME))
+        named: Dict[str, IOTask] = {}
+        for task in dict(zip(map(id, owners), owners)).values():
+            if named.setdefault(task.name, task) != task:
+                raise ValueError(f"two different tasks are named {task.name!r}")
+        tasks = TaskSet(sorted(named.values(), key=_NAME))
         task = np.fromiter(map(tasks.name_index.__getitem__, map(_NAME, owners)), np.int64)
         job = np.fromiter(map(_INDEX, jobs), np.int64)
         flat = cls(tasks, task, job, job)
@@ -249,13 +261,8 @@ class FlatSchedule:
     def take(self, rows, start: Optional[np.ndarray] = None) -> "FlatSchedule":
         """The entries at ``rows`` (an index array or mask), in that order,
         at ``start`` when given."""
-        return FlatSchedule(
-            self.tasks,
-            self.task[rows],
-            self.job[rows],
-            self.start[rows] if start is None else start,
-            self.device,
-        )
+        start = self.start[rows] if start is None else start
+        return FlatSchedule(self.tasks, self.task[rows], self.job[rows], start, self.device)
 
     def releases(self) -> np.ndarray:
         """Each job's release, ``T_i * j`` plus the task's offset."""
@@ -338,39 +345,14 @@ def flatten(
     return FlatSchedule.from_schedule(schedule, tasks), replace(required, tasks=tasks)
 
 
-def find_violations(
-    schedule: FlatSchedule, jobs: Optional[FlatSchedule] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Check ``schedule`` against the constraints with array reductions.
-
-    Returns ``(missing, early, late, overlap)`` masks: per job of ``jobs``
-    (over the same task table), the schedule lacks it; per entry, it starts
-    before its release, or finishes after its deadline (Constraint 1); per
-    pair of neighbours in ``(start, task name, index)`` order, the second
-    starts before the first finishes (Constraint 2).
-    """
-    columns = schedule.tasks.columns()
-    missing = np.zeros(0, dtype=bool)
-    if jobs is not None:
-        shared_tasks([schedule, jobs], schedule.tasks)
-        missing = ~schedule.starts_of(jobs)[0]
-    release = schedule.releases()
-    ordered = schedule.table_order()
-    return (
-        missing,
-        schedule.start < release,
-        schedule.start + columns.wcet[schedule.task] > release + columns.deadline[schedule.task],
-        ordered.start[1:] < (ordered.start + columns.wcet[ordered.task])[:-1],
-    )
-
-
 def validate_schedule(
     schedule: Union[Schedule, FlatSchedule],
     jobs: Union[Sequence[IOJob], FlatSchedule, None] = None,
     *,
     raise_on_error: bool = True,
 ) -> List[str]:
-    """Check a schedule against the execution-model constraints.
+    """Check a schedule against the execution-model constraints with array
+    reductions.
 
     Parameters
     ----------
@@ -388,19 +370,24 @@ def validate_schedule(
 
     The messages name each missing job in the order ``jobs`` lists them,
     then each entry that starts before its release or finishes after its
-    deadline in the order the schedule lists them, then each pair of
-    neighbours in ``(start, task name, index)`` order that overlaps.
+    deadline in the order the schedule lists them (Constraint 1), then each
+    pair of neighbours in ``(start, task name, index)`` order that overlaps
+    (Constraint 2).
     """
     if isinstance(schedule, Schedule):
         schedule, jobs = flatten(schedule, jobs)
-    missing, early, late, overlap = find_violations(schedule, jobs)
-    violations = [
-        f"job {jobs.name(row)} is missing from the schedule"
-        for row in np.flatnonzero(missing).tolist()
-    ]
+    violations: List[str] = []
+    if jobs is not None:
+        shared_tasks([schedule, jobs], schedule.tasks)
+        violations += [
+            f"job {jobs.name(row)} is missing from the schedule"
+            for row in np.flatnonzero(~schedule.starts_of(jobs)[0]).tolist()
+        ]
     columns = schedule.tasks.columns()
     start, release = schedule.start, schedule.releases()
     finish = start + columns.wcet[schedule.task]
+    deadline = release + columns.deadline[schedule.task]
+    early, late = start < release, finish > deadline
     for row in np.flatnonzero(early | late).tolist():
         name = schedule.name(row)
         if early[row]:
@@ -408,14 +395,13 @@ def validate_schedule(
                 f"job {name} starts at {start[row]} before its release {release[row]}"
             )
         if late[row]:
-            deadline = release[row] + columns.deadline[schedule.task[row]]
             violations.append(
-                f"job {name} finishes at {finish[row]} after its deadline {deadline}"
+                f"job {name} finishes at {finish[row]} after its deadline {deadline[row]}"
             )
     ordered = schedule.table_order()
     start = ordered.start
     finish = start + columns.wcet[ordered.task]
-    for row in np.flatnonzero(overlap).tolist():
+    for row in np.flatnonzero(start[1:] < finish[:-1]).tolist():
         violations.append(
             f"jobs {ordered.name(row)} and {ordered.name(row + 1)} overlap: "
             f"[{start[row]}, {finish[row]}) and [{start[row + 1]}, {finish[row + 1]})"

@@ -299,9 +299,7 @@ class IOController:
         """
         if not hasattr(self, "_offline"):
             raise RuntimeError("load_system_schedule() must be called before run()")
-        # Phase 3 starts from the loaded state, as run_tables does, however
-        # often it runs: each processor is rebuilt around its loaded table,
-        # with fresh devices, channels and fault counters and no task enabled.
+        # Each processor is rebuilt around its loaded table.
         loaded, self.processors = self.processors, {}
         for device, processor in loaded.items():
             self._ensure_processor(device).table.replace(*processor.table.columns())

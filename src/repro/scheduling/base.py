@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.metrics import ScheduleMetrics, flat_psi, flat_upsilon, schedule_metrics
 from repro.core.schedule import FlatSchedule, Schedule, SystemSchedule, flatten
@@ -108,10 +108,6 @@ class SystemScheduleResult:
                 system[device] = result.schedule
         return system
 
-    def flat_schedules(self) -> List[FlatSchedule]:
-        """The produced schedules, in device order."""
-        return [result.flat for result in self.per_device.values() if result.flat is not None]
-
     @property
     def psi(self) -> float:
         """System-wide Psi (job-weighted across devices) of the produced schedules.
@@ -119,12 +115,12 @@ class SystemScheduleResult:
         Computed even when a deadline is violated (see the ``schedulable`` flag),
         so that baselines without timing guarantees remain measurable.
         """
-        return flat_psi(self.flat_schedules())
+        return flat_psi(r.flat for r in self.per_device.values() if r.flat is not None)
 
     @property
     def upsilon(self) -> float:
         """System-wide Upsilon of the produced schedules (see :attr:`psi`)."""
-        return flat_upsilon(self.flat_schedules())
+        return flat_upsilon(r.flat for r in self.per_device.values() if r.flat is not None)
 
 
 class Scheduler(ABC):

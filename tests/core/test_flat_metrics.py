@@ -73,6 +73,18 @@ def task_sets(draw) -> TaskSet:
     return TaskSet(tasks)
 
 
+def flat_over(task_set: TaskSet, jobs, starts, device=None) -> FlatSchedule:
+    """``jobs`` at ``starts`` over the table ``task_set``."""
+    index = task_set.name_index
+    return FlatSchedule(
+        task_set,
+        np.array([index[job.task.name] for job in jobs], dtype=np.int64),
+        np.array([job.index for job in jobs], dtype=np.int64),
+        np.array(starts, dtype=np.int64),
+        device,
+    )
+
+
 def device_schedule(rng, task_set: TaskSet, device: str):
     """``(schedule, flat, jobs)``: some of the device's jobs, in a drawn
     insertion order, at drawn distances from their ideal starts."""
@@ -83,15 +95,7 @@ def device_schedule(rng, task_set: TaskSet, device: str):
     schedule = Schedule(device=device)
     for job, start in zip(held, starts):
         schedule.set_start(job, start)
-    index = task_set.name_index
-    flat = FlatSchedule(
-        task_set,
-        np.array([index[job.task.name] for job in held], dtype=np.int64),
-        np.array([job.index for job in held], dtype=np.int64),
-        np.array(starts, dtype=np.int64),
-        device,
-    )
-    return schedule, flat, jobs
+    return schedule, flat_over(task_set, held, starts, device), jobs
 
 
 @st.composite
@@ -127,7 +131,7 @@ def test_checks_and_metrics_match_the_object_walks(system):
     for (schedule, flat, jobs), _ in per_device.values():
         if flat is None:
             continue
-        required = FlatSchedule.of_jobs(jobs, task_set)
+        required = flat_over(task_set, jobs, [job.ideal_start for job in jobs])
         expected = oracle.validate_schedule(schedule, jobs, raise_on_error=False)
         assert validate_schedule(flat, required, raise_on_error=False) == expected
         assert validate_schedule(schedule, jobs, raise_on_error=False) == expected
@@ -182,8 +186,7 @@ def test_as_added_is_what_a_schedule_holds(task_set, rng):
     """Rows listed more than once, and rows of several devices."""
     rows = rng.choices(task_set.jobs(HORIZON), k=rng.randint(0, 12))
     starts = [rng.randint(0, 50) for _ in rows]
-    flat = FlatSchedule.of_jobs(rows, task_set)
-    flat = flat.take(slice(None), np.array(starts, dtype=np.int64))
+    flat = flat_over(task_set, rows, starts)
     schedule = Schedule()
     try:
         for job, start in zip(rows, starts):

@@ -78,6 +78,46 @@ class TestSchedule:
         assert [e.job.task.name for e in ordered] == ["a", "b"]
         assert schedule.makespan == 9 * MS + 2 * MS
 
+    def test_busy_intervals(self):
+        t1, t2 = make_task(name="a"), make_task(name="b", delta=9 * MS)
+        schedule = Schedule()
+        schedule.set_start(t2.job(0), 9 * MS)
+        schedule.set_start(t1.job(0), 5 * MS)
+        assert schedule.busy_intervals() == [(5 * MS, 7 * MS), (9 * MS, 11 * MS)]
+        assert Schedule().busy_intervals() == []
+
+    def test_copy(self):
+        job = make_task().job(0)
+        schedule = Schedule()
+        schedule.set_start(job, 4000)
+        duplicate = schedule.copy()
+        duplicate.set_start(job, 5000)
+        assert schedule.start_of(job) == 4000
+        assert duplicate.start_of(job) == 5000
+
+    @pytest.mark.parametrize("sorted_first", [False, True])
+    def test_copy_keeps_entries_order_and_device(self, sorted_first):
+        """A copy lists the same entries in the same order on the same device,
+        with or without the original's start-time order already built, and
+        adding to it leaves the original as it was."""
+        a, b = make_task(name="a"), make_task(name="b", delta=9 * MS)
+        schedule = Schedule(device="dev0")
+        for job, start in ((b.job(1), 30 * MS), (a.job(0), 5 * MS), (b.job(0), 9 * MS)):
+            schedule.set_start(job, start)
+        if sorted_first:
+            schedule.sorted_entries()
+        duplicate = schedule.copy()
+        assert duplicate.device == "dev0"
+        assert duplicate.entries == schedule.entries
+        assert duplicate.sorted_entries() == schedule.sorted_entries()
+        duplicate.set_start(a.job(1), 25 * MS)
+        assert a.job(1) in duplicate and a.job(1) not in schedule
+        assert [e.job.key for e in schedule.entries] == [("b", 1), ("a", 0), ("b", 0)]
+        assert [e.job.key for e in schedule.sorted_entries()] == [("a", 0), ("b", 0), ("b", 1)]
+        assert [e.job.key for e in duplicate.sorted_entries()] == [
+            ("a", 0), ("b", 0), ("a", 1), ("b", 1)
+        ]
+
 
 class TestValidation:
     def test_valid_schedule_passes(self):
