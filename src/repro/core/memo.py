@@ -32,10 +32,20 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, Iterable, Optional
 
 #: Fallback capacity for memos registered without an explicit default.
 DEFAULT_MEMO_CAPACITY = 128
+
+
+class HashedKey(tuple):
+    """A tuple memo key that hashes its items once, not on every lookup."""
+
+    def __init__(self, items: Iterable[Hashable]) -> None:
+        self._hash = tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _env_capacity(name: str, default: int) -> int:

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.memo import get_memo
+from repro.core.memo import HashedKey, get_memo
 from repro.core.schedule import FlatSchedule
 from repro.core.task import IOJob
 from repro.scheduling.base import Scheduler, ScheduleResult
@@ -98,7 +98,7 @@ class GAScheduler(Scheduler):
         # the search, so warm workers share one pre-compiled instance per
         # partition content.
         problem = get_memo("ga-problem", 64).get_or_create(
-            (horizon, tuple(jobs)), lambda: self._build_problem(jobs, horizon)
+            HashedKey((horizon, *jobs)), lambda: self._build_problem(jobs, horizon)
         )
         rng = np.random.default_rng(self.config.seed)
         seeds = self._build_seeds(problem, jobs, horizon)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.memo import get_memo
+from repro.core.memo import HashedKey, get_memo
 from repro.core.schedule import FlatSchedule
 from repro.core.task import IOJob
 from repro.scheduling.base import Scheduler, ScheduleResult
@@ -50,7 +50,7 @@ class HeuristicScheduler(Scheduler):
         # key compares by content.  Callers share the stored start vectors,
         # which are read-only, and each gets its own result and diagnostics.
         memo = get_memo("heuristic")
-        key = (horizon, self.allocator.prefer_ideal_placement, tuple(jobs))
+        key = HashedKey((horizon, self.allocator.prefer_ideal_placement, *jobs))
         result = memo.get(key)
         if result is None:
             result = memo.put(key, self._schedule_jobs_uncached(jobs, horizon))
@@ -74,10 +74,14 @@ class HeuristicScheduler(Scheduler):
         }
         if flat is None:
             return ScheduleResult.infeasible(n_jobs=len(jobs), **info)
-        # LC-CD places every kept and sacrificed job, and together they are
-        # the partition's jobs, so the allocation's rows are the jobs the
-        # schedule must hold.
-        result = ScheduleResult.from_flat(flat, flat, **info)
+        # The allocation's rows are distinct jobs of ``jobs``.  As many rows
+        # as listed jobs are every one of them, so the rows are the jobs the
+        # schedule must hold; otherwise a job is listed twice or missing, and
+        # the schedule is checked against the listed jobs themselves.
+        if len(flat) == len(jobs):
+            result = ScheduleResult.from_flat(flat, flat, **info)
+        else:
+            result = ScheduleResult.from_schedule(flat.to_schedule(), jobs, **info)
         for vector in (result.flat.task, result.flat.job, result.flat.start):
             vector.flags.writeable = False
         return result

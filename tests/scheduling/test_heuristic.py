@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.core import MS, IOTask, TaskSet, validate_schedule
-from repro.scheduling import FPSOfflineScheduler, HeuristicScheduler
+from repro.core.memo import reset_memos
+from repro.scheduling import FPSOfflineScheduler, HeuristicScheduler, heuristic
 from repro.taskgen import SystemGenerator
 
 
@@ -109,6 +110,27 @@ class TestHeuristicScheduler:
         result = HeuristicScheduler().schedule_jobs([t.job(0) for t in tasks], horizon=20)
         assert not result.schedulable
         assert result.info["failed_job"] == "t2[0]"
+
+    def test_a_job_lost_before_allocation_leaves_the_result_unschedulable(self, monkeypatch):
+        # The result is checked against the listed jobs, not only against
+        # the rows the allocator placed.
+        original = heuristic.decompose_graphs
+
+        def drop_last_kept(graphs):
+            kept, sacrificed = original(graphs)
+            return kept[:-1], sacrificed
+
+        monkeypatch.setattr(heuristic, "decompose_graphs", drop_last_kept)
+        reset_memos()
+        tasks = [make_task("a", 2, 10, delta=1), make_task("b", 2, 20, delta=2)]
+        jobs = [tasks[0].job(0), tasks[0].job(1), tasks[1].job(0)]
+        result = HeuristicScheduler().schedule_jobs(jobs, horizon=20 * MS)
+        reset_memos()
+        assert not result.schedulable
+        assert len(result.flat) == 2
+        assert validate_schedule(result.schedule, jobs, raise_on_error=False) == [
+            "job a[1] is missing from the schedule"
+        ]
 
 
 def test_static_runs_without_networkx():
