@@ -517,8 +517,10 @@ class CampaignRunner:
                 # each request back beside its response without holding the
                 # whole grid.
                 requests, echoed = tee(request_of(spec, cell) for cell in pending)
+                # The journal reads only scalars, so hits skip decoding the
+                # stored schedules and trace summaries.
                 for response, cell, request in zip(
-                    service.submit_stream(requests), pending, echoed
+                    service.submit_stream(requests, scalars_only=True), pending, echoed
                 ):
                     self._record(cell, values_of(request, response))
                     self._timings.write(

@@ -405,12 +405,14 @@ class RemoteSchedulingService:
     def submit_batch(self, requests) -> List[Any]:
         return list(self.submit_stream(requests))
 
-    def submit_stream(self, requests) -> Iterator[Any]:
+    def submit_stream(self, requests, *, scalars_only: bool = False) -> Iterator[Any]:
         """Answers in request order, pipelined two client windows at a time.
 
         Each stream window goes through :meth:`ServerClient.submit_envelopes`;
         the daemon caches every answer it computes, so a stream abandoned
-        mid-window loses nothing the daemon finished.
+        mid-window loses nothing the daemon finished.  ``scalars_only`` is
+        accepted for the local services' signature and ignored: the daemon
+        answers every request whole.
         """
         requests = iter(requests)
         while True:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+import inspect
 import threading
 
 from repro.core.serialization import (
@@ -75,6 +76,11 @@ class ScheduleCache:
         if backend is None and directory is not None:
             backend = DirectoryBackend(directory)
         self.backend: Optional[CacheBackend] = backend
+        # A backend that overrides ``get_many`` without ``omit`` reads in full.
+        self._backend_omits = (
+            backend is not None
+            and "omit" in inspect.signature(backend.get_many).parameters
+        )
         #: Root of the classic directory layout, ``None`` for any other
         #: backend.  Kept because callers use it to share a cache location.
         self.directory: Optional[Path] = (
@@ -148,11 +154,19 @@ class ScheduleCache:
                     entry = self._entries.setdefault(key, entry)
         return entry
 
-    def peek_many(self, keys: Iterable[str]) -> Dict[str, Dict[str, Any]]:
+    def peek_many(
+        self, keys: Iterable[str], *, omit: Sequence[str] = ()
+    ) -> Dict[str, Dict[str, Any]]:
         """Present entries for every distinct key of ``keys``; no statistics.
 
         Memory answers first; the remaining keys go to the backend as **one**
         batched read (one SQLite query per ~500 keys instead of one per key).
+
+        ``omit`` names result fields the caller does not read: every entry
+        comes back without them, the backend leaves them out of what it
+        reads (``$.data.result.<name>``), and an entry read that way is not
+        kept in memory, so a later lookup without ``omit`` reads it in full.
+        A backend whose ``get_many`` takes no ``omit`` reads in full.
         """
         distinct = list(dict.fromkeys(keys))
         found: Dict[str, Dict[str, Any]] = {}
@@ -164,16 +178,31 @@ class ScheduleCache:
                     missing.append(key)
                 else:
                     found[key] = entry
+        if omit:
+            found = {
+                key: {name: value for name, value in entry.items() if name not in omit}
+                for key, entry in found.items()
+            }
         if missing and self.backend is not None:
             # Backend I/O happens outside the lock; racing loaders of the same
             # key read identical (content-addressed) entries, first one in wins.
-            payloads = self.backend.get_many(missing)
+            if omit and self._backend_omits:
+                payloads = self.backend.get_many(
+                    missing, omit=[f"$.data.result.{name}" for name in omit]
+                )
+            else:
+                payloads = self.backend.get_many(missing)
             loaded = {
                 key: entry
                 for key, payload in payloads.items()
                 if (entry := self._parse_entry(payload)) is not None
             }
-            if loaded:
+            if omit:
+                for entry in loaded.values():
+                    for name in omit:
+                        entry.pop(name, None)
+                found.update(loaded)
+            elif loaded:
                 with self._lock:
                     for key, entry in loaded.items():
                         found[key] = self._entries.setdefault(key, entry)
@@ -185,14 +214,18 @@ class ScheduleCache:
         self._count_op("miss" if entry is None else "hit")
         return entry
 
-    def get_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, Any]]:
+    def get_many(
+        self, keys: Sequence[str], *, omit: Sequence[str] = ()
+    ) -> Dict[str, Dict[str, Any]]:
         """Present entries for ``keys``, counting one hit/miss per *occurrence*.
 
         The statistics match a ``get`` per element of ``keys`` exactly (so a
         batch with duplicates counts every position), while the backend is
-        consulted only once per distinct key.
+        consulted only once per distinct key.  ``omit`` names result fields
+        to leave out, as in :meth:`peek_many`: such a read decodes less of
+        each stored entry and keeps none of them in memory.
         """
-        found = self.peek_many(keys)
+        found = self.peek_many(keys, omit=omit)
         for key in keys:
             self._count_op("miss" if key not in found else "hit")
         return found

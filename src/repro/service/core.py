@@ -313,7 +313,9 @@ class ContentAddressedService(Generic[Req, Resp]):
         """Execute a batch; the responses of :meth:`submit_stream`, as a list."""
         return list(self.submit_stream(requests))
 
-    def submit_stream(self, requests: Iterable[Req]) -> Iterator[Resp]:
+    def submit_stream(
+        self, requests: Iterable[Req], *, scalars_only: bool = False
+    ) -> Iterator[Resp]:
         """Execute requests as they arrive; yields responses in request order.
 
         Requests are read in windows of :data:`STREAM_WINDOW`, and one batched
@@ -337,9 +339,20 @@ class ContentAddressedService(Generic[Req, Resp]):
         Per-request phase breakdowns land in :attr:`last_traces` and the
         phase latency histograms of :attr:`registry`; responses carry none of
         it.
+
+        ``scalars_only`` is for a caller that reads only a response's scalar
+        fields, such as a campaign journal: each window's lookup leaves the
+        response class's mapping fields (``per_device``, ``trace``) out of
+        what it reads from the store, so a hit carries empty mappings.
+        Computed answers stay whole, and so do hit and miss counts.
         """
         requests = iter(requests)
         self.last_traces = []
+        omit = (
+            tuple(name for name, coerce in self.RESPONSE_CLS._result_fields() if coerce is dict)
+            if scalars_only
+            else ()
+        )
         pooled = self.n_workers > 1
         limit = 2 * self.n_workers
         chunksize = self.chunksize or max(1, STREAM_WINDOW // limit)
@@ -359,7 +372,7 @@ class ContentAddressedService(Generic[Req, Resp]):
                 ):
                     window = list(islice(requests, STREAM_WINDOW))
                     exhausted = len(window) < STREAM_WINDOW
-                    jobs = self._admit(window, order, unstored) if window else []
+                    jobs = self._admit(window, order, unstored, omit) if window else []
                     # A stream's only miss runs in this process, as it would
                     # serially: a pool round trip costs more than it saves.
                     if jobs and pooled and (running or not exhausted or len(jobs) > 1):
@@ -414,9 +427,12 @@ class ContentAddressedService(Generic[Req, Resp]):
             for future in running:
                 future.cancel()
 
-    def _admit(self, requests: List[Req], order, unstored: Dict[str, _Job]) -> List[_Job]:
-        """Look up one window and append its positions to ``order``; returns
-        the jobs the window adds, in first-seen order.
+    def _admit(
+        self, requests: List[Req], order, unstored: Dict[str, _Job], omit: Tuple[str, ...]
+    ) -> List[_Job]:
+        """Look up one window, without the result fields ``omit`` names, and
+        append its positions to ``order``; returns the jobs the window adds,
+        in first-seen order.
 
         The lookup skips keys whose leader is still unstored: those positions
         read the stored result back when their turn comes, which counts the
@@ -427,7 +443,7 @@ class ContentAddressedService(Generic[Req, Resp]):
         keys = [request.content_key() for request in requests]
         started = time.monotonic()
         found = (
-            self.cache.get_many([key for key in keys if key not in unstored])
+            self.cache.get_many([key for key in keys if key not in unstored], omit=omit)
             if self.cache is not None
             else {}
         )

@@ -41,7 +41,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.serialization import atomic_write_json, canonical_json
 
@@ -78,18 +78,26 @@ class CacheBackend(ABC):
         """Persist ``payload`` under ``key`` (idempotent: first complete write
         wins; concurrent writers of one key always hold identical payloads)."""
 
-    def get_many(self, keys: Iterable[str]) -> Dict[str, Dict[str, Any]]:
+    def get_many(
+        self, keys: Iterable[str], *, omit: Iterable[str] = ()
+    ) -> Dict[str, Dict[str, Any]]:
         """Payloads for every *present* key of ``keys`` (missing/corrupt omitted).
 
         Each distinct key is consulted once, regardless of duplicates in the
-        iterable.  The generic implementation loops over :meth:`get`; backends
-        with a query interface (SQLite) answer a whole batch per statement.
+        iterable.  ``omit`` lists JSON paths (``$.data.result.per_device``:
+        ``$`` and object keys) to leave out of every payload, as SQLite's
+        ``json_remove`` leaves them out: a path through a missing key or a
+        non-object removes nothing.  The generic implementation loops over
+        :meth:`get` and deletes the paths from each decoded payload; backends
+        with a query interface (SQLite) answer a whole batch per statement,
+        and skip decoding what ``omit`` names.
         """
+        paths = omit_path_keys(omit)
         found: Dict[str, Dict[str, Any]] = {}
         for key in dict.fromkeys(keys):
             payload = self.get(key)
             if payload is not None:
-                found[key] = payload
+                found[key] = omit_paths(payload, paths)
         return found
 
     def put_many(self, items: Iterable[Tuple[str, Dict[str, Any]]]) -> None:
@@ -168,6 +176,53 @@ class CacheBackend(ABC):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def omit_path_keys(paths: Iterable[str]) -> List[Tuple[str, ...]]:
+    """The object keys of each ``$.a.b`` path of ``paths``.
+
+    Raises ``ValueError`` for any other path form (array indexes, quoted
+    keys), which the backends would read differently.
+    """
+    keys = []
+    for path in paths:
+        names = tuple(path.split("."))
+        if names[0] != "$" or len(names) < 2 or not all(
+            name.isidentifier() for name in names[1:]
+        ):
+            raise ValueError(f"unsupported JSON path {path!r} (expected $.key.key...)")
+        keys.append(names[1:])
+    return keys
+
+
+def omit_paths(payload: Dict[str, Any], paths: Sequence[Tuple[str, ...]]) -> Dict[str, Any]:
+    """``payload`` with each of :func:`omit_path_keys`' key paths deleted in
+    place; a path through a missing key or a non-object deletes nothing."""
+    for *parents, last in paths:
+        node: Any = payload
+        for name in parents:
+            node = node.get(name) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node.pop(last, None)
+    return payload
+
+
+def _decoded(
+    rows: Iterable[Tuple[str, Optional[str]]], paths: Sequence[Tuple[str, ...]] = ()
+) -> Dict[str, Dict[str, Any]]:
+    """``{key: payload}`` of the rows whose text decodes to an object, each
+    without ``paths``; a row with no text or unreadable text is left out."""
+    found: Dict[str, Dict[str, Any]] = {}
+    for key, raw in rows:
+        if raw is None:
+            continue
+        try:
+            payload = json.loads(raw)
+        except ValueError:
+            continue
+        if isinstance(payload, dict):
+            found[key] = omit_paths(payload, paths)
+    return found
 
 
 def _format_spec(name: str, **options: Any) -> Optional[str]:
@@ -365,25 +420,56 @@ class SqliteBackend(CacheBackend):
     #: is 999; stay comfortably below it).
     _MAX_QUERY_VARS = 500
 
-    def get_many(self, keys: Iterable[str]) -> Dict[str, Dict[str, Any]]:
+    #: Whether a projected read checks each payload with ``json_valid``
+    #: first.  SQLite 3.42 and later read JSON5 (a stored ``NaN`` or
+    #: ``Infinity``) and write canonical JSON back, so ``json_remove`` would
+    #: not return the number text stored; ``json_valid`` still accepts only
+    #: strict JSON, and a payload it refuses is decoded here in full.  Older
+    #: versions raise on such a payload, which sends its chunk to the same
+    #: fallback without the cost of a second parse per row.
+    _CHECK_STRICT_JSON = sqlite3.sqlite_version_info >= (3, 42, 0)
+
+    def get_many(
+        self, keys: Iterable[str], *, omit: Iterable[str] = ()
+    ) -> Dict[str, Dict[str, Any]]:
+        """See :meth:`CacheBackend.get_many`.  With ``omit``, SQLite removes
+        the paths (``json_remove``) in the same batched SELECT, so only the
+        rest of each payload reaches ``json.loads``.  A chunk SQLite cannot
+        project (``sqlite3.OperationalError``: a malformed payload, or no
+        JSON functions) is read again in full and trimmed here."""
+        omit = tuple(omit)
+        paths = omit_path_keys(omit)
+        projection = f"json_remove(payload, {','.join('?' * len(omit))})"
+        if self._CHECK_STRICT_JSON:
+            projection = f"CASE WHEN json_valid(payload) THEN {projection} END"
         distinct = list(dict.fromkeys(keys))
         found: Dict[str, Dict[str, Any]] = {}
+        step = max(1, self._MAX_QUERY_VARS - len(omit))
         with self._lock:
-            for lo in range(0, len(distinct), self._MAX_QUERY_VARS):
-                chunk = distinct[lo:lo + self._MAX_QUERY_VARS]
-                placeholders = ",".join("?" * len(chunk))
-                rows = self._connection.execute(
-                    f"SELECT key, payload FROM entries WHERE key IN ({placeholders})",
-                    chunk,
-                ).fetchall()
-                for key, raw in rows:
+            for lo in range(0, len(distinct), step):
+                chunk = distinct[lo:lo + step]
+                whole = chunk
+                if omit:
                     try:
-                        payload = json.loads(raw)
-                    except ValueError:
-                        continue
-                    if isinstance(payload, dict):
-                        found[key] = payload
+                        rows = self._select(projection, chunk, omit)
+                    except sqlite3.OperationalError:
+                        pass  # no JSON functions, or a payload they cannot read
+                    else:
+                        # A payload json_valid refused comes back as NULL.
+                        whole = [key for key, raw in rows if raw is None]
+                        found.update(_decoded(rows))
+                if whole:
+                    found.update(_decoded(self._select("payload", whole), paths))
         return found
+
+    def _select(self, column: str, keys: List[str], params: Tuple[str, ...] = ()):
+        """``(key, column)`` rows of the present ``keys``; ``params`` bind the
+        column expression's placeholders."""
+        placeholders = ",".join("?" * len(keys))
+        return self._connection.execute(
+            f"SELECT key, {column} FROM entries WHERE key IN ({placeholders})",
+            (*params, *keys),
+        ).fetchall()
 
     def put_many(self, items: Iterable[Tuple[str, Dict[str, Any]]]) -> None:
         rows = []
