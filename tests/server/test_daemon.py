@@ -3,6 +3,7 @@
 import asyncio
 import copy
 import json
+import multiprocessing
 import socket
 import threading
 import time
@@ -10,6 +11,7 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.runtime import SimulationService
 from repro.runtime.__main__ import scenario_requests as sim_scenario_requests
 from repro.server import (
     AsyncServerClient,
@@ -345,6 +347,36 @@ class TestGracefulShutdown:
                     client.shutdown()
                 assert exc_info.value.code == ERR_INVALID_REQUEST
                 assert client.health()["status"] == "ok"
+
+
+def new_children(before: set) -> list:
+    return [child for child in multiprocessing.active_children() if child.pid not in before]
+
+
+class TestPoolStart:
+    """Entering a threaded server forks the workers of the pool it built from
+    the entering thread.  Forked later, from the event loop's thread on the
+    first computation, a worker copied the exec-status pipe of a subprocess
+    this thread was starting, and the subprocess call never returned."""
+
+    def test_entering_forks_every_worker_before_any_request(self):
+        before = {child.pid for child in multiprocessing.active_children()}
+        with ThreadedServer(n_workers=2, port=0):
+            assert len(new_children(before)) == 2
+        assert new_children(before) == []
+
+    def test_injected_services_fork_nothing_until_their_first_request(self):
+        before = {child.pid for child in multiprocessing.active_children()}
+        with SchedulingService(n_workers=2, cache=None) as scheduling, SimulationService(
+            n_workers=2, cache=None, scheduling=scheduling
+        ) as simulation:
+            server = ReproServer(port=0, scheduling=scheduling, simulation=simulation)
+            with ThreadedServer(server):
+                assert new_children(before) == []
+                with ServerClient(server.host, server.port) as client:
+                    client.schedule(scenario_requests(SCENARIO, ["static"], 1)[0])
+                assert len(new_children(before)) == 2
+        assert new_children(before) == []
 
 
 class TestAsyncClient:
