@@ -143,28 +143,46 @@ class TestNoCNetwork:
                 network.transport(sources, destination, [0] * len(sources), [4] * len(sources))
 
 
-@st.composite
-def transports(draw):
+DELAYS = ("routing_delay", "flit_delay", "injection_delay", "ejection_delay")
+
+
+def random_transport(rng: random.Random):
     """A mesh from 1x1 to 5x5 with all four delays, a destination anywhere on
     it, and packets from any node (the destination itself included) with
     injection times out of order."""
-    mesh = MeshTopology(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    mesh = MeshTopology(rng.randint(1, 5), rng.randint(1, 5))
     nodes = list(mesh.nodes())
-    destination = draw(st.sampled_from(nodes))
-    delays = {
-        name: draw(st.integers(0, 4))
-        for name in ("routing_delay", "flit_delay", "injection_delay", "ejection_delay")
-    }
-    n = draw(st.integers(0, 60))
-    node = st.just(destination) | st.sampled_from(nodes)
-    sources = draw(st.lists(node, min_size=n, max_size=n))
-    times = draw(st.lists(st.integers(0, 120), min_size=n, max_size=n))
-    sizes = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    destination = rng.choice(nodes)
+    delays = {name: rng.randint(0, 4) for name in DELAYS}
+    n = rng.randint(0, 60)
+    sources = [destination if rng.random() < 0.5 else rng.choice(nodes) for _ in range(n)]
+    times = [rng.randint(0, 120) for _ in range(n)]
+    sizes = [rng.randint(1, 9) for _ in range(n)]
     return mesh, delays, sources, destination, times, sizes
 
 
+#: Hypothesis draws one seeded generator per case and every choice comes from
+#: it: a Hypothesis draw per packet made generating a case cost more than
+#: checking it.
+transports = st.integers(0, 2**64 - 1).map(random.Random).map(random_transport)
+
+
+def test_the_drawn_transports_cover_every_kind():
+    """The kinds of case the earlier per-field Hypothesis draws made all occur."""
+    cases = [random_transport(random.Random(seed)) for seed in range(300)]
+    shapes = {(mesh.width, mesh.height) for mesh, *_ in cases}
+    assert shapes == {(w, h) for w in range(1, 6) for h in range(1, 6)}
+    assert {len(sources) for _, _, sources, *_ in cases} >= {0, 1, 60}
+    for name in DELAYS:
+        assert {delays[name] for _, delays, *_ in cases} == set(range(5))
+    assert any(destination in sources for _, _, sources, destination, _, _ in cases)
+    assert any(times != sorted(times) for *_, times, _ in cases)
+    assert {size for *_, sizes in cases for size in sizes} == set(range(1, 10))
+    assert {time for *_, times, _ in cases for time in times} >= {0, 120}
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=transports())
+@given(case=transports)
 def test_transport_equals_a_loop_of_send_on_a_fresh_network(case):
     mesh, delays, sources, destination, times, sizes = case
     sent = NoCNetwork(mesh, **delays)

@@ -13,6 +13,7 @@
   and tasks of another device.
 """
 
+import random
 from itertools import chain
 
 from hypothesis import given, settings
@@ -28,54 +29,80 @@ DEVICES = ("d0", "d1", "d2")
 HORIZON = 80
 
 
-@st.composite
-def task_sets(draw):
+def random_task_set(rng: random.Random) -> TaskSet:
     tasks = []
-    for index in range(draw(st.integers(1, 5))):
-        period = draw(st.sampled_from([10, 20, 40]))
-        wcet = draw(st.integers(1, 5))
-        v_min = draw(st.sampled_from([0.0, 0.5, 1.0, 1.25]))
+    for index in range(rng.randint(1, 5)):
+        period = rng.choice([10, 20, 40])
+        v_min = rng.choice([0.0, 0.5, 1.0, 1.25])
         tasks.append(
             IOTask(
                 name=f"t{index}",
-                wcet=wcet,
+                wcet=rng.randint(1, 5),
                 period=period,
-                ideal_offset=draw(st.integers(0, period)),
-                theta=draw(st.integers(0, period)),
-                device=draw(st.sampled_from(DEVICES)),
-                v_max=v_min + draw(st.sampled_from([0.0, 1.0, 2.5, 3.0, 7.0 / 3.0])),
+                ideal_offset=rng.randint(0, period),
+                theta=rng.randint(0, period),
+                device=rng.choice(DEVICES),
+                v_max=v_min + rng.choice([0.0, 1.0, 2.5, 3.0, 7.0 / 3.0]),
                 v_min=v_min,
-                offset=draw(st.sampled_from([0, 0, 3])),
+                offset=rng.choice([0, 0, 3]),
             )
         )
-    return TaskSet(draw(st.permutations(tasks)))
+    rng.shuffle(tasks)
+    return TaskSet(tasks)
 
 
-def device_schedules(draw, task_set, devices, near=None):
+def device_schedules(rng, task_set, devices, near=None):
     """Random schedules for ``devices``: a subset of each device's jobs in
     random order, at random starts (or, often, at their start in ``near``)."""
     schedules = {}
     for device in devices:
         jobs = [job for job in task_set.jobs(HORIZON) if job.device == device]
-        chosen = draw(st.lists(st.sampled_from(jobs), unique=True) if jobs else st.just([]))
         schedule = Schedule(device=device)
-        for job in chosen:
-            start = draw(st.integers(0, 2 * HORIZON))
+        for job in rng.sample(jobs, rng.randint(0, len(jobs))):
+            start = rng.randint(0, 2 * HORIZON)
             if near is not None and device in near and job in near[device]:
-                start = draw(st.sampled_from([near[device].start_of(job), start]))
+                start = rng.choice([near[device].start_of(job), start])
             schedule.set_start(job, start)
         schedules[device] = schedule
     return schedules
 
 
-@st.composite
-def runs(draw):
-    task_set = draw(task_sets())
-    offline_devices = draw(st.lists(st.sampled_from(DEVICES), unique=True))
-    offline = device_schedules(draw, task_set, offline_devices)
-    runtime_devices = draw(st.lists(st.sampled_from(DEVICES), unique=True))
-    runtime = device_schedules(draw, task_set, runtime_devices, near=offline)
+def random_devices(rng):
+    return rng.sample(DEVICES, rng.randint(0, len(DEVICES)))
+
+
+def random_run(rng: random.Random):
+    task_set = random_task_set(rng)
+    offline = device_schedules(rng, task_set, random_devices(rng))
+    runtime = device_schedules(rng, task_set, random_devices(rng), near=offline)
     return task_set, runtime, offline
+
+
+#: Hypothesis draws one seeded generator per example and every choice comes
+#: from it: a Hypothesis draw per task field and per job made generating an
+#: example cost more than checking it.
+RANDOMS = st.integers(0, 2**64 - 1).map(random.Random)
+runs = RANDOMS.map(random_run)
+
+
+def test_the_drawn_runs_cover_every_kind():
+    """The kinds of run the earlier per-field Hypothesis draws made all occur."""
+    cases = [random_run(random.Random(seed)) for seed in range(300)]
+    assert {len(task_set) for task_set, _, _ in cases} == set(range(1, 6))
+    assert any(not runtime for _, runtime, _ in cases)
+    assert any(not offline for _, _, offline in cases)
+    assert any(set(runtime) - set(offline) for _, runtime, offline in cases)
+    assert any(
+        not schedule.entries for _, runtime, _ in cases for schedule in runtime.values()
+    )
+    on_time = late = 0
+    for _, runtime, offline in cases:
+        for device, schedule in runtime.items():
+            for entry in schedule.entries:
+                if device in offline and entry.job in offline[device]:
+                    on_time += entry.start == offline[device].start_of(entry.job)
+                late += entry.start > HORIZON
+    assert on_time and late
 
 
 def scores(outcome):
@@ -89,7 +116,7 @@ def scores(outcome):
 
 
 @settings(max_examples=300, deadline=None)
-@given(run=runs())
+@given(run=runs)
 def test_vector_scores_match_the_object_rules(run):
     task_set, runtime, offline = run
     expected = (
@@ -119,33 +146,46 @@ def test_an_empty_run_scores_like_the_object_rules():
     assert scores(outcome) == ("1.0", "1.0", [], "1.0", True)
 
 
-@st.composite
-def stored_schedules(draw):
-    task_set = draw(task_sets())
+#: One way each of a hand-built stored schedule's entries can be broken.
+BREAKS = [("task", "x"), ("job", -1), ("job", 1.0), ("job", "2"), ("start", 3.5), ("start", True)]
+
+
+def random_stored_schedule(rng: random.Random):
+    task_set = random_task_set(rng)
     jobs = task_set.jobs(HORIZON)
     entries = [
-        {"task": job.task.name, "job": job.index, "start": draw(st.integers(0, 2 * HORIZON))}
-        for job in draw(st.lists(st.sampled_from(jobs), max_size=12))
+        {"task": job.task.name, "job": job.index, "start": rng.randint(0, 2 * HORIZON)}
+        for job in (rng.choice(jobs) for _ in range(rng.randint(0, 12)))
     ]
-    entries = draw(st.permutations(entries))
-    if entries and draw(st.booleans()):
+    if entries and rng.random() < 0.5:
         # Break one entry the way a hand-built stored schedule might.
-        at = draw(st.integers(0, len(entries) - 1))
-        field, value = draw(
-            st.sampled_from(
-                [
-                    ("task", "x"),
-                    ("job", -1),
-                    ("job", 1.0),
-                    ("job", "2"),
-                    ("start", 3.5),
-                    ("start", True),
-                ]
-            )
-        )
+        field, value = rng.choice(BREAKS)
+        at = rng.randrange(len(entries))
         entries[at] = dict(entries[at], **{field: value})
-    device = draw(st.sampled_from([None, *DEVICES]))
+    device = rng.choice([None, *DEVICES])
     return task_set, {"device": device, "entries": entries}
+
+
+stored_schedules = RANDOMS.map(random_stored_schedule)
+
+
+def test_the_drawn_stored_schedules_cover_every_kind():
+    """Every break, repeated entries, other devices' tasks and empty lists occur."""
+    cases = [random_stored_schedule(random.Random(seed)) for seed in range(300)]
+    entries = [entry for _, data in cases for entry in data["entries"]]
+    for field, value in BREAKS:
+        assert any(type(entry[field]) is type(value) and entry[field] == value for entry in entries)
+    assert any(not data["entries"] for _, data in cases)
+    assert {data["device"] for _, data in cases} == {None, *DEVICES}
+    assert any(
+        len({(entry["task"], entry["job"]) for entry in data["entries"]}) < len(data["entries"])
+        for _, data in cases
+    )
+    assert any(
+        data["device"] is not None
+        and any(task.device != data["device"] for task in task_set)
+        for task_set, data in cases
+    )
 
 
 def decoded(decode, data, task_set):
@@ -160,7 +200,7 @@ def decoded(decode, data, task_set):
 
 
 @settings(max_examples=300, deadline=None)
-@given(stored=stored_schedules())
+@given(stored=stored_schedules)
 def test_the_vector_decode_matches_the_object_decode(stored):
     task_set, data = stored
     assert decoded(flat_schedule_from_dict, data, task_set) == decoded(

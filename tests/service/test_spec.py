@@ -1,5 +1,10 @@
 """Unit and property tests for the SchedulerSpec grammar."""
 
+import math
+import random
+import string
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -130,8 +135,18 @@ class TestResolve:
 
 # -- property-based round-trip -------------------------------------------------
 
-_names = st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_-]{0,15}", fullmatch=True)
-_keys = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,15}", fullmatch=True)
+# Hypothesis draws one seeded ``random.Random`` per spec and every choice
+# comes from it: regex strategies drawing names, keys and values character by
+# character made generating a spec cost more than checking it.
+
+_NAME_CHARS = string.ascii_letters + string.digits + "_"
+_VALUE_CHARS = string.ascii_letters + string.digits + "_.-"
+#: Floats whose text the grammar must carry exactly.
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 0.1)
+
+
+def _word(rng: random.Random, first: str, rest: str) -> str:
+    return rng.choice(first) + "".join(rng.choice(rest) for _ in range(rng.randint(0, 15)))
 
 
 def _is_plain_string(text: str) -> bool:
@@ -139,21 +154,61 @@ def _is_plain_string(text: str) -> bool:
     return isinstance(value, str) and value == text
 
 
-_string_values = st.from_regex(r"[A-Za-z][A-Za-z0-9_.-]{0,15}", fullmatch=True).filter(
-    _is_plain_string
-)
-_values = st.one_of(
-    st.booleans(),
-    st.none(),
-    st.integers(min_value=-(10**12), max_value=10**12),
-    st.floats(allow_nan=False, allow_infinity=False),
-    _string_values,
-)
-_specs = st.builds(
-    SchedulerSpec,
-    name=_names,
-    options=st.dictionaries(_keys, _values, max_size=6),
-)
+def _finite_float(rng: random.Random) -> float:
+    pick = rng.randrange(4)
+    if pick == 0:
+        return rng.choice(_EDGE_FLOATS)
+    if pick == 1:
+        return float(rng.randint(-(10**6), 10**6))
+    if pick == 2:
+        return rng.uniform(-1e3, 1e3)
+    while True:  # any finite double, by its bits
+        value = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        if math.isfinite(value):
+            return value
+
+
+def _option_value(rng: random.Random):
+    pick = rng.randrange(5)
+    if pick == 0:
+        return rng.random() < 0.5
+    if pick == 1:
+        return None
+    if pick == 2:
+        return rng.choice((0, -(10**12), 10**12, rng.randint(-(10**12), 10**12)))
+    if pick == 3:
+        return _finite_float(rng)
+    while True:
+        text = _word(rng, string.ascii_letters, _VALUE_CHARS)
+        if _is_plain_string(text):
+            return text
+
+
+def _random_spec(rng: random.Random) -> SchedulerSpec:
+    """A name, and up to six options of every value type."""
+    options = {
+        _word(rng, string.ascii_letters + "_", _NAME_CHARS): _option_value(rng)
+        for _ in range(rng.randint(0, 6))
+    }
+    return SchedulerSpec(_word(rng, _NAME_CHARS, _NAME_CHARS + "-"), options)
+
+
+_specs = st.integers(0, 2**64 - 1).map(random.Random).map(_random_spec)
+
+
+def test_the_drawn_specs_cover_every_kind():
+    """The kinds of spec the earlier Hypothesis strategies drew all occur."""
+    specs = [_random_spec(random.Random(seed)) for seed in range(300)]
+    values = [value for spec in specs for _, value in spec.options]
+    assert {type(value) for value in values} == {bool, type(None), int, float, str}
+    assert {len(spec.options) for spec in specs} == set(range(7))
+    floats = [value for value in values if type(value) is float]
+    assert any(math.copysign(1.0, value) < 0 and value == 0 for value in floats)
+    assert any(0 < abs(value) < 2.2250738585072014e-308 for value in floats)
+    assert any(abs(value) > 1e300 for value in floats)
+    assert any(spec.name[0].isdigit() for spec in specs)
+    assert any("-" in spec.name for spec in specs)
+    assert any(key.startswith("_") for spec in specs for key, _ in spec.options)
 
 
 @given(spec=_specs)
